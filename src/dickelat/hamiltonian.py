@@ -22,7 +22,7 @@ from . import algebra
 from .basis import BasisIndex, BasisSpec, enumerate_basis, sector_twist
 from .errors import CapacityError
 
-# Builders refuse to allocate a dense matrix larger than this (bytes).
+# Default size (bytes) above which the builders refuse to allocate a dense matrix.
 MEMORY_BUDGET_BYTES = 4 * 2**30
 
 _KIND_CODES = {"fock": 0, "coherent": 1, "coherent-parity": 2, None: 3}
@@ -85,12 +85,12 @@ class SymmetricMatrix:
         return self.data.shape[0]
 
 
-def _check_capacity(dim):
+def _check_capacity(dim, budget):
     need = 8 * dim * dim
-    if need > MEMORY_BUDGET_BYTES:
+    if need > budget:
         raise CapacityError(
             f"dense {dim}x{dim} matrix needs {need / 2**30:.2f} GiB, "
-            f"budget is {MEMORY_BUDGET_BYTES / 2**30:.2f} GiB"
+            f"budget is {budget / 2**30:.2f} GiB"
         )
 
 
@@ -190,12 +190,17 @@ def _jz_parity(index, params):
 # ---------------------------------------------------------------------------
 # builders
 
-def build_fock(params: ModelParams, n_max: int) -> SymmetricMatrix:
+def build_fock(
+    params: ModelParams, n_max: int, mem_budget_bytes=MEMORY_BUDGET_BYTES
+) -> SymmetricMatrix:
     """Dicke Hamiltonian over |n> x |j,m>: diagonal omega n + omega0 m with the
-    (2 gamma / sqrt(N_atoms)) (a + a^dag) Jx coupling linking (n, m) to (n+1, m+-1)."""
+    (2 gamma / sqrt(N_atoms)) (a + a^dag) Jx coupling linking (n, m) to (n+1, m+-1).
+
+    Raises CapacityError if the dense matrix would exceed `mem_budget_bytes`
+    (as do the other builders)."""
     spec = BasisSpec("fock", params.j, n_max)
     index = enumerate_basis(spec)
-    _check_capacity(index.size)
+    _check_capacity(index.size, mem_budget_bytes)
     size = n_max + 1
     coupling = 2.0 * params.gamma / math.sqrt(params.n_atoms)
     ns = np.arange(size, dtype=float)
@@ -221,17 +226,21 @@ def _coherent_diagonal(index, params):
     return params.omega * index.n_exc - quad * index.m_vals**2
 
 
-def build_coherent(params: ModelParams, n_max: int) -> SymmetricMatrix:
+def build_coherent(
+    params: ModelParams, n_max: int, mem_budget_bytes=MEMORY_BUDGET_BYTES
+) -> SymmetricMatrix:
     """Dicke Hamiltonian over the displaced shells |N; j, m>."""
     spec = BasisSpec("coherent", params.j, n_max)
     index = enumerate_basis(spec)
-    _check_capacity(index.size)
+    _check_capacity(index.size, mem_budget_bytes)
     mat = params.omega0 * _jz_coherent(index, params)
     mat[np.diag_indices(index.size)] += _coherent_diagonal(index, params)
     return SymmetricMatrix(mat, spec)
 
 
-def build_coherent_parity(params: ModelParams, n_max: int, sector: int) -> SymmetricMatrix:
+def build_coherent_parity(
+    params: ModelParams, n_max: int, sector: int, mem_budget_bytes=MEMORY_BUDGET_BYTES
+) -> SymmetricMatrix:
     """Dicke Hamiltonian restricted to one parity sector of the displaced basis.
 
     The union of the two sectors' spectra equals the full coherent-basis
@@ -239,7 +248,7 @@ def build_coherent_parity(params: ModelParams, n_max: int, sector: int) -> Symme
     """
     spec = BasisSpec("coherent-parity", params.j, n_max, parity_sector=sector)
     index = enumerate_basis(spec)
-    _check_capacity(index.size)
+    _check_capacity(index.size, mem_budget_bytes)
     mat = params.omega0 * _jz_parity(index, params)
     mat[np.diag_indices(index.size)] += _coherent_diagonal(index, params)
     return SymmetricMatrix(mat, spec)

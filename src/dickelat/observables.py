@@ -10,7 +10,7 @@ from . import hamiltonian as ham
 from .basis import BasisIndex, enumerate_basis, sector_twist
 from .errors import ParityResolutionError
 from .hamiltonian import ModelParams, SymmetricMatrix
-from .solver import Spectrum
+from .solver import Spectrum, _row_envelopes
 
 log = logging.getLogger(__name__)
 
@@ -39,17 +39,17 @@ def peres_matrix(op_kind: str, index: BasisIndex, params: ModelParams) -> Symmet
 
 
 def expectation(spectrum: Spectrum, op: SymmetricMatrix) -> np.ndarray:
-    """<v_k| op |v_k> for every eigenstate k."""
+    """<v_k| op |v_k> for every eigenstate k, accumulated over the row chunks
+    of op and each chunk's nonzero column envelope."""
     if op.basis != spectrum.basis:
         raise ValueError("operator and spectrum live in different bases")
     if op.dim != spectrum.dim:
         raise ValueError("operator and spectrum dimensions differ")
     v = spectrum.vectors
-    diag = np.diag(op.data)
-    if np.count_nonzero(op.data) == np.count_nonzero(diag):
-        # diagonal operator: avoid the dense matmul
-        return (diag[:, None] * v**2).sum(axis=0)
-    return (v * (op.data @ v)).sum(axis=0)
+    out = np.zeros(spectrum.dim)
+    for rows, cols in _row_envelopes(op.data):
+        out += np.einsum("ik,ik->k", v[rows], op.data[rows, cols] @ v[cols])
+    return out
 
 
 def _degenerate_clusters(energies, gap):

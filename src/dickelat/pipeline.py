@@ -80,6 +80,7 @@ class SectorResult:
     stats: list | None
     residual_report: solver.ResidualReport
     wall_time_s: float
+    timings_s: dict
     spectrum: solver.Spectrum | None = None
 
 
@@ -93,11 +94,12 @@ class RunResult:
 
 
 def _build_matrix(cfg, sector):
+    budget = cfg.mem_budget_bytes
     if cfg.basis == "fock":
-        return hamiltonian.build_fock(cfg.params, cfg.n_max)
+        return hamiltonian.build_fock(cfg.params, cfg.n_max, budget)
     if cfg.basis == "coherent":
-        return hamiltonian.build_coherent(cfg.params, cfg.n_max)
-    return hamiltonian.build_coherent_parity(cfg.params, cfg.n_max, sector)
+        return hamiltonian.build_coherent(cfg.params, cfg.n_max, budget)
+    return hamiltonian.build_coherent_parity(cfg.params, cfg.n_max, sector, budget)
 
 
 def _window_stats(energies_over_j, windows, degree):
@@ -126,13 +128,18 @@ def _window_stats(energies_over_j, windows, degree):
 
 
 def run_sector(cfg: RunConfig, sector):
-    """Full pipeline for one sector; returns an in-memory SectorResult."""
-    t0 = time.perf_counter()
+    """Full pipeline for one sector; returns an in-memory SectorResult.
+
+    timings_s holds the wall time of each consecutive stage (build, solve,
+    certificate, observables, analysis); they sum to wall_time_s."""
+    marks = [(None, time.perf_counter())]
     matrix = _build_matrix(cfg, sector)
     index = enumerate_basis(matrix.basis)
+    marks.append(("build", time.perf_counter()))
     spectrum = solver.eigh(matrix, driver=cfg.solver_driver)
     residual = spectrum.residual_report
     del matrix
+    marks.append(("solve", time.perf_counter()))
 
     if cfg.basis == "fock":
         report = None
@@ -141,16 +148,20 @@ def run_sector(cfg: RunConfig, sector):
         report = observables.delta_p(spectrum, index, tolerance=cfg.dp_tol)
         dp = report.delta_p
     parities = observables.parity_labels(spectrum, cfg.params)
+    marks.append(("certificate", time.perf_counter()))
 
     expectations = {}
-    lattices = {}
     for op in cfg.ops:
         op_matrix = observables.peres_matrix(op, index, cfg.params)
         expectations[op] = observables.expectation(spectrum, op_matrix)
         del op_matrix
-        if report is not None:
+    marks.append(("observables", time.perf_counter()))
+
+    lattices = {}
+    if report is not None:
+        for op, values in expectations.items():
             lattices[op] = analysis.lattice(
-                spectrum, expectations[op], parities, report, cfg.params, op
+                spectrum, values, parities, report, cfg.params, op
             )
 
     e_over_j = spectrum.energies / cfg.params.j
@@ -171,7 +182,8 @@ def run_sector(cfg: RunConfig, sector):
         converged_e = e_over_j[dp < cfg.dp_tol]
         stats = _window_stats(converged_e, cfg.stat_windows, cfg.unfold_degree)
 
-    wall = time.perf_counter() - t0
+    marks.append(("analysis", time.perf_counter()))
+    timings = {name: t - t_prev for (_, t_prev), (name, t) in zip(marks, marks[1:])}
     return SectorResult(
         sector=sector,
         dim=spectrum.dim,
@@ -184,7 +196,8 @@ def run_sector(cfg: RunConfig, sector):
         markers=markers,
         stats=stats,
         residual_report=residual,
-        wall_time_s=wall,
+        wall_time_s=marks[-1][1] - marks[0][1],
+        timings_s=timings,
         spectrum=spectrum if cfg.keep_vectors else None,
     )
 
@@ -301,6 +314,7 @@ def _sector_manifest(cfg, gamma, sector, result=None, files=None, error=None):
                 "h_frobenius": result.residual_report.h_frobenius,
             },
             wall_time_s=result.wall_time_s,
+            timings_s=result.timings_s,
         )
     if error is not None:
         man["error"] = str(error)
@@ -311,15 +325,6 @@ def run(cfg: RunConfig) -> RunResult:
     """Execute one run (all requested sectors) and persist products under
     out_dir/<gamma>/<sector>/.  Raises on failure after flushing a manifest
     with a failure marker."""
-    old_budget = hamiltonian.MEMORY_BUDGET_BYTES
-    hamiltonian.MEMORY_BUDGET_BYTES = cfg.mem_budget_bytes
-    try:
-        return _run_inner(cfg)
-    finally:
-        hamiltonian.MEMORY_BUDGET_BYTES = old_budget
-
-
-def _run_inner(cfg):
     gamma = cfg.params.gamma
     sectors = list(cfg.sectors) if cfg.basis == "coherent-parity" else [None]
     results, manifests = [], []

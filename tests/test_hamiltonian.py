@@ -65,13 +65,8 @@ class TestBuildFock:
         assert np.count_nonzero(h.data @ pi - pi @ h.data) == 0
 
     def test_capacity_guard(self):
-        old = ham.MEMORY_BUDGET_BYTES
-        ham.MEMORY_BUDGET_BYTES = 10_000
-        try:
-            with pytest.raises(CapacityError):
-                ham.build_fock(params(0.1, 2.0), 40)
-        finally:
-            ham.MEMORY_BUDGET_BYTES = old
+        with pytest.raises(CapacityError):
+            ham.build_fock(params(0.1, 2.0), 40, mem_budget_bytes=10_000)
 
 
 class TestBuildCoherent:

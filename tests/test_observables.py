@@ -241,3 +241,53 @@ class TestDeltaP:
         s = solve(h)
         with pytest.raises(ValueError):
             obs.delta_p(s, enumerate_basis(h.basis))
+
+
+def dense_expectation(vectors, op):
+    return (vectors * (op @ vectors)).sum(axis=0)
+
+
+class TestEnvelopeExpectation:
+    @pytest.mark.parametrize("dim", [1, 63, 65, 130, 331])
+    def test_random_operator_matches_dense(self, dim):
+        rng = np.random.default_rng(dim)
+        a = np.triu(np.tril(rng.standard_normal((dim, dim)), 2), -2)
+        a = a + a.T
+        a[0, -1] = a[-1, 0] = -1.3
+        v = rng.standard_normal((dim, dim))
+        s = solver.Spectrum(np.zeros(dim), v, None, None)
+        want = dense_expectation(v, a)
+        got = obs.expectation(s, ham.SymmetricMatrix(a, None))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("kind", ["fock", "coherent", "coherent-parity"])
+    def test_peres_operators_match_dense(self, kind):
+        p = params(0.8, 2.0)
+        h = {
+            "fock": lambda: ham.build_fock(p, 40),
+            "coherent": lambda: ham.build_coherent(p, 40),
+            "coherent-parity": lambda: ham.build_coherent_parity(p, 40, 1),
+        }[kind]()
+        idx = enumerate_basis(h.basis)
+        s = solve(h)
+        for op_kind in obs.PERES_OPS:
+            op = obs.peres_matrix(op_kind, idx, p)
+            want = dense_expectation(s.vectors, op.data)
+            got = obs.expectation(s, op)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), op_kind
+
+    def test_envelope_area_stays_banded(self):
+        # count-based guard against a silent fallback to dense products on
+        # the production basis (N = 40, n_max = 160, one parity sector)
+        p = params(1.0, 20.0)
+        h = ham.build_coherent_parity(p, 160, 1)
+        idx = enumerate_basis(h.basis)
+        mats = {"H": h.data}
+        mats.update({k: obs.peres_matrix(k, idx, p).data for k in obs.PERES_OPS})
+        limits = {"H": 0.20, "Jz": 0.20, "Jx2": 0.03, "photon_n": 0.03}
+        for name, mat in mats.items():
+            area = sum(
+                (rows.stop - rows.start) * (cols.stop - cols.start)
+                for rows, cols in solver._row_envelopes(mat)
+            )
+            assert area <= limits[name] * h.dim**2, (name, area / h.dim**2)

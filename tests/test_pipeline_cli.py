@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from dickelat import pipeline
+from dickelat import hamiltonian, pipeline
 from dickelat.cli import main
-from dickelat.errors import ConfigError
+from dickelat.errors import CapacityError, ConfigError
 from dickelat.hamiltonian import ModelParams
 
 
@@ -42,6 +42,18 @@ class TestPipelineRun:
             assert man["residual_report"]["max_residual"] <= (
                 1e-10 * man["residual_report"]["h_frobenius"]
             )
+
+    def test_manifest_stage_timings_sum_to_wall_time(self, tmp_path):
+        result = pipeline.run(small_config(tmp_path))
+        for man in result.manifests:
+            timings = man["timings_s"]
+            assert list(timings) == ["build", "solve", "certificate", "observables", "analysis"]
+            assert all(t >= 0.0 for t in timings.values())
+            assert sum(timings.values()) == pytest.approx(man["wall_time_s"], rel=0.05)
+            on_disk = json.loads(
+                (result.out_dir / pipeline.SECTOR_DIRS[man["sector"]] / "manifest.json").read_text()
+            )
+            assert on_disk["timings_s"] == timings
 
     def test_csv_round_trip_precision(self, tmp_path):
         cfg = small_config(tmp_path, sectors=(1,))
@@ -107,6 +119,25 @@ class TestPipelineRun:
         # concurrent execution must not scramble the per-point outputs
         grounds = [min(s.energies[0] for s in r.sectors) for r in results]
         assert grounds == sorted(grounds, reverse=True)
+
+    def test_concurrent_sweep_leaves_default_budget(self, tmp_path):
+        default = hamiltonian.MEMORY_BUDGET_BYTES
+        cfg = small_config(
+            tmp_path, n_max=12, ops=(), gammas=(0.2, 0.3, 0.4, 0.5), workers=2,
+            do_markers=False, do_stats=False, mem_budget_bytes=2**30,
+        )
+        _, rows = pipeline.sweep(cfg)
+        assert [row["status"] for row in rows] == ["ok"] * 4
+        assert hamiltonian.MEMORY_BUDGET_BYTES == default
+
+    def test_concurrent_sweep_budget_below_every_matrix(self, tmp_path):
+        cfg = small_config(
+            tmp_path, n_max=12, ops=(), gammas=(0.2, 0.3, 0.4, 0.5), workers=2,
+            mem_budget_bytes=1000,
+        )
+        results, rows = pipeline.sweep(cfg)
+        assert [row["status"] for row in rows] == ["failed"] * 4
+        assert all(isinstance(r[1], CapacityError) for r in results)
 
     def test_sweep_ground_energy_drops_past_critical(self, tmp_path):
         cfg = small_config(

@@ -3,7 +3,7 @@ import pytest
 
 from dickelat import hamiltonian as ham
 from dickelat import solver
-from dickelat.basis import BasisSpec
+from dickelat.basis import BasisSpec, enumerate_basis
 
 
 def wrap(data):
@@ -105,3 +105,96 @@ def test_spectrum_carries_basis_provenance():
     p = ham.ModelParams(omega=1.0, omega0=1.0, gamma=0.2, j=1.0)
     s = solver.eigh(ham.build_coherent(p, 8))
     assert s.basis == BasisSpec("coherent", 1.0, 8)
+
+
+def banded_with_far_corner(dim, seed, band=3):
+    """Random symmetric band matrix plus one far-off-band pair H[0, -1]."""
+    rng = np.random.default_rng(seed)
+    a = np.triu(np.tril(rng.standard_normal((dim, dim)), band), -band)
+    a = a + a.T
+    a[0, -1] = a[-1, 0] = 0.7
+    return a
+
+
+def envelope_product(mat, vectors):
+    out = np.empty((mat.shape[0], vectors.shape[1]))
+    for rows, cols in solver._row_envelopes(mat):
+        out[rows] = mat[rows, cols] @ vectors[cols]
+    return out
+
+
+def dense_max_residual(mat, energies, vectors):
+    return np.linalg.norm(mat @ vectors - vectors * energies[None, :], axis=0).max()
+
+
+def model_matrices():
+    p = ham.ModelParams(omega=1.0, omega0=1.0, gamma=0.8, j=2.0)
+    fock = enumerate_basis(BasisSpec("fock", 2.0, 40))
+    return {
+        "fock Jx2": ham.op_jx2(fock, p),
+        "fock H": ham.build_fock(p, 40).data,
+        "coherent H": ham.build_coherent(p, 40).data,
+        "parity H": ham.build_coherent_parity(p, 40, -1).data,
+    }
+
+
+class TestRowEnvelopes:
+    @pytest.mark.parametrize("dim", [1, 63, 65, 130, 331])
+    def test_random_matrix_product_and_residual(self, dim):
+        a = banded_with_far_corner(dim, seed=dim)
+        rng = np.random.default_rng(dim + 1)
+        v = rng.standard_normal((dim, 9))
+        e = rng.standard_normal(9)
+        want = a @ v
+        assert np.abs(envelope_product(a, v) - want).max() <= 1e-12 * np.abs(want).max()
+        rep = solver.residual_report_for(a, e, v)
+        assert rep.max_residual == pytest.approx(dense_max_residual(a, e, v), rel=1e-12)
+
+    def test_chunks_tile_rows_and_cover_every_nonzero(self):
+        for name, mat in model_matrices().items():
+            assert mat.shape[0] % solver._ROW_CHUNK != 0, name
+            covered = np.zeros(mat.shape, dtype=bool)
+            for rows, cols in solver._row_envelopes(mat):
+                covered[rows, cols] = True
+            assert np.array_equal(covered.sum(axis=1) > 0, mat.any(axis=1)), name
+            assert not (mat[~covered]).any(), name
+
+    @pytest.mark.parametrize("name", ["fock Jx2", "fock H", "coherent H", "parity H"])
+    def test_model_matrices_match_dense(self, name):
+        mat = model_matrices()[name]
+        s = solver.eigh(wrap(mat))
+        want = mat @ s.vectors
+        got = envelope_product(mat, s.vectors)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        e_off = s.energies + np.linspace(0.5, 1.5, s.dim)
+        rep = solver.residual_report_for(mat, e_off, s.vectors)
+        assert rep.max_residual == pytest.approx(
+            dense_max_residual(mat, e_off, s.vectors), rel=1e-12
+        )
+
+    def test_all_zero_chunk_keeps_its_energy_term(self):
+        # rows and columns 64..127 are zero, so that chunk's envelope is
+        # empty; column 100's residual is then |0 - E_100| alone
+        d = np.arange(1.0, 151.0)
+        d[64:128] = 0.0
+        energies = d.copy()
+        energies[100] = 5.0
+        envelopes = list(solver._row_envelopes(np.diag(d)))
+        assert envelopes[1][1].start == envelopes[1][1].stop
+        rep = solver.residual_report_for(np.diag(d), energies, np.eye(150))
+        assert rep.max_residual == 5.0
+
+    def test_far_off_band_fault_detected(self):
+        p = ham.ModelParams(omega=1.0, omega0=1.0, gamma=1.2, j=3.0)
+        m = ham.build_coherent_parity(p, 100, 1)
+        s = solver.eigh(m)
+        assert s.residual_report.within_bounds()
+        assert m.data[0, -1] == 0.0
+        bad = m.data.copy()
+        delta = 1e-8 * np.linalg.norm(m.data)
+        bad[0, -1] = bad[-1, 0] = delta
+        rep = solver.residuals(wrap(bad), s)
+        assert rep.max_residual > solver.RESIDUAL_BOUND * rep.h_frobenius
+        assert rep.max_residual == pytest.approx(
+            dense_max_residual(bad, s.energies, s.vectors), rel=1e-6
+        )
