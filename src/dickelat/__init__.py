@@ -14,7 +14,6 @@ from .observables import (
     ConvergenceReport,
     delta_p,
     expectation,
-    parity_expectation,
     parity_labels,
     peres_matrix,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "eigh",
     "enumerate_basis",
     "expectation",
-    "parity_expectation",
     "parity_labels",
     "peres_matrix",
     "residuals",

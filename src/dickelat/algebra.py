@@ -1,4 +1,4 @@
-"""Collective pseudo-spin matrix elements and displaced-oscillator overlaps.
+"""Collective pseudo-spin matrices and the displaced-oscillator overlap matrix.
 
 Everything here is a pure function of its arguments; all matrix elements are
 real.  Factorial ratios are evaluated in log space so photon cutoffs of a few
@@ -10,24 +10,10 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-SPIN_KINDS = ("z-diagonal", "ladder-raise", "ladder-lower", "x", "x-squared")
-
 # Laguerre recurrence values are renormalized past this magnitude so the
 # upward recurrence stays finite for arbitrary degree/order.
 _RESCALE_LIMIT = 1e250
 _LOG_RESCALE = math.log(_RESCALE_LIMIT)
-
-
-def check_spin(j, m):
-    """Validate a (j, m) pair: 2j a non-negative integer, m in {-j..j} on the same grid."""
-    twoj = 2.0 * j
-    if twoj < 0 or twoj != round(twoj):
-        raise ValueError(f"invalid spin length j={j}: 2j must be a non-negative integer")
-    twom = 2.0 * m
-    if twom != round(twom):
-        raise ValueError(f"invalid projection m={m}: 2m must be an integer")
-    if abs(m) > j or (round(twoj) - round(twom)) % 2 != 0:
-        raise ValueError(f"invalid projection m={m} for j={j}")
 
 
 def m_values(j):
@@ -63,104 +49,11 @@ def jx_squared(j):
     return low + low.T - np.diag(np.diag(sq))
 
 
-def spin_matrix_element(kind, j, m_row, m_col):
-    """<j,m_row| O |j,m_col> for O named by `kind` (see SPIN_KINDS).
-
-    The quantization axis is the one natural to the operator: z-diagonal and
-    the ladders act in the eigenbasis of the corresponding projection.
-    """
-    if kind not in SPIN_KINDS:
-        raise ValueError(f"unknown spin operator kind {kind!r}")
-    check_spin(j, m_row)
-    check_spin(j, m_col)
-    if kind == "z-diagonal":
-        return m_col if m_row == m_col else 0.0
-    if kind == "ladder-raise":
-        return ladder_coeff(j, m_col, +1) if m_row == m_col + 1 else 0.0
-    if kind == "ladder-lower":
-        return ladder_coeff(j, m_col, -1) if m_row == m_col - 1 else 0.0
-    if kind == "x":
-        return 0.5 * (
-            spin_matrix_element("ladder-raise", j, m_row, m_col)
-            + spin_matrix_element("ladder-lower", j, m_row, m_col)
-        )
-    # x-squared: read the element off the explicitly squared matrix
-    sq = jx_squared(j)
-    i = round(m_row + j)
-    k = round(m_col + j)
-    return sq[i, k]
-
-
-def laguerre_assoc(n, alpha, x):
-    """Associated Laguerre L_n^(alpha)(x) by the three-term upward recurrence in n."""
-    if n < 0:
-        raise ValueError("degree n must be >= 0")
-    if n == 0:
-        return 1.0
-    prev = 1.0
-    cur = 1.0 + alpha - x
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
-    return cur
-
-
-def _laguerre_sign_log(n, alpha, x):
-    """(sign, log|L_n^(alpha)(x)|) with on-the-fly rescaling; log is -inf for exact zero."""
-    if n == 0:
-        return 1.0, 0.0
-    prev = 1.0
-    cur = 1.0 + alpha - x
-    shift = 0.0
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
-        if abs(cur) > _RESCALE_LIMIT:
-            cur /= _RESCALE_LIMIT
-            prev /= _RESCALE_LIMIT
-            shift += _LOG_RESCALE
-    if cur == 0.0:
-        return 0.0, -math.inf
-    return math.copysign(1.0, cur), math.log(abs(cur)) + shift
-
-
-def displaced_overlap(n_row, n_col, delta):
-    """<n_row| exp(delta (a^dag - a)) |n_col> for a real displacement delta.
-
-    Uses the closed form sqrt(n'!/n!) delta^(n-n') e^(-delta^2/2) L_{n'}^{(n-n')}(delta^2)
-    for n >= n'; the opposite order follows from the (-1)^(n-n') transpose symmetry.
-    Always in [-1, 1].
-    """
-    if n_row < 0 or n_col < 0:
-        raise ValueError("photon numbers must be >= 0")
-    if not math.isfinite(delta):
-        raise ValueError("displacement must be finite")
-    if delta == 0.0:
-        return 1.0 if n_row == n_col else 0.0
-    if n_row < n_col:
-        sign = 1.0 if (n_col - n_row) % 2 == 0 else -1.0
-        return sign * displaced_overlap(n_col, n_row, delta)
-    n, np_ = n_row, n_col
-    diff = n - np_
-    x = delta * delta
-    lsign, llog = _laguerre_sign_log(np_, diff, x)
-    if lsign == 0.0:
-        return 0.0
-    log_mag = (
-        0.5 * (math.lgamma(np_ + 1) - math.lgamma(n + 1))
-        + diff * math.log(abs(delta))
-        - 0.5 * x
-        + llog
-    )
-    sign = lsign if (delta > 0 or diff % 2 == 0) else -lsign
-    value = sign * math.exp(log_mag)
-    if math.isnan(value):
-        raise ArithmeticError(
-            f"displaced overlap lost to NaN at n={n}, n'={np_}, delta={delta}"
-        )
-    return value
-
-
 def displacement_matrix(n_top, delta):
     """Dense (n_top+1)^2 matrix W with W[r, c] = <r| exp(delta (a^dag - a)) |c>.
+
+    For r >= c, W[r, c] = sqrt(c!/r!) delta^(r-c) e^(-delta^2/2) L_c^(r-c)(delta^2);
+    the upper triangle follows from W[c, r] = (-1)^(r-c) W[r, c].
 
     Filled diagonal-by-diagonal: for each order difference the Laguerre
     recurrence runs upward in degree, vectorized over the difference, with

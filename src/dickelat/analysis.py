@@ -71,7 +71,6 @@ def lattice(
     report: ConvergenceReport,
     params: ModelParams,
     operator_kind: str,
-    converged_only: bool = False,
 ) -> PeresLattice:
     """Assemble the per-state lattice for one operator, energies normalized by j."""
     e = np.asarray(spectrum.energies, dtype=float)
@@ -83,10 +82,7 @@ def lattice(
     if not np.isfinite(dp).all():
         raise ValueError("every lattice point needs a finite delta_p")
     _check_bounds(operator_kind, x, params)
-    lat = PeresLattice(operator_kind, e / params.j, x, p, dp, params)
-    if converged_only:
-        lat = lat.select(dp < report.tolerance)
-    return lat
+    return PeresLattice(operator_kind, e / params.j, x, p, dp, params)
 
 
 def _check_bounds(operator_kind, x, params, slack=1e-9):
@@ -234,10 +230,7 @@ def spacing_stats(unfolded, bin_width=0.25) -> SpacingStats:
     hi = max(4.0, float(s.max()))
     edges = np.arange(0.0, hi + bin_width, bin_width)
     counts, _ = np.histogram(s, bins=edges)
-    lo = np.minimum(s[:-1], s[1:])
-    hi_ = np.maximum(s[:-1], s[1:])
-    ratios = np.where(hi_ > 0, lo / np.where(hi_ > 0, hi_, 1.0), 0.0)
-    return SpacingStats(counts, edges, float(ratios.mean()))
+    return SpacingStats(counts, edges, mean_gap_ratio(unfolded))
 
 
 def drop_degenerate(energies, gap_tol=1e-10):

@@ -42,7 +42,6 @@ def build_parser():
     g.add_argument("--bin-width", type=float, help="E/j bin width for DoS and markers")
     g.add_argument("--unfold-degree", type=int, help="polynomial degree for unfolding")
     g.add_argument("--mem-budget-gib", type=float, help="dense-matrix memory budget")
-    g.add_argument("--solver-driver", choices=("ev", "evd", "evr"), help="LAPACK driver")
 
     parser = argparse.ArgumentParser(
         prog="dickelat",
@@ -171,7 +170,6 @@ def _resolve(merged, command):
             out_dir=Path(out) if out else None,
             workers=_get(merged, "workers", int, 1),
             mem_budget_bytes=round(_get(merged, "mem-budget-gib", float, 4.0) * 2**30),
-            solver_driver=_get(merged, "solver-driver", str, "evd"),
             gammas=tuple(gammas) if command == "sweep" else (),
         )
     except ValueError as exc:

@@ -13,7 +13,6 @@ convention consistent across the package.
 """
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +23,6 @@ from .errors import CapacityError
 
 # Default size (bytes) above which the builders refuse to allocate a dense matrix.
 MEMORY_BUDGET_BYTES = 4 * 2**30
-
-_KIND_CODES = {"fock": 0, "coherent": 1, "coherent-parity": 2, None: 3}
-_MAGIC = b"DPH1"
 
 
 @dataclass(frozen=True)
@@ -92,12 +88,6 @@ def _check_capacity(dim, budget):
             f"dense {dim}x{dim} matrix needs {need / 2**30:.2f} GiB, "
             f"budget is {budget / 2**30:.2f} GiB"
         )
-
-
-def _mirror_lower(mat):
-    """Exactly symmetric matrix from the lower triangle of `mat`."""
-    low = np.tril(mat)
-    return low + low.T - np.diag(np.diag(mat))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +173,7 @@ def _jz_parity(index, params):
         n_list = index.n_exc[sl]
         signs = np.where(n_list % 2 == 0, 1.0, -1.0) * s_eff
         blk = c * w[np.ix_(n_list, n_list)] * signs[None, :]
-        mat[sl, sl] = _mirror_lower(blk)
+        mat[sl, sl] = blk
     return mat
 
 
@@ -276,35 +266,3 @@ def build_tc_block(params: ModelParams, lam: int) -> SymmetricMatrix:
             mat[k + 1, k] = val
             mat[k, k + 1] = val
     return SymmetricMatrix(mat, None)
-
-
-# ---------------------------------------------------------------------------
-# optional binary dump of the lower triangle
-
-def dump_matrix(matrix: SymmetricMatrix, path):
-    """Write `matrix` as a 16-byte header plus the row-major lower triangle
-    in little-endian float64."""
-    kind = matrix.basis.kind if matrix.basis is not None else None
-    header = _MAGIC + struct.pack("<II", matrix.dim, _KIND_CODES[kind]) + b"\x00" * 4
-    tri = matrix.data[np.tril_indices(matrix.dim)]
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(tri.astype("<f8").tobytes())
-
-
-def load_matrix(path):
-    """Read a matrix written by `dump_matrix`; returns (SymmetricMatrix, kind_code).
-
-    Basis provenance beyond the kind code is not stored, so `basis` is None.
-    """
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if header[:4] != _MAGIC:
-            raise ValueError("not a matrix dump (bad magic)")
-        dim, kind_code = struct.unpack("<II", header[4:12])
-        tri = np.frombuffer(fh.read(8 * dim * (dim + 1) // 2), dtype="<f8")
-    mat = np.zeros((dim, dim))
-    rows, cols = np.tril_indices(dim)
-    mat[rows, cols] = tri
-    mat[cols, rows] = tri
-    return SymmetricMatrix(mat, None), kind_code

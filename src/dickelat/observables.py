@@ -58,37 +58,26 @@ def _degenerate_clusters(energies, gap):
     return np.split(np.arange(energies.size), splits)
 
 
-def parity_expectation(spectrum: Spectrum, params: ModelParams, cluster_rel_gap=1e-9):
-    """Parity label +-1 per eigenstate of a Fock-basis spectrum.
-
-    The parity operator is diagonal there with entries (-1)^(n + m + j).
-    Inside (near-)degenerate clusters the solver returns arbitrary mixtures,
-    so the parity is diagonalized within each cluster before labels are read
-    off.  Raises ParityResolutionError when a state stays mixed afterwards.
-    """
-    if spectrum.basis is None or spectrum.basis.kind != "fock":
-        raise ValueError("parity labels need a Fock-basis spectrum")
-    index = enumerate_basis(spectrum.basis)
-    pi_diag = np.where(
-        (index.n_exc + np.round(index.m_vals + params.j).astype(int)) % 2 == 0, 1.0, -1.0
-    )
-    return _resolve_parity(spectrum, lambda b: pi_diag[:, None] * b, cluster_rel_gap)
-
-
 def parity_labels(spectrum: Spectrum, params: ModelParams, cluster_rel_gap=1e-9):
     """Parity label +-1 per eigenstate, for any basis kind.
 
     Fock: diagonal (-1)^(n+m+j).  Coherent: the shell-mirroring action
     (m -> -m with sign (-1)^(2j) (-1)^N).  Parity-adapted: the sector label.
+    Inside (near-)degenerate clusters the solver returns arbitrary mixtures,
+    so the parity is diagonalized within each cluster before labels are read
+    off.  Raises ParityResolutionError when a state stays mixed afterwards.
     """
     if spectrum.basis is None:
         raise ValueError("spectrum has no basis provenance")
     kind = spectrum.basis.kind
-    if kind == "fock":
-        return parity_expectation(spectrum, params, cluster_rel_gap)
     if kind == "coherent-parity":
         return np.full(spectrum.dim, spectrum.basis.parity_sector, dtype=int)
     index = enumerate_basis(spectrum.basis)
+    if kind == "fock":
+        pi_diag = np.where(
+            (index.n_exc + np.round(index.m_vals + params.j).astype(int)) % 2 == 0, 1.0, -1.0
+        )
+        return _resolve_parity(spectrum, lambda b: pi_diag[:, None] * b, cluster_rel_gap)
     twist = sector_twist(spectrum.basis.j)
     perm = np.array(
         [index.index_of(n, -m) for n, m in zip(index.n_exc, index.m_vals)]
@@ -121,17 +110,6 @@ def _resolve_parity(spectrum, apply_pi, cluster_rel_gap):
         )
     labels = np.where(raw >= 0, 1, -1).astype(int)
     return labels
-
-
-def excitation_probabilities(spectrum: Spectrum, index: BasisIndex) -> np.ndarray:
-    """P_N per eigenstate: probability of shell N, shape (n_max+1, n_states).
-    Columns sum to one."""
-    size = index.spec.n_max + 1
-    out = np.empty((size, spectrum.dim))
-    v2 = spectrum.vectors**2
-    for n in range(size):
-        out[n] = v2[index.rows_with_excitation(n), :].sum(axis=0)
-    return out
 
 
 def delta_p(spectrum: Spectrum, index: BasisIndex, tolerance=1e-12) -> ConvergenceReport:

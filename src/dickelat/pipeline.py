@@ -45,8 +45,6 @@ class RunConfig:
     out_dir: Path | None = None
     workers: int = 1
     mem_budget_bytes: int = hamiltonian.MEMORY_BUDGET_BYTES
-    solver_driver: str = "evd"
-    keep_vectors: bool = False
     gammas: tuple = ()
 
     def __post_init__(self):
@@ -62,6 +60,8 @@ class RunConfig:
             raise ConfigError("n_max must be >= 0")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if not self.bin_width > 0:
+            raise ConfigError("bin_width must be > 0")
         if self.out_dir is not None:
             self.out_dir = Path(self.out_dir)
 
@@ -81,7 +81,6 @@ class SectorResult:
     residual_report: solver.ResidualReport
     wall_time_s: float
     timings_s: dict
-    spectrum: solver.Spectrum | None = None
 
 
 @dataclass
@@ -136,7 +135,7 @@ def run_sector(cfg: RunConfig, sector):
     matrix = _build_matrix(cfg, sector)
     index = enumerate_basis(matrix.basis)
     marks.append(("build", time.perf_counter()))
-    spectrum = solver.eigh(matrix, driver=cfg.solver_driver)
+    spectrum = solver.eigh(matrix)
     residual = spectrum.residual_report
     del matrix
     marks.append(("solve", time.perf_counter()))
@@ -198,7 +197,6 @@ def run_sector(cfg: RunConfig, sector):
         residual_report=residual,
         wall_time_s=marks[-1][1] - marks[0][1],
         timings_s=timings,
-        spectrum=spectrum if cfg.keep_vectors else None,
     )
 
 
@@ -321,6 +319,13 @@ def _sector_manifest(cfg, gamma, sector, result=None, files=None, error=None):
     return man
 
 
+def _write_manifest(sector_dir: Path, man):
+    _write_text(
+        sector_dir / "manifest.json",
+        json.dumps(man, sort_keys=True, indent=1, default=_json_default) + "\n",
+    )
+
+
 def run(cfg: RunConfig) -> RunResult:
     """Execute one run (all requested sectors) and persist products under
     out_dir/<gamma>/<sector>/.  Raises on failure after flushing a manifest
@@ -329,32 +334,27 @@ def run(cfg: RunConfig) -> RunResult:
     sectors = list(cfg.sectors) if cfg.basis == "coherent-parity" else [None]
     results, manifests = [], []
     gamma_dir = None
+    sector_dirs = [None] * len(sectors)
     if cfg.out_dir is not None:
         gamma_dir = cfg.out_dir / f"gamma={gamma:.12g}"
-    for sector in sectors:
-        sector_dir = None
-        if gamma_dir is not None:
-            sector_dir = gamma_dir / SECTOR_DIRS[sector]
+        sector_dirs = [gamma_dir / SECTOR_DIRS[sector] for sector in sectors]
+        # no earlier run's "ok" manifest may outlive a rerun that dies midway
+        for sector_dir in sector_dirs:
+            (sector_dir / "manifest.json").unlink(missing_ok=True)
+    for sector, sector_dir in zip(sectors, sector_dirs):
         try:
             result = run_sector(cfg, sector)
+            files = {}
+            if sector_dir is not None:
+                files = write_sector_files(cfg, result, sector_dir)
         except Exception as exc:
             if sector_dir is not None:
                 sector_dir.mkdir(parents=True, exist_ok=True)
-                man = _sector_manifest(cfg, gamma, sector, error=exc)
-                _write_text(
-                    sector_dir / "manifest.json",
-                    json.dumps(man, sort_keys=True, indent=1, default=_json_default) + "\n",
-                )
+                _write_manifest(sector_dir, _sector_manifest(cfg, gamma, sector, error=exc))
             raise
-        files = {}
-        if sector_dir is not None:
-            files = write_sector_files(cfg, result, sector_dir)
         man = _sector_manifest(cfg, gamma, sector, result=result, files=files)
         if sector_dir is not None:
-            _write_text(
-                sector_dir / "manifest.json",
-                json.dumps(man, sort_keys=True, indent=1, default=_json_default) + "\n",
-            )
+            _write_manifest(sector_dir, man)
         results.append(result)
         manifests.append(man)
     return RunResult(cfg, gamma, results, manifests, gamma_dir)

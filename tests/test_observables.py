@@ -119,7 +119,7 @@ class TestParity:
     def test_zero_coupling_ground_state_parity(self):
         p = params(0.0, 1.0)
         s = solve(ham.build_fock(p, 6))
-        labels = obs.parity_expectation(s, p)
+        labels = obs.parity_labels(s, p)
         assert labels[0] == 1  # |n=0, m=-j>: Lambda = 0
 
     def test_action_on_displaced_shells(self):
@@ -141,7 +141,7 @@ class TestParity:
         # parity label counts match the parity-sector spectra, energy-resolved
         p = params(0.75, 5.0)  # 1.5 gamma_c, 10 atoms
         s = solve(ham.build_fock(p, 100))
-        labels = obs.parity_expectation(s, p)
+        labels = obs.parity_labels(s, p)
         e_cut = 10.0
         wp = np.linalg.eigvalsh(ham.build_coherent_parity(p, 80, +1).data)
         wm = np.linalg.eigvalsh(ham.build_coherent_parity(p, 80, -1).data)
@@ -155,7 +155,7 @@ class TestParity:
         # at gamma=0 massive degeneracies mix parities inside the solver
         p = params(0.0, 2.0)
         s = solve(ham.build_fock(p, 12))
-        labels = obs.parity_expectation(s, p)
+        labels = obs.parity_labels(s, p)
         assert set(np.unique(labels)) <= {-1, 1}
 
     def test_unresolvable_parity_raises(self):
@@ -168,7 +168,7 @@ class TestParity:
         s.vectors[:, 0] = (v0 + v1) / math.sqrt(2)
         s.energies[:] = np.arange(s.dim)
         with pytest.raises(ParityResolutionError):
-            obs.parity_expectation(s, p)
+            obs.parity_labels(s, p)
 
     def test_parity_labels_coherent_matches_fock(self):
         # state-by-state parity labels agree between the two representations
@@ -176,7 +176,7 @@ class TestParity:
         sc = solve(ham.build_coherent(p, 40))
         labels_c = obs.parity_labels(sc, p)
         sf = solve(ham.build_fock(p, 160))
-        labels_f = obs.parity_expectation(sf, p)
+        labels_f = obs.parity_labels(sf, p)
         n_low = 25
         assert np.abs(sc.energies[:n_low] - sf.energies[:n_low]).max() < 1e-9
         assert np.array_equal(labels_c[:n_low], labels_f[:n_low])
@@ -206,8 +206,13 @@ class TestDeltaP:
         h = ham.build_coherent(p, 25)
         idx = enumerate_basis(h.basis)
         s = solve(h)
-        probs = obs.excitation_probabilities(s, idx)
+        # the shells partition the basis: per-state shell weights sum to one,
+        # and the top shell's weight is the delta_p certificate
+        probs = np.array(
+            [(s.vectors[idx.rows_with_excitation(n), :] ** 2).sum(axis=0) for n in range(26)]
+        )
         assert np.abs(probs.sum(axis=0) - 1.0).max() < 1e-12
+        assert np.array_equal(probs[-1], obs.delta_p(s, idx).delta_p)
 
     def test_converged_count_prefix_rule(self):
         p = params(0.7, 1.0)

@@ -96,6 +96,44 @@ class TestPipelineRun:
         assert man["status"] == "failed"
         assert "error" in man
 
+    def test_failed_rewrite_replaces_ok_manifest(self, tmp_path, monkeypatch):
+        first = small_config(tmp_path, n_max=10)
+        pipeline.run(first)
+        manifest = first.out_dir / "gamma=0.3" / "plus" / "manifest.json"
+        assert json.loads(manifest.read_text())["status"] == "ok"
+
+        write_text = pipeline._write_text
+
+        def failing_write(path, text):
+            if path.name == "lattice_Jz.csv":
+                raise OSError("disk full")
+            write_text(path, text)
+
+        monkeypatch.setattr(pipeline, "_write_text", failing_write)
+        with pytest.raises(OSError):
+            pipeline.run(small_config(tmp_path, n_max=12))
+        man = json.loads(manifest.read_text())
+        assert man["status"] == "failed"
+        assert man["n_max"] == 12
+        assert "disk full" in man["error"]
+
+    def test_killed_rerun_leaves_no_manifest(self, tmp_path, monkeypatch):
+        first = small_config(tmp_path, n_max=10)
+        pipeline.run(first)
+        gamma_dir = first.out_dir / "gamma=0.3"
+        assert (gamma_dir / "plus" / "manifest.json").exists()
+        assert (gamma_dir / "minus" / "manifest.json").exists()
+
+        def killed(cfg, sector):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipeline, "run_sector", killed)
+        with pytest.raises(KeyboardInterrupt):
+            pipeline.run(small_config(tmp_path, n_max=12))
+        # neither the sector that died nor the one never reached looks complete
+        assert not (gamma_dir / "plus" / "manifest.json").exists()
+        assert not (gamma_dir / "minus" / "manifest.json").exists()
+
     def test_sweep_isolates_failures(self, tmp_path):
         cfg = small_config(
             tmp_path,
@@ -168,6 +206,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             small_config(tmp_path, ops=("Jx",))
 
+    @pytest.mark.parametrize("width", [0.0, -0.1, float("nan")])
+    def test_bad_bin_width(self, tmp_path, width):
+        with pytest.raises(ConfigError):
+            small_config(tmp_path, bin_width=width)
+
 
 class TestCli:
     def run_cli(self, *argv):
@@ -223,6 +266,18 @@ class TestCli:
             )
             == 2
         )
+
+    def test_zero_bin_width_is_config_error_before_build(self, monkeypatch, capsys):
+        def no_build(*a, **k):
+            raise AssertionError("matrix built despite an invalid bin width")
+
+        monkeypatch.setattr(pipeline, "_build_matrix", no_build)
+        code = self.run_cli(
+            "lattice", "--n-atoms", "4", "--gamma-over-gc", "1", "--n-max", "10",
+            "--bin-width", "0",
+        )
+        assert code == 2
+        assert "bin_width" in capsys.readouterr().err
 
     def test_capacity_exit_code(self, tmp_path):
         code = self.run_cli(
