@@ -91,6 +91,19 @@ class BasisIndex:
         return out
 
 
+def basis_size(spec: BasisSpec) -> int:
+    """Number of labels enumerate_basis(spec) yields, counted without them."""
+    shells = spec.n_max + 1
+    twoj = round(2 * spec.j)
+    if spec.kind != "coherent-parity":
+        return (twoj + 1) * shells
+    size = (twoj + 1) // 2 * shells  # the m > 0 labels
+    if twoj % 2 == 0:  # m = 0 keeps the shells whose (-1)^N matches the sector
+        even = spec.parity_sector * sector_twist(spec.j) == 1
+        size += (shells + 1) // 2 if even else shells // 2
+    return size
+
+
 def enumerate_basis(spec: BasisSpec) -> BasisIndex:
     """Enumerate the basis labels for `spec` in deterministic (m, n) ascending order.
 

@@ -80,11 +80,18 @@ def _parse_int_list(text):
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"range spec needs lo:hi:step, got {text!r}")
-        lo, hi, step = (int(p) for p in parts)
+        lo, hi, step = (_int(p) for p in parts)
         if step <= 0:
             raise ConfigError("range spec needs step > 0")
         return list(range(lo, hi + 1, step))
-    return [int(v) for v in text.split(",") if v.strip()]
+    return [_int(v) for v in text.split(",") if v.strip()]
+
+
+def _int(text):
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ConfigError(f"not an integer: {text!r}") from exc
 
 
 def _load_config_section(path, section):

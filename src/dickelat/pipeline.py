@@ -1,9 +1,16 @@
 """Run orchestration: enumerate -> build -> diagonalize -> observables ->
-analysis, with deterministic CSV/JSON persistence and coupling sweeps."""
+analysis, with deterministic CSV/JSON persistence and coupling sweeps.
 
+A run or sweep whose sectors are all smaller than ONE_BLAS_THREAD_BELOW_DIM
+calls BLAS on one thread; larger ones keep the process's thread counts."""
+
+import contextlib
 import hashlib
 import json
 import math
+import os
+import resource
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -12,11 +19,19 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, hamiltonian, observables, solver
-from .basis import enumerate_basis
+from .basis import BasisSpec, basis_size, enumerate_basis
 from .errors import ConfigError, DickelatError
 from .hamiltonian import ModelParams
 
 SECTOR_DIRS = {1: "plus", -1: "minus", None: "all"}
+
+# Sectors below this dimension run BLAS on one thread.  numpy and scipy each
+# load their own OpenBLAS, and each leaves its threads spinning after a call,
+# so small sectors pay for two contending pools.  One full lattice run of one
+# sector (3 Peres operators, analysis, files; N = 40, 2 cores) took, on 1
+# thread against 2: 0.74-0.80x at dim 841, 0.83x at 923, 0.90-1.01x at 1005,
+# 1.10x at 1148 and 1.32x at 1661.
+ONE_BLAS_THREAD_BELOW_DIM = 1024
 
 
 def fmt(x):
@@ -204,7 +219,18 @@ def run_sector(cfg: RunConfig, sector):
 # persistence
 
 def _write_text(path: Path, text: str):
-    path.write_text(text, encoding="utf-8", newline="")
+    """Write `text` to a temporary file beside `path`, then rename it to
+    `path`, so no partly written file ever carries a final name.  Returns the
+    sha256 of the bytes written."""
+    data = text.encode("utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def _csv(rows, header):
@@ -212,10 +238,6 @@ def _csv(rows, header):
     for row in rows:
         lines.append(",".join(fmt(c) for c in row))
     return "\n".join(lines) + "\n"
-
-
-def _sha256(path: Path):
-    return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _json_default(o):
@@ -235,18 +257,20 @@ def write_sector_files(cfg, result, sector_dir: Path):
         (k, float(e), float(e / j), int(p), float(d))
         for k, (e, p, d) in enumerate(zip(result.energies, result.parities, dp))
     ]
-    path = sector_dir / "energies.csv"
-    _write_text(path, _csv(rows, ["index", "energy", "energy_over_j", "parity", "delta_p"]))
-    files["energies.csv"] = _sha256(path)
+    files["energies.csv"] = _write_text(
+        sector_dir / "energies.csv",
+        _csv(rows, ["index", "energy", "energy_over_j", "parity", "delta_p"]),
+    )
 
     for op, exp in result.expectations.items():
         rows = [
             (float(e / j), float(x), int(p), float(d))
             for e, x, p, d in zip(result.energies, exp, result.parities, dp)
         ]
-        path = sector_dir / f"lattice_{op}.csv"
-        _write_text(path, _csv(rows, ["E_over_j", "expval", "parity", "delta_p"]))
-        files[f"lattice_{op}.csv"] = _sha256(path)
+        name = f"lattice_{op}.csv"
+        files[name] = _write_text(
+            sector_dir / name, _csv(rows, ["E_over_j", "expval", "parity", "delta_p"])
+        )
 
     if result.dos is not None:
         edges, counts = result.dos
@@ -254,14 +278,13 @@ def write_sector_files(cfg, result, sector_dir: Path):
             (float(edges[i]), float(edges[i + 1]), int(counts[i]))
             for i in range(counts.size)
         ]
-        path = sector_dir / "dos.csv"
-        _write_text(path, _csv(rows, ["bin_left", "bin_right", "count"]))
-        files["dos.csv"] = _sha256(path)
+        files["dos.csv"] = _write_text(
+            sector_dir / "dos.csv", _csv(rows, ["bin_left", "bin_right", "count"])
+        )
 
     if result.markers is not None:
-        path = sector_dir / "markers.json"
-        _write_text(
-            path,
+        files["markers.json"] = _write_text(
+            sector_dir / "markers.json",
             json.dumps(
                 {
                     "static_marker": result.markers.static_marker,
@@ -274,15 +297,12 @@ def write_sector_files(cfg, result, sector_dir: Path):
             )
             + "\n",
         )
-        files["markers.json"] = _sha256(path)
 
     if result.stats is not None:
-        path = sector_dir / "stats.json"
-        _write_text(
-            path,
+        files["stats.json"] = _write_text(
+            sector_dir / "stats.json",
             json.dumps(result.stats, sort_keys=True, indent=1, default=_json_default) + "\n",
         )
-        files["stats.json"] = _sha256(path)
     return files
 
 
@@ -299,6 +319,9 @@ def _sector_manifest(cfg, gamma, sector, result=None, files=None, error=None):
         "omega0": cfg.params.omega0,
         "dp_tolerance": cfg.dp_tol,
         "files": files or {},
+        # one process-wide count: the highest over the loaded OpenBLAS libraries
+        "blas_threads": max(solver.blas_thread_counts().values(), default=None),
+        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     if result is not None:
         man.update(
@@ -326,10 +349,25 @@ def _write_manifest(sector_dir: Path, man):
     )
 
 
+def _blas_scope(cfg):
+    """One BLAS thread when every sector of `cfg` is below
+    ONE_BLAS_THREAD_BELOW_DIM.  The count then depends on the config alone."""
+    sectors = cfg.sectors if cfg.basis == "coherent-parity" else (None,)
+    dim = max(basis_size(BasisSpec(cfg.basis, cfg.params.j, cfg.n_max, s)) for s in sectors)
+    if dim < ONE_BLAS_THREAD_BELOW_DIM:
+        return solver.blas_threads(1)
+    return contextlib.nullcontext()
+
+
 def run(cfg: RunConfig) -> RunResult:
     """Execute one run (all requested sectors) and persist products under
     out_dir/<gamma>/<sector>/.  Raises on failure after flushing a manifest
     with a failure marker."""
+    with _blas_scope(cfg):
+        return _run(cfg)
+
+
+def _run(cfg):
     gamma = cfg.params.gamma
     sectors = list(cfg.sectors) if cfg.basis == "coherent-parity" else [None]
     results, manifests = [], []
@@ -338,9 +376,11 @@ def run(cfg: RunConfig) -> RunResult:
     if cfg.out_dir is not None:
         gamma_dir = cfg.out_dir / f"gamma={gamma:.12g}"
         sector_dirs = [gamma_dir / SECTOR_DIRS[sector] for sector in sectors]
-        # no earlier run's "ok" manifest may outlive a rerun that dies midway
+        # no earlier run's "ok" manifest may outlive a rerun that dies midway,
+        # nor the temporary files of a run killed while writing
         for sector_dir in sector_dirs:
-            (sector_dir / "manifest.json").unlink(missing_ok=True)
+            for stale in [sector_dir / "manifest.json", *sector_dir.glob(".*.tmp")]:
+                stale.unlink(missing_ok=True)
     for sector, sector_dir in zip(sectors, sector_dirs):
         try:
             result = run_sector(cfg, sector)
@@ -408,11 +448,14 @@ def sweep(cfg: RunConfig):
         except Exception as exc:
             return exc
 
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(one, point_cfgs))
-    else:
-        outcomes = [one(pc) for pc in point_cfgs]
+    # set before the pool starts: the count is process-wide, and each point's
+    # run then finds it already in place
+    with _blas_scope(cfg):
+        if cfg.workers > 1:
+            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+                outcomes = list(pool.map(one, point_cfgs))
+        else:
+            outcomes = [one(pc) for pc in point_cfgs]
 
     rows = []
     results = []

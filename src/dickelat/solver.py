@@ -5,8 +5,14 @@ the residual bound (max ||H v - E v|| <= 1e-10 ||H||_F) and the orthonormality
 defect (<= 1e-10), both recorded on every Spectrum.  The audit multiplies H
 one row chunk at a time over that chunk's nonzero column envelope, so banded
 matrices cost a fraction of a dense GEMM while every nonzero still counts.
+
+numpy and scipy may each load their own OpenBLAS; `blas_threads` sets the
+thread count of every loaded one for the duration of a block.
 """
 
+import ctypes
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +29,14 @@ ORTHO_BOUND = 1e-10
 # m-block band of the displaced-shell matrices, wide enough that each chunk
 # product is still an efficient GEMM.
 _ROW_CHUNK = 64
+
+# (set, get) symbol pairs under which OpenBLAS builds export their thread
+# count: plain, scipy-openblas, and scipy-openblas with the ILP64 suffix.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+)
 
 
 @dataclass
@@ -119,3 +133,52 @@ def residuals(matrix: SymmetricMatrix, spectrum: Spectrum) -> ResidualReport:
     if matrix.dim != spectrum.dim:
         raise ValueError("matrix and spectrum dimensions differ")
     return residual_report_for(matrix.data, spectrum.energies, spectrum.vectors)
+
+
+def _openblas_pools():
+    """(file name, set, get) for each OpenBLAS library mapped into this
+    process, found by path in /proc/self/maps; empty where there is none."""
+    try:
+        with open("/proc/self/maps", "rb") as fh:
+            lines = [line for line in fh if b"openblas" in line]
+    except OSError:
+        return []
+    paths = {os.fsdecode(line.split(maxsplit=5)[5].strip()) for line in lines}
+    pools = []
+    for path in sorted(paths):
+        name = os.path.basename(path)
+        if "openblas" not in name:
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                pools.append((name, getattr(lib, set_name), getattr(lib, get_name)))
+                break
+    return pools
+
+
+def blas_thread_counts():
+    """{library file name: thread count} of every loaded OpenBLAS."""
+    return {name: get() for name, _, get in _openblas_pools()}
+
+
+@contextmanager
+def blas_threads(n):
+    """Run the block with every loaded OpenBLAS on `n` threads, then give each
+    library it changed back its previous count.  Libraries already on `n`
+    threads, or none at all, are left alone.
+
+    The count is process-wide: set it before starting threads that call BLAS,
+    not from inside them."""
+    counts = [(set_threads, get()) for _, set_threads, get in _openblas_pools()]
+    changed = [(set_threads, count) for set_threads, count in counts if count != n]
+    for set_threads, _ in changed:
+        set_threads(n)
+    try:
+        yield
+    finally:
+        for set_threads, count in changed:
+            set_threads(count)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dickelat.basis import BasisSpec, enumerate_basis, sector_twist
+from dickelat.basis import BasisSpec, basis_size, enumerate_basis, sector_twist
 
 half_js = st.integers(1, 8).map(lambda t: t / 2.0)
 
@@ -28,6 +28,7 @@ def test_large_coherent_size():
 def test_parity_sector_dim_at_scale():
     plus = enumerate_basis(BasisSpec("coherent-parity", 20.0, 250, parity_sector=+1))
     assert plus.size == 20 * 251 + 126 == 5146
+    assert basis_size(plus.spec) == 5146
 
 
 def test_ordering_m_major_then_excitation():
@@ -59,6 +60,7 @@ def test_round_trip(j, n_max):
         BasisSpec("coherent-parity", j, n_max, parity_sector=-1),
     ):
         idx = enumerate_basis(spec)
+        assert basis_size(spec) == idx.size
         for i in range(idx.size):
             n, m = idx.label_of(i)
             assert idx.index_of(n, m) == i

@@ -1,10 +1,13 @@
+import errno
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dickelat import hamiltonian, pipeline
+from dickelat import hamiltonian, pipeline, solver
+from dickelat.basis import BasisSpec, basis_size, enumerate_basis
 from dickelat.cli import main
 from dickelat.errors import CapacityError, ConfigError
 from dickelat.hamiltonian import ModelParams
@@ -117,12 +120,51 @@ class TestPipelineRun:
         assert man["n_max"] == 12
         assert "disk full" in man["error"]
 
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        pipeline.run(small_config(tmp_path, n_max=10))
+        sector_dir = tmp_path / "out" / "gamma=0.3" / "plus"
+        before = {p.name: p.read_bytes() for p in sector_dir.iterdir()}
+
+        write_bytes = Path.write_bytes
+
+        def half_then_full_disk(path, data):
+            if path.name.startswith(".lattice_Jz.csv."):
+                write_bytes(path, data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "disk full")
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", half_then_full_disk)
+        with pytest.raises(OSError):
+            pipeline.run(small_config(tmp_path, n_max=12))
+        # no temporary file is left, and every final name holds a whole file:
+        # the new energies.csv, the previous run's lattice_Jz.csv
+        assert sorted(p.name for p in sector_dir.iterdir()) == sorted(before)
+        assert (sector_dir / "lattice_Jz.csv").read_bytes() == before["lattice_Jz.csv"]
+        dim = enumerate_basis(BasisSpec("coherent-parity", 1.0, 12, 1)).size
+        assert len((sector_dir / "energies.csv").read_text().splitlines()) == dim + 1
+        assert json.loads((sector_dir / "manifest.json").read_text())["status"] == "failed"
+
+    def test_manifest_records_blas_threads_and_peak_rss(self, tmp_path):
+        with solver.blas_threads(1):
+            result = pipeline.run(small_config(tmp_path, sectors=(1,)))
+            with pytest.raises(CapacityError):
+                pipeline.run(small_config(tmp_path, sectors=(-1,), mem_budget_bytes=1000))
+        threads = 1 if solver.blas_thread_counts() else None
+        for sector in ("plus", "minus"):
+            man = json.loads((result.out_dir / sector / "manifest.json").read_text())
+            assert man["blas_threads"] == threads
+            assert 0 < man["peak_rss_mib"] < 1e6
+        assert result.manifests[0]["peak_rss_mib"] <= man["peak_rss_mib"]
+
     def test_killed_rerun_leaves_no_manifest(self, tmp_path, monkeypatch):
         first = small_config(tmp_path, n_max=10)
         pipeline.run(first)
         gamma_dir = first.out_dir / "gamma=0.3"
         assert (gamma_dir / "plus" / "manifest.json").exists()
         assert (gamma_dir / "minus" / "manifest.json").exists()
+        # what a run killed while writing energies.csv leaves behind
+        orphan = gamma_dir / "plus" / ".energies.csv.123-456.tmp"
+        orphan.write_text("index,energy\n0,")
 
         def killed(cfg, sector):
             raise KeyboardInterrupt
@@ -133,6 +175,7 @@ class TestPipelineRun:
         # neither the sector that died nor the one never reached looks complete
         assert not (gamma_dir / "plus" / "manifest.json").exists()
         assert not (gamma_dir / "minus" / "manifest.json").exists()
+        assert not orphan.exists()
 
     def test_sweep_isolates_failures(self, tmp_path):
         cfg = small_config(
@@ -342,6 +385,13 @@ class TestCli:
         assert len(lines) == 2
         assert "converged" in out or lines
 
+    def test_bad_n_max_list_is_config_error(self, capsys):
+        code = self.run_cli(
+            "convergence", "--n-atoms", "2", "--gamma", "0.4", "--n-max-list", "10,x"
+        )
+        assert code == 2
+        assert "not an integer" in capsys.readouterr().err
+
     def test_stats_subcommand(self, tmp_path, capsys):
         code = self.run_cli(
             "stats",
@@ -358,3 +408,86 @@ class TestCli:
             (tmp_path / "st" / "gamma=0.45" / "plus" / "manifest.json").read_text()
         )
         assert man["dp_tolerance"] == 1e-10
+
+
+@pytest.fixture
+def blas_pools():
+    counts = solver.blas_thread_counts()
+    if not counts:
+        pytest.skip("no OpenBLAS library is loaded in this process")
+    return counts
+
+
+@pytest.fixture
+def sector_thread_counts(monkeypatch):
+    """The BLAS thread counts each run_sector call starts with."""
+    seen = []
+    run_sector = pipeline.run_sector
+
+    def spy(cfg, sector):
+        seen.append(solver.blas_thread_counts())
+        return run_sector(cfg, sector)
+
+    monkeypatch.setattr(pipeline, "run_sector", spy)
+    return seen
+
+
+class TestBlasThreadScope:
+    SMALL = ["--n-atoms", "2", "--gamma", "0.3", "--n-max", "8"]
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["spectrum", *SMALL], 0),
+            (["sweep", "--n-atoms", "2", "--gamma", "0.2,0.3,0.4", "--workers", "2"], 0),
+            (["convergence", "--n-atoms", "2", "--gamma", "0.3", "--n-max-list", "8,-1"], 2),
+            (["spectrum", *SMALL, "--mem-budget-gib", "1e-9"], 3),
+        ],
+        ids=["ok", "sweep", "config-error", "capacity-error"],
+    )
+    def test_small_command_runs_one_thread_then_restores(
+        self, blas_pools, sector_thread_counts, capsys, argv, code
+    ):
+        with solver.blas_threads(2):
+            assert main(argv) == code
+            assert set(solver.blas_thread_counts().values()) == {2}
+        assert sector_thread_counts
+        assert all(set(counts.values()) == {1} for counts in sector_thread_counts)
+        assert solver.blas_thread_counts() == blas_pools
+
+    def test_library_calls_run_one_thread(self, blas_pools, sector_thread_counts, tmp_path):
+        with solver.blas_threads(2):
+            pipeline.run(small_config(tmp_path, n_max=8))
+            pipeline.sweep(small_config(tmp_path, n_max=8, gammas=(0.2, 0.4), workers=2))
+            assert set(solver.blas_thread_counts().values()) == {2}
+        assert len(sector_thread_counts) == 2 + 2 * 2
+        assert all(set(counts.values()) == {1} for counts in sector_thread_counts)
+
+    @pytest.mark.parametrize("above, threads", [(0, 2), (1, 1)])
+    def test_threshold(self, blas_pools, monkeypatch, tmp_path, capsys, above, threads):
+        dim = max(basis_size(BasisSpec("coherent-parity", 1.0, 8, s)) for s in (1, -1))
+        # at the threshold the run keeps the counts it found
+        monkeypatch.setattr(pipeline, "ONE_BLAS_THREAD_BELOW_DIM", dim + above)
+        with solver.blas_threads(2):
+            assert main(["spectrum", *self.SMALL, "--out", str(tmp_path)]) == 0
+            assert set(solver.blas_thread_counts().values()) == {2}
+        for sector in ("plus", "minus"):
+            man = json.loads((tmp_path / "gamma=0.3" / sector / "manifest.json").read_text())
+            assert man["blas_threads"] == threads
+
+    def test_sweep_outputs_identical_across_workers(self, tmp_path, capsys):
+        products = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            code = main([
+                "sweep", "--n-atoms", "4", "--gamma-over-gc", "0.4:1.6:4", "--n-max", "30",
+                "--bin-width", "0.2", "--workers", workers, "--out", str(out),
+            ])
+            assert code == 0
+            products.append({
+                str(p.relative_to(out)): p.read_bytes()
+                for p in out.rglob("*") if p.is_file() and p.name != "manifest.json"
+            })
+        assert "summary.csv" in products[0]
+        assert sum(name.endswith(".csv") for name in products[0]) > 4 * 2
+        assert products[0] == products[1]

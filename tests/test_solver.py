@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -198,3 +200,29 @@ class TestRowEnvelopes:
         assert rep.max_residual == pytest.approx(
             dense_max_residual(bad, s.energies, s.vectors), rel=1e-6
         )
+
+
+class TestBlasThreads:
+    @pytest.fixture(autouse=True)
+    def pools(self):
+        counts = solver.blas_thread_counts()
+        if not counts:
+            pytest.skip("no OpenBLAS library is loaded in this process")
+        return counts
+
+    def test_every_pool_runs_one_thread_inside(self, pools):
+        with solver.blas_threads(2):
+            with solver.blas_threads(1):
+                assert set(solver.blas_thread_counts()) == set(pools)
+                assert set(solver.blas_thread_counts().values()) == {1}
+                # the count is process-wide: a thread started inside sees it too
+                with ThreadPoolExecutor(1) as pool:
+                    seen = pool.submit(solver.blas_thread_counts).result()
+                assert set(seen.values()) == {1}
+            assert set(solver.blas_thread_counts().values()) == {2}
+        assert solver.blas_thread_counts() == pools
+
+    def test_counts_restored_after_an_exception(self, pools):
+        with pytest.raises(RuntimeError), solver.blas_threads(1):
+            raise RuntimeError("solve failed")
+        assert solver.blas_thread_counts() == pools
