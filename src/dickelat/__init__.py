@@ -1,15 +1,9 @@
-"""Exact diagonalization of the Dicke model in Fock and displaced-shell bases,
-with per-state convergence certificates, Peres lattices and chaos diagnostics."""
+"""Exact diagonalization of the Dicke model in the parity sectors of the
+displaced-shell basis, with per-state convergence certificates, Peres lattices
+and chaos diagnostics."""
 
 from .basis import BasisIndex, BasisSpec, enumerate_basis
-from .hamiltonian import (
-    ModelParams,
-    SymmetricMatrix,
-    build_coherent,
-    build_coherent_parity,
-    build_fock,
-    build_tc_block,
-)
+from .hamiltonian import ModelParams, SymmetricMatrix, build_coherent_parity
 from .observables import (
     ConvergenceReport,
     delta_p,
@@ -28,10 +22,7 @@ __all__ = [
     "RunConfig",
     "Spectrum",
     "SymmetricMatrix",
-    "build_coherent",
     "build_coherent_parity",
-    "build_fock",
-    "build_tc_block",
     "delta_p",
     "eigh",
     "enumerate_basis",

@@ -1,4 +1,5 @@
-"""Collective pseudo-spin matrices and the displaced-oscillator overlap matrix.
+"""Pseudo-spin projections and ladder coefficients, and the displaced-oscillator
+overlap matrix.
 
 Everything here is a pure function of its arguments; all matrix elements are
 real.  Factorial ratios are evaluated in log space so photon cutoffs of a few
@@ -26,27 +27,6 @@ def ladder_coeff(j, m, direction):
     """sqrt(j(j+1) - m(m+direction)) for direction = +1 (raise) or -1 (lower)."""
     arg = j * (j + 1) - m * (m + direction)
     return math.sqrt(arg) if arg > 0 else 0.0
-
-
-def jx_matrix(j):
-    """Jx in the Jz eigenbasis (rows/cols ordered by m ascending), tridiagonal."""
-    ms = m_values(j)
-    dim = ms.size
-    mat = np.zeros((dim, dim))
-    for k in range(dim - 1):
-        c = 0.5 * ladder_coeff(j, ms[k], +1)
-        mat[k + 1, k] = c
-        mat[k, k + 1] = c
-    return mat
-
-
-def jx_squared(j):
-    """Jx^2 by explicit matrix squaring of the tridiagonal Jx (pentadiagonal result)."""
-    x = jx_matrix(j)
-    sq = x @ x
-    # mirror the lower triangle so the result is exactly symmetric
-    low = np.tril(sq)
-    return low + low.T - np.diag(np.diag(sq))
 
 
 def displacement_matrix(n_top, delta):

@@ -1,14 +1,11 @@
-"""Enumeration of the working bases and the label <-> index bijections.
+"""Enumeration of the working basis and the label <-> index bijections.
 
-Three basis kinds are supported:
+The pipeline works in the parity-adapted displaced-shell basis, one sector of
+the Z2 parity at a time.  A label (N, m) names the displaced-shell state
+|N; j, m>, m a Jx projection and N the excitation count of the displaced
+mode; a sector keeps the m >= 0 labels and pairs each m > 0 with its mirror.
 
-* ``fock``             product states |n> x |j,m>, m a Jz projection
-* ``coherent``         displaced-shell states |N; j, m>, m a Jx projection,
-                       shell N counting excitations of the displaced mode
-* ``coherent-parity``  parity-adapted combinations of the above, one sector
-                       of the Z2 parity at a time
-
-Labels are (excitation count, m) pairs ordered m-major, excitation-minor.
+Labels are ordered m-major, excitation-minor.
 """
 
 from dataclasses import dataclass
@@ -16,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import m_values
-
-BASIS_KINDS = ("fock", "coherent", "coherent-parity")
 
 
 def sector_twist(j):
@@ -32,26 +27,20 @@ def sector_twist(j):
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """Basis kind, spin length, photon/shell truncation and (optionally) parity sector."""
+    """Spin length, shell truncation and parity sector (+1 or -1)."""
 
-    kind: str
     j: float
     n_max: int
-    parity_sector: int | None = None
+    parity_sector: int
 
     def __post_init__(self):
-        if self.kind not in BASIS_KINDS:
-            raise ValueError(f"unknown basis kind {self.kind!r}")
         twoj = 2.0 * self.j
         if twoj < 0 or twoj != round(twoj):
             raise ValueError(f"invalid j={self.j}: 2j must be a non-negative integer")
         if self.n_max < 0:
             raise ValueError("n_max must be >= 0")
-        if self.kind == "coherent-parity":
-            if self.parity_sector not in (+1, -1):
-                raise ValueError("coherent-parity basis needs parity_sector = +1 or -1")
-        elif self.parity_sector is not None:
-            raise ValueError(f"{self.kind} basis takes no parity sector")
+        if self.parity_sector not in (+1, -1):
+            raise ValueError("parity_sector must be +1 or -1")
 
 
 class BasisIndex:
@@ -95,8 +84,6 @@ def basis_size(spec: BasisSpec) -> int:
     """Number of labels enumerate_basis(spec) yields, counted without them."""
     shells = spec.n_max + 1
     twoj = round(2 * spec.j)
-    if spec.kind != "coherent-parity":
-        return (twoj + 1) * shells
     size = (twoj + 1) // 2 * shells  # the m > 0 labels
     if twoj % 2 == 0:  # m = 0 keeps the shells whose (-1)^N matches the sector
         even = spec.parity_sector * sector_twist(spec.j) == 1
@@ -107,25 +94,19 @@ def basis_size(spec: BasisSpec) -> int:
 def enumerate_basis(spec: BasisSpec) -> BasisIndex:
     """Enumerate the basis labels for `spec` in deterministic (m, n) ascending order.
 
-    For the coherent-parity kind with sector s only m >= 0 labels appear; an
-    m = 0 label (integer j only) is kept only when (-1)^N matches
-    s * (-1)^(2j), where it coincides with its own parity partner.
+    Only m >= 0 labels appear; an m = 0 label (integer j only) is kept only
+    when (-1)^N matches s * (-1)^(2j) for sector s, where it coincides with
+    its own parity partner.
     """
     j, n_max = spec.j, spec.n_max
+    target = spec.parity_sector * sector_twist(j)
     ns, ms = [], []
-    if spec.kind in ("fock", "coherent"):
-        for m in m_values(j):
-            for n in range(n_max + 1):
-                ns.append(n)
-                ms.append(m)
-    else:
-        target = spec.parity_sector * sector_twist(j)
-        for m in m_values(j):
-            if m < 0:
+    for m in m_values(j):
+        if m < 0:
+            continue
+        for n in range(n_max + 1):
+            if m == 0.0 and (1 if n % 2 == 0 else -1) != target:
                 continue
-            for n in range(n_max + 1):
-                if m == 0.0 and (1 if n % 2 == 0 else -1) != target:
-                    continue
-                ns.append(n)
-                ms.append(m)
+            ns.append(n)
+            ms.append(m)
     return BasisIndex(spec, ns, ms)

@@ -2,7 +2,8 @@
 
 Subcommands: spectrum, lattice, sweep, stats, convergence.  Every flag can
 also come from an INI config file (one section per subcommand); a flag given
-on the command line wins over the file.
+on the command line wins over the file, and a key that names no flag of the
+subcommand is a config error.
 
 Exit codes: 0 success, 2 config error, 3 capacity, 4 solver,
 5 sweep with failed points.
@@ -19,7 +20,6 @@ from . import pipeline
 from .errors import CapacityError, ConfigError, SolverError
 from .hamiltonian import ModelParams
 
-_BASIS_ALIASES = {"fock": "fock", "coherent": "coherent", "parity": "coherent-parity"}
 _SECTOR_CHOICES = {"+": (1,), "-": (-1,), "both": (1, -1)}
 
 
@@ -32,7 +32,6 @@ def build_parser():
     g.add_argument("--gamma-over-gc", help="coupling in units of the critical coupling")
     g.add_argument("--n-atoms", type=int, help="number of two-level atoms (j = N/2)")
     g.add_argument("--n-max", type=int, help="photon/shell truncation")
-    g.add_argument("--basis", choices=sorted(_BASIS_ALIASES), help="working basis")
     g.add_argument("--sector", choices=sorted(_SECTOR_CHOICES), help="parity sector(s)")
     g.add_argument("--ops", help="comma list of Peres operators (Jz,Jx2,photon_n)")
     g.add_argument("--tol-dp", type=float, help="convergence tolerance on the top-shell weight")
@@ -64,14 +63,14 @@ def _parse_float_list(text):
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"range spec needs lo:hi:n, got {text!r}")
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, n = _float(parts[0]), _float(parts[1]), _int(parts[2])
         if n < 1:
             raise ConfigError("range spec needs n >= 1")
         if n == 1:
             return [lo]
         step = (hi - lo) / (n - 1)
         return [lo + k * step for k in range(n)]
-    return [float(v) for v in text.split(",") if v.strip()]
+    return [_float(v) for v in text.split(",") if v.strip()]
 
 
 def _parse_int_list(text):
@@ -94,6 +93,13 @@ def _int(text):
         raise ConfigError(f"not an integer: {text!r}") from exc
 
 
+def _float(text):
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ConfigError(f"not a number: {text!r}") from exc
+
+
 def _load_config_section(path, section):
     cp = configparser.ConfigParser()
     read = cp.read(path)
@@ -105,24 +111,62 @@ def _load_config_section(path, section):
 
 
 def _merged(args, command):
-    """Flag > config-file > default, keyed by the flag name with dashes."""
+    """Flag > config-file > default, keyed by the flag name with dashes.
+
+    Raises ConfigError naming every config-file key that is not a flag of
+    `command` (`config` itself included): such a key would otherwise be
+    dropped without a word."""
+    flags = {
+        key: value for key, value in vars(args).items() if key not in ("command", "config")
+    }
     merged = {}
     if args.config:
-        merged.update(_load_config_section(args.config, command))
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        merged[key.replace("_", "-")] = value
+        section = _load_config_section(args.config, command)
+        unknown = sorted(set(section) - {key.replace("_", "-") for key in flags})
+        if unknown:
+            raise ConfigError(
+                f"[{command}] in {args.config} has keys that are not {command} flags: "
+                + ", ".join(unknown)
+            )
+        merged.update(section)
+    for key, value in flags.items():
+        if value is not None:
+            merged[key.replace("_", "-")] = value
     return merged
 
 
-def _get(merged, key, cast, default):
+def _get(merged, key, cast, default=None):
     if key not in merged:
         return default
     try:
         return cast(merged[key])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key}: {merged[key]!r} ({exc})") from exc
+
+
+def _sectors(text):
+    if text not in _SECTOR_CHOICES:
+        raise ValueError(f"choose from {', '.join(sorted(_SECTOR_CHOICES))}")
+    return _SECTOR_CHOICES[text]
+
+
+def _ops(text):
+    return tuple(o.strip() for o in text.split(",") if o.strip())
+
+
+# flag -> (RunConfig field, parser).  Only the flags the user gave reach
+# RunConfig, so each unset setting takes the one default RunConfig declares.
+_RUN_FIELDS = {
+    "n-max": ("n_max", int),
+    "sector": ("sectors", _sectors),
+    "ops": ("ops", _ops),
+    "tol-dp": ("dp_tol", float),
+    "bin-width": ("bin_width", float),
+    "unfold-degree": ("unfold_degree", int),
+    "out": ("out_dir", lambda text: Path(text) if text else None),
+    "workers": ("workers", int),
+    "mem-budget-gib": ("mem_budget_bytes", lambda text: round(float(text) * 2**30)),
+}
 
 
 def _resolve(merged, command):
@@ -148,36 +192,26 @@ def _resolve(merged, command):
         raise ConfigError("a coupling is required: --gamma or --gamma-over-gc")
     if command != "sweep" and len(gammas) != 1:
         raise ConfigError(f"{command} takes a single coupling; got {len(gammas)}")
-    if any(g < 0 for g in gammas):
-        raise ConfigError("couplings must be >= 0")
+    if not all(0 <= g < math.inf for g in gammas):
+        raise ConfigError("couplings must be finite and >= 0")
 
-    basis = _BASIS_ALIASES[_get(merged, "basis", str, "parity")]
-    sectors = _SECTOR_CHOICES[_get(merged, "sector", str, "both")]
-    ops_text = _get(merged, "ops", str, "Jz,Jx2,photon_n")
-    ops = tuple(o.strip() for o in ops_text.split(",") if o.strip()) if ops_text else ()
-    out = _get(merged, "out", str, None)
-
+    given = {
+        field: _get(merged, flag, cast)
+        for flag, (field, cast) in _RUN_FIELDS.items()
+        if flag in merged
+    }
     analysis_on = command in ("lattice", "sweep", "stats")
     if command == "spectrum":
-        ops = ()
+        given["ops"] = ()
     try:
         params = ModelParams(omega=omega, omega0=omega0, gamma=gammas[0], j=j)
         cfg = pipeline.RunConfig(
             params=params,
-            basis=basis,
-            n_max=_get(merged, "n-max", int, 250),
-            sectors=sectors,
-            ops=ops,
-            dp_tol=_get(merged, "tol-dp", float, 1e-12),
             do_markers=analysis_on,
             do_dos=analysis_on and command != "stats",
             do_stats=analysis_on,
-            bin_width=_get(merged, "bin-width", float, 0.05),
-            unfold_degree=_get(merged, "unfold-degree", int, 6),
-            out_dir=Path(out) if out else None,
-            workers=_get(merged, "workers", int, 1),
-            mem_budget_bytes=round(_get(merged, "mem-budget-gib", float, 4.0) * 2**30),
             gammas=tuple(gammas) if command == "sweep" else (),
+            **given,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -186,15 +220,12 @@ def _resolve(merged, command):
 
 def _print_run(result):
     for man in result.manifests:
-        sector = {1: "+", -1: "-", None: "all"}[man["sector"]]
-        line = (
+        sector = {1: "+", -1: "-"}[man["sector"]]
+        print(
             f"gamma={man['gamma']:.6g} sector={sector} dim={man['dim']} "
-            f"residual={man['residual_report']['max_residual']:.3e}"
+            f"residual={man['residual_report']['max_residual']:.3e} "
+            f"converged={man['converged_count']} wall={man['wall_time_s']:.1f}s"
         )
-        if man["converged_count"] is not None:
-            line += f" converged={man['converged_count']}"
-        line += f" wall={man['wall_time_s']:.1f}s"
-        print(line)
     if result.out_dir is not None:
         print(f"outputs under {result.out_dir}")
 
@@ -243,8 +274,6 @@ def _cmd_convergence(cfg, merged):
         )
         result = pipeline.run(point)
         for sec in result.sectors:
-            if sec.report is None:
-                continue
             e_over_j = sec.energies / cfg.params.j
             low = sec.report.delta_p[e_over_j <= 1.0]
             max_low = low.max() if low.size else math.nan

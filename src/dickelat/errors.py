@@ -17,10 +17,6 @@ class SolverError(DickelatError):
     """Dense eigensolver failed to converge."""
 
 
-class ParityResolutionError(DickelatError):
-    """A state's parity expectation could not be resolved to +/-1."""
-
-
 class UnfoldError(DickelatError):
     """Spectral unfolding fit is ill-conditioned or non-monotone."""
 

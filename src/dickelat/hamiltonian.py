@@ -1,7 +1,7 @@
-"""Dense symmetric Hamiltonians for the Dicke model in each working basis,
-plus conserved-excitation blocks of the Tavis-Cummings limit.
+"""Dense symmetric Dicke Hamiltonian in one parity sector of the displaced-shell
+basis, and the Peres-operator kernels in the same basis.
 
-The coherent-basis construction rewrites
+The construction rewrites
 
     H = omega A^dag A - (4 gamma^2 / (omega N_atoms)) Jx^2 + omega0 Jz,
 
@@ -21,7 +21,7 @@ from . import algebra
 from .basis import BasisIndex, BasisSpec, enumerate_basis, sector_twist
 from .errors import CapacityError
 
-# Default size (bytes) above which the builders refuse to allocate a dense matrix.
+# Default size (bytes) above which the builder refuses to allocate a dense matrix.
 MEMORY_BUDGET_BYTES = 4 * 2**30
 
 
@@ -91,63 +91,10 @@ def _check_capacity(dim, budget):
 
 
 # ---------------------------------------------------------------------------
-# operator kernels (shared by the builders and the Peres-operator matrices)
+# operator kernels (shared by the builder and the Peres-operator matrices)
 
 def op_jz(index: BasisIndex, params: ModelParams) -> np.ndarray:
-    """Jz matrix in the basis described by `index`."""
-    kind = index.spec.kind
-    if kind == "fock":
-        return np.diag(index.m_vals)
-    if kind == "coherent":
-        return _jz_coherent(index, params)
-    return _jz_parity(index, params)
-
-
-def op_photon(index: BasisIndex, params: ModelParams) -> np.ndarray:
-    """Photon number a^dag a in the basis described by `index`."""
-    kind = index.spec.kind
-    if kind == "fock":
-        return np.diag(index.n_exc.astype(float))
-    # a = A - G Jx: diagonal N + G^2 m^2 with a same-m ladder in N
-    g = params.g_disp
-    mat = np.diag(index.n_exc + (g * index.m_vals) ** 2)
-    for _, sl in index.block_slices():
-        n_list = index.n_exc[sl]
-        m = index.m_vals[sl.start]
-        base = sl.start
-        for k in range(len(n_list) - 1):
-            if n_list[k + 1] == n_list[k] + 1:
-                val = -g * m * math.sqrt(n_list[k] + 1.0)
-                mat[base + k + 1, base + k] = val
-                mat[base + k, base + k + 1] = val
-    return mat
-
-
-def op_jx2(index: BasisIndex, params: ModelParams) -> np.ndarray:
-    """Jx^2 matrix: pentadiagonal in m for the Fock basis, diagonal m^2 otherwise."""
-    kind = index.spec.kind
-    if kind == "fock":
-        size = index.spec.n_max + 1
-        return np.kron(algebra.jx_squared(index.spec.j), np.eye(size))
-    return np.diag(index.m_vals**2)
-
-
-def _jz_coherent(index, params):
-    j = index.spec.j
-    w = algebra.displacement_matrix(index.spec.n_max, params.g_disp)
-    mat = np.zeros((index.size, index.size))
-    blocks = index.block_slices()
-    for b in range(len(blocks) - 1):
-        m, sl = blocks[b]
-        _, sl_up = blocks[b + 1]
-        c = 0.5 * algebra.ladder_coeff(j, m, +1)
-        blk = c * w  # rows: shell of m+1, cols: shell of m
-        mat[sl_up, sl] = blk
-        mat[sl, sl_up] = blk.T
-    return mat
-
-
-def _jz_parity(index, params):
+    """Jz matrix in the parity sector described by `index`."""
     j = index.spec.j
     sector = index.spec.parity_sector
     s_eff = sector * sector_twist(j)
@@ -177,92 +124,44 @@ def _jz_parity(index, params):
     return mat
 
 
+def op_photon(index: BasisIndex, params: ModelParams) -> np.ndarray:
+    """Photon number a^dag a in the displaced shells described by `index`."""
+    # a = A - G Jx: diagonal N + G^2 m^2 with a same-m ladder in N
+    g = params.g_disp
+    mat = np.diag(index.n_exc + (g * index.m_vals) ** 2)
+    for _, sl in index.block_slices():
+        n_list = index.n_exc[sl]
+        m = index.m_vals[sl.start]
+        base = sl.start
+        for k in range(len(n_list) - 1):
+            if n_list[k + 1] == n_list[k] + 1:
+                val = -g * m * math.sqrt(n_list[k] + 1.0)
+                mat[base + k + 1, base + k] = val
+                mat[base + k, base + k + 1] = val
+    return mat
+
+
+def op_jx2(index: BasisIndex, params: ModelParams) -> np.ndarray:
+    """Jx^2 matrix: diagonal m^2, since m is a Jx projection."""
+    return np.diag(index.m_vals**2)
+
+
 # ---------------------------------------------------------------------------
-# builders
-
-def build_fock(
-    params: ModelParams, n_max: int, mem_budget_bytes=MEMORY_BUDGET_BYTES
-) -> SymmetricMatrix:
-    """Dicke Hamiltonian over |n> x |j,m>: diagonal omega n + omega0 m with the
-    (2 gamma / sqrt(N_atoms)) (a + a^dag) Jx coupling linking (n, m) to (n+1, m+-1).
-
-    Raises CapacityError if the dense matrix would exceed `mem_budget_bytes`
-    (as do the other builders)."""
-    spec = BasisSpec("fock", params.j, n_max)
-    index = enumerate_basis(spec)
-    _check_capacity(index.size, mem_budget_bytes)
-    size = n_max + 1
-    coupling = 2.0 * params.gamma / math.sqrt(params.n_atoms)
-    ns = np.arange(size, dtype=float)
-    field = np.zeros((size, size))
-    idx = np.arange(size - 1)
-    field[idx + 1, idx] = np.sqrt(idx + 1.0)
-    field[idx, idx + 1] = np.sqrt(idx + 1.0)
-    mat = np.zeros((index.size, index.size))
-    blocks = index.block_slices()
-    for b, (m, sl) in enumerate(blocks):
-        mat[sl, sl] = np.diag(params.omega * ns + params.omega0 * m)
-        if b + 1 < len(blocks):
-            _, sl_up = blocks[b + 1]
-            c = coupling * 0.5 * algebra.ladder_coeff(params.j, m, +1)
-            blk = c * field  # symmetric in n, so mirror equals itself
-            mat[sl_up, sl] = blk
-            mat[sl, sl_up] = blk
-    return SymmetricMatrix(mat, spec)
-
-
-def _coherent_diagonal(index, params):
-    quad = 4.0 * params.gamma**2 / (params.omega * params.n_atoms)
-    return params.omega * index.n_exc - quad * index.m_vals**2
-
-
-def build_coherent(
-    params: ModelParams, n_max: int, mem_budget_bytes=MEMORY_BUDGET_BYTES
-) -> SymmetricMatrix:
-    """Dicke Hamiltonian over the displaced shells |N; j, m>."""
-    spec = BasisSpec("coherent", params.j, n_max)
-    index = enumerate_basis(spec)
-    _check_capacity(index.size, mem_budget_bytes)
-    mat = params.omega0 * _jz_coherent(index, params)
-    mat[np.diag_indices(index.size)] += _coherent_diagonal(index, params)
-    return SymmetricMatrix(mat, spec)
-
+# builder
 
 def build_coherent_parity(
     params: ModelParams, n_max: int, sector: int, mem_budget_bytes=MEMORY_BUDGET_BYTES
 ) -> SymmetricMatrix:
     """Dicke Hamiltonian restricted to one parity sector of the displaced basis.
 
-    The union of the two sectors' spectra equals the full coherent-basis
-    spectrum; at omega0 = 0 the matrix is diagonal.
+    The union of the two sectors' spectra equals the full displaced-basis
+    spectrum; at omega0 = 0 the matrix is diagonal.  Raises CapacityError if
+    the dense matrix would exceed `mem_budget_bytes`.
     """
-    spec = BasisSpec("coherent-parity", params.j, n_max, parity_sector=sector)
+    spec = BasisSpec(params.j, n_max, sector)
     index = enumerate_basis(spec)
     _check_capacity(index.size, mem_budget_bytes)
-    mat = params.omega0 * _jz_parity(index, params)
-    mat[np.diag_indices(index.size)] += _coherent_diagonal(index, params)
+    mat = params.omega0 * op_jz(index, params)
+    quad = 4.0 * params.gamma**2 / (params.omega * params.n_atoms)
+    mat[np.diag_indices(index.size)] += params.omega * index.n_exc - quad * index.m_vals**2
     return SymmetricMatrix(mat, spec)
-
-
-def build_tc_block(params: ModelParams, lam: int) -> SymmetricMatrix:
-    """Tavis-Cummings Hamiltonian restricted to the conserved-excitation block
-    Lambda = lam, over states |n = lam - j - m> x |j,m> with n >= 0."""
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    j = params.j
-    twoj = params.n_atoms
-    ms = algebra.m_values(j)
-    valid = [m for m in ms if lam - j - m >= -1e-12]
-    dim = min(lam, twoj) + 1
-    assert len(valid) == dim
-    mat = np.zeros((dim, dim))
-    gtc = params.gamma / math.sqrt(twoj)
-    for k, m in enumerate(valid):
-        n = round(lam - j - m)
-        mat[k, k] = params.omega * n + params.omega0 * m
-        if k + 1 < dim:
-            # a J+ : |n, m> -> sqrt(n) sqrt(j(j+1)-m(m+1)) |n-1, m+1>
-            val = gtc * math.sqrt(n) * algebra.ladder_coeff(j, m, +1)
-            mat[k + 1, k] = val
-            mat[k, k + 1] = val
-    return SymmetricMatrix(mat, None)

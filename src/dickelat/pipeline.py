@@ -23,7 +23,7 @@ from .basis import BasisSpec, basis_size, enumerate_basis
 from .errors import ConfigError, DickelatError
 from .hamiltonian import ModelParams
 
-SECTOR_DIRS = {1: "plus", -1: "minus", None: "all"}
+SECTOR_DIRS = {1: "plus", -1: "minus"}
 
 # Sectors below this dimension run BLAS on one thread.  numpy and scipy each
 # load their own OpenBLAS, and each leaves its threads spinning after a call,
@@ -46,7 +46,6 @@ class RunConfig:
     """Everything needed to resolve one run (or a sweep) of the pipeline."""
 
     params: ModelParams
-    basis: str = "coherent-parity"
     n_max: int = 250
     sectors: tuple = (1, -1)
     ops: tuple = ("Jz", "Jx2", "photon_n")
@@ -63,11 +62,8 @@ class RunConfig:
     gammas: tuple = ()
 
     def __post_init__(self):
-        if self.basis not in ("fock", "coherent", "coherent-parity"):
-            raise ConfigError(f"unknown basis {self.basis!r}")
-        if self.basis == "coherent-parity":
-            if not self.sectors or any(s not in (1, -1) for s in self.sectors):
-                raise ConfigError("parity runs need sectors drawn from {+1, -1}")
+        if not self.sectors or any(s not in (1, -1) for s in self.sectors):
+            raise ConfigError("sectors must be drawn from {+1, -1}")
         for op in self.ops:
             if op not in observables.PERES_OPS:
                 raise ConfigError(f"unknown Peres operator {op!r}")
@@ -83,11 +79,11 @@ class RunConfig:
 
 @dataclass
 class SectorResult:
-    sector: int | None
+    sector: int
     dim: int
     energies: np.ndarray
     parities: np.ndarray
-    report: observables.ConvergenceReport | None
+    report: observables.ConvergenceReport
     expectations: dict
     lattices: dict
     dos: tuple | None
@@ -105,15 +101,6 @@ class RunResult:
     sectors: list
     manifests: list
     out_dir: Path | None
-
-
-def _build_matrix(cfg, sector):
-    budget = cfg.mem_budget_bytes
-    if cfg.basis == "fock":
-        return hamiltonian.build_fock(cfg.params, cfg.n_max, budget)
-    if cfg.basis == "coherent":
-        return hamiltonian.build_coherent(cfg.params, cfg.n_max, budget)
-    return hamiltonian.build_coherent_parity(cfg.params, cfg.n_max, sector, budget)
 
 
 def _window_stats(energies_over_j, windows, degree):
@@ -147,7 +134,9 @@ def run_sector(cfg: RunConfig, sector):
     timings_s holds the wall time of each consecutive stage (build, solve,
     certificate, observables, analysis); they sum to wall_time_s."""
     marks = [(None, time.perf_counter())]
-    matrix = _build_matrix(cfg, sector)
+    matrix = hamiltonian.build_coherent_parity(
+        cfg.params, cfg.n_max, sector, cfg.mem_budget_bytes
+    )
     index = enumerate_basis(matrix.basis)
     marks.append(("build", time.perf_counter()))
     spectrum = solver.eigh(matrix)
@@ -155,13 +144,9 @@ def run_sector(cfg: RunConfig, sector):
     del matrix
     marks.append(("solve", time.perf_counter()))
 
-    if cfg.basis == "fock":
-        report = None
-        dp = np.full(spectrum.dim, math.nan)
-    else:
-        report = observables.delta_p(spectrum, index, tolerance=cfg.dp_tol)
-        dp = report.delta_p
-    parities = observables.parity_labels(spectrum, cfg.params)
+    report = observables.delta_p(spectrum, index, tolerance=cfg.dp_tol)
+    dp = report.delta_p
+    parities = observables.parity_labels(spectrum)
     marks.append(("certificate", time.perf_counter()))
 
     expectations = {}
@@ -171,12 +156,10 @@ def run_sector(cfg: RunConfig, sector):
         del op_matrix
     marks.append(("observables", time.perf_counter()))
 
-    lattices = {}
-    if report is not None:
-        for op, values in expectations.items():
-            lattices[op] = analysis.lattice(
-                spectrum, values, parities, report, cfg.params, op
-            )
+    lattices = {
+        op: analysis.lattice(spectrum, values, parities, report, cfg.params, op)
+        for op, values in expectations.items()
+    }
 
     e_over_j = spectrum.energies / cfg.params.j
     dos = None
@@ -192,7 +175,7 @@ def run_sector(cfg: RunConfig, sector):
             markers = None
 
     stats = None
-    if cfg.do_stats and cfg.basis == "coherent-parity" and report is not None:
+    if cfg.do_stats:
         converged_e = e_over_j[dp < cfg.dp_tol]
         stats = _window_stats(converged_e, cfg.stat_windows, cfg.unfold_degree)
 
@@ -251,7 +234,7 @@ def write_sector_files(cfg, result, sector_dir: Path):
     sector_dir.mkdir(parents=True, exist_ok=True)
     files = {}
     j = cfg.params.j
-    dp = result.report.delta_p if result.report is not None else np.full(result.dim, math.nan)
+    dp = result.report.delta_p
 
     rows = [
         (k, float(e), float(e / j), int(p), float(d))
@@ -309,7 +292,6 @@ def write_sector_files(cfg, result, sector_dir: Path):
 def _sector_manifest(cfg, gamma, sector, result=None, files=None, error=None):
     man = {
         "status": "ok" if error is None else "failed",
-        "basis": cfg.basis,
         "gamma": gamma,
         "gamma_over_gc": gamma / cfg.params.gamma_c if cfg.params.gamma_c > 0 else None,
         "sector": sector,
@@ -326,9 +308,7 @@ def _sector_manifest(cfg, gamma, sector, result=None, files=None, error=None):
     if result is not None:
         man.update(
             dim=result.dim,
-            converged_count=(
-                result.report.converged_count if result.report is not None else None
-            ),
+            converged_count=result.report.converged_count,
             residual_report={
                 "max_residual": result.residual_report.max_residual,
                 "max_ortho_defect": result.residual_report.max_ortho_defect,
@@ -352,8 +332,7 @@ def _write_manifest(sector_dir: Path, man):
 def _blas_scope(cfg):
     """One BLAS thread when every sector of `cfg` is below
     ONE_BLAS_THREAD_BELOW_DIM.  The count then depends on the config alone."""
-    sectors = cfg.sectors if cfg.basis == "coherent-parity" else (None,)
-    dim = max(basis_size(BasisSpec(cfg.basis, cfg.params.j, cfg.n_max, s)) for s in sectors)
+    dim = max(basis_size(BasisSpec(cfg.params.j, cfg.n_max, s)) for s in cfg.sectors)
     if dim < ONE_BLAS_THREAD_BELOW_DIM:
         return solver.blas_threads(1)
     return contextlib.nullcontext()
@@ -369,19 +348,18 @@ def run(cfg: RunConfig) -> RunResult:
 
 def _run(cfg):
     gamma = cfg.params.gamma
-    sectors = list(cfg.sectors) if cfg.basis == "coherent-parity" else [None]
     results, manifests = [], []
     gamma_dir = None
-    sector_dirs = [None] * len(sectors)
+    sector_dirs = [None] * len(cfg.sectors)
     if cfg.out_dir is not None:
         gamma_dir = cfg.out_dir / f"gamma={gamma:.12g}"
-        sector_dirs = [gamma_dir / SECTOR_DIRS[sector] for sector in sectors]
+        sector_dirs = [gamma_dir / SECTOR_DIRS[sector] for sector in cfg.sectors]
         # no earlier run's "ok" manifest may outlive a rerun that dies midway,
         # nor the temporary files of a run killed while writing
         for sector_dir in sector_dirs:
             for stale in [sector_dir / "manifest.json", *sector_dir.glob(".*.tmp")]:
                 stale.unlink(missing_ok=True)
-    for sector, sector_dir in zip(sectors, sector_dirs):
+    for sector, sector_dir in zip(cfg.sectors, sector_dirs):
         try:
             result = run_sector(cfg, sector)
             files = {}
@@ -418,9 +396,7 @@ def _summary_row(cfg, gamma, result: RunResult | None, error=None):
     ground = min(float(s.energies[0]) for s in result.sectors)
     row["ground_energy"] = ground
     row["ground_e_over_j"] = ground / cfg.params.j
-    row["converged_count"] = sum(
-        s.report.converged_count for s in result.sectors if s.report is not None
-    )
+    row["converged_count"] = sum(s.report.converged_count for s in result.sectors)
     first = result.sectors[0]
     if first.markers is not None:
         row["dynamic_marker"] = first.markers.dynamic_marker

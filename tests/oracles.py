@@ -4,16 +4,26 @@ Everything here is deliberately built by a different route than the package:
 matrix exponentials instead of Laguerre closed forms, explicit rational sums,
 explicit change-of-basis matrices, and a full-space rotating-wave Hamiltonian
 for the conserved-excitation blocks.
+
+The package works in the parity sectors of the displaced-shell basis only.
+The reference bases live here: the product Fock basis |n> x |j,m> (m a Jz
+projection) and the full displaced-shell ("coherent") basis |N; j, m> (m a Jx
+projection), each with its Hamiltonian and Peres operators, plus the
+conserved-excitation blocks of the Tavis-Cummings limit.  Both enumerate
+their own m-major (n, m) labels.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import expm
 
-from dickelat.algebra import jx_matrix, m_values
-from dickelat.basis import enumerate_basis
+from dickelat import algebra, hamiltonian
+from dickelat.algebra import m_values
+from dickelat.basis import BasisIndex, sector_twist
+from dickelat.hamiltonian import ModelParams, SymmetricMatrix
 
 
 def boson_ops(cutoff):
@@ -56,16 +66,14 @@ def coherent_states_in_fock(params, n_max_coh, n_max_fock):
     """Matrix whose columns are the displaced-shell basis states |N; j, m>
     expressed in the Fock product basis (m-major ordering on both sides).
 
-    Column order matches enumerate_basis for the coherent kind.
+    Column order matches full_index for the coherent kind.
     """
-    from dickelat.basis import BasisSpec
-
     j = params.j
     g = params.g_disp
     w_spin = x_eigenbasis(j)
     ms = m_values(j)
     size_f = n_max_fock + 1
-    index = enumerate_basis(BasisSpec("coherent", j, n_max_coh))
+    index = full_index(FullBasis("coherent", j, n_max_coh))
     cols = np.empty((size_f * ms.size, index.size))
     disp = {}
     for mi, m in enumerate(ms):
@@ -117,3 +125,162 @@ def lambda_diag(j, n_max):
     for m in m_values(j):
         out.append(np.arange(size, dtype=float) + j + m)
     return np.concatenate(out)
+
+
+# ---------------------------------------------------------------------------
+# pseudo-spin matrices in the Jz eigenbasis
+
+def jx_matrix(j):
+    """Jx in the Jz eigenbasis (rows/cols ordered by m ascending), tridiagonal."""
+    ms = m_values(j)
+    dim = ms.size
+    mat = np.zeros((dim, dim))
+    for k in range(dim - 1):
+        c = 0.5 * algebra.ladder_coeff(j, ms[k], +1)
+        mat[k + 1, k] = c
+        mat[k, k + 1] = c
+    return mat
+
+
+def jx_squared(j):
+    """Jx^2 by explicit matrix squaring of the tridiagonal Jx (pentadiagonal result)."""
+    x = jx_matrix(j)
+    sq = x @ x
+    # mirror the lower triangle so the result is exactly symmetric
+    low = np.tril(sq)
+    return low + low.T - np.diag(np.diag(sq))
+
+
+# ---------------------------------------------------------------------------
+# the two reference bases: Fock and full displaced shells
+
+@dataclass(frozen=True)
+class FullBasis:
+    """Provenance of a reference-basis matrix: "fock" or "coherent", spin
+    length and photon/shell truncation.  Every m from -j to j appears."""
+
+    kind: str
+    j: float
+    n_max: int
+
+
+def full_index(basis: FullBasis) -> BasisIndex:
+    """All (n, m) labels of a reference basis, m-major, excitation-minor."""
+    ns, ms = [], []
+    for m in m_values(basis.j):
+        for n in range(basis.n_max + 1):
+            ns.append(n)
+            ms.append(m)
+    return BasisIndex(basis, ns, ms)
+
+
+def build_fock(params: ModelParams, n_max: int) -> SymmetricMatrix:
+    """Dicke Hamiltonian over |n> x |j,m>: diagonal omega n + omega0 m with the
+    (2 gamma / sqrt(N_atoms)) (a + a^dag) Jx coupling linking (n, m) to (n+1, m+-1)."""
+    basis = FullBasis("fock", params.j, n_max)
+    index = full_index(basis)
+    size = n_max + 1
+    coupling = 2.0 * params.gamma / math.sqrt(params.n_atoms)
+    ns = np.arange(size, dtype=float)
+    field = np.zeros((size, size))
+    idx = np.arange(size - 1)
+    field[idx + 1, idx] = np.sqrt(idx + 1.0)
+    field[idx, idx + 1] = np.sqrt(idx + 1.0)
+    mat = np.zeros((index.size, index.size))
+    blocks = index.block_slices()
+    for b, (m, sl) in enumerate(blocks):
+        mat[sl, sl] = np.diag(params.omega * ns + params.omega0 * m)
+        if b + 1 < len(blocks):
+            _, sl_up = blocks[b + 1]
+            c = coupling * 0.5 * algebra.ladder_coeff(params.j, m, +1)
+            blk = c * field  # symmetric in n, so mirror equals itself
+            mat[sl_up, sl] = blk
+            mat[sl, sl_up] = blk
+    return SymmetricMatrix(mat, basis)
+
+
+def coherent_jz(index: BasisIndex, params: ModelParams) -> np.ndarray:
+    """Jz over the full displaced shells: c_m W between the shells of m and m+1."""
+    j = index.spec.j
+    w = algebra.displacement_matrix(index.spec.n_max, params.g_disp)
+    mat = np.zeros((index.size, index.size))
+    blocks = index.block_slices()
+    for b in range(len(blocks) - 1):
+        m, sl = blocks[b]
+        _, sl_up = blocks[b + 1]
+        c = 0.5 * algebra.ladder_coeff(j, m, +1)
+        blk = c * w  # rows: shell of m+1, cols: shell of m
+        mat[sl_up, sl] = blk
+        mat[sl, sl_up] = blk.T
+    return mat
+
+
+def build_coherent(params: ModelParams, n_max: int) -> SymmetricMatrix:
+    """Dicke Hamiltonian over the full displaced shells |N; j, m>."""
+    basis = FullBasis("coherent", params.j, n_max)
+    index = full_index(basis)
+    mat = params.omega0 * coherent_jz(index, params)
+    quad = 4.0 * params.gamma**2 / (params.omega * params.n_atoms)
+    mat[np.diag_indices(index.size)] += params.omega * index.n_exc - quad * index.m_vals**2
+    return SymmetricMatrix(mat, basis)
+
+
+def full_peres_matrix(op_kind, index: BasisIndex, params: ModelParams) -> SymmetricMatrix:
+    """A Peres operator in a reference basis.  In the full displaced shells
+    <n> and Jx^2 take the package's kernels, which read only the labels."""
+    if index.spec.kind == "fock":
+        if op_kind == "Jz":
+            mat = np.diag(index.m_vals)
+        elif op_kind == "photon_n":
+            mat = np.diag(index.n_exc.astype(float))
+        else:
+            mat = np.kron(jx_squared(index.spec.j), np.eye(index.spec.n_max + 1))
+    elif op_kind == "Jz":
+        mat = coherent_jz(index, params)
+    elif op_kind == "photon_n":
+        mat = hamiltonian.op_photon(index, params)
+    else:
+        mat = hamiltonian.op_jx2(index, params)
+    return SymmetricMatrix(mat, index.spec)
+
+
+def parity_projector(full: BasisIndex, part: BasisIndex) -> np.ndarray:
+    """Columns: the parity-sector states of `part` expressed in the full
+    displaced shells of `full`, (|N, m> + s (-1)^N |N, -m>)/sqrt(2) for m > 0
+    with s the sector times (-1)^(2j), and |N, 0> itself."""
+    sector = part.spec.parity_sector
+    proj = np.zeros((full.size, part.size))
+    for col in range(part.size):
+        n, m = part.label_of(col)
+        if m == 0.0:
+            proj[full.index_of(n, 0.0), col] = 1.0
+        else:
+            norm = 1 / math.sqrt(2.0)
+            s_eff = sector * sector_twist(part.spec.j) * (-1) ** n
+            proj[full.index_of(n, m), col] = norm
+            proj[full.index_of(n, -m), col] = s_eff * norm
+    return proj
+
+
+def build_tc_block(params: ModelParams, lam: int) -> SymmetricMatrix:
+    """Tavis-Cummings Hamiltonian restricted to the conserved-excitation block
+    Lambda = lam, over states |n = lam - j - m> x |j,m> with n >= 0."""
+    if lam < 0:
+        raise ValueError("lambda must be >= 0")
+    j = params.j
+    twoj = params.n_atoms
+    ms = m_values(j)
+    valid = [m for m in ms if lam - j - m >= -1e-12]
+    dim = min(lam, twoj) + 1
+    assert len(valid) == dim
+    mat = np.zeros((dim, dim))
+    gtc = params.gamma / math.sqrt(twoj)
+    for k, m in enumerate(valid):
+        n = round(lam - j - m)
+        mat[k, k] = params.omega * n + params.omega0 * m
+        if k + 1 < dim:
+            # a J+ : |n, m> -> sqrt(n) sqrt(j(j+1)-m(m+1)) |n-1, m+1>
+            val = gtc * math.sqrt(n) * algebra.ladder_coeff(j, m, +1)
+            mat[k + 1, k] = val
+            mat[k, k + 1] = val
+    return SymmetricMatrix(mat, None)

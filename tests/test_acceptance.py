@@ -16,6 +16,7 @@ from dickelat import observables as obs
 from dickelat import pipeline, solver
 from dickelat.basis import enumerate_basis
 from dickelat.cli import main as cli_main
+from oracles import build_coherent, build_fock, build_tc_block, lambda_diag, tc_full_fock
 
 GC = 0.5  # critical coupling at resonance omega = omega0 = 1
 
@@ -58,7 +59,6 @@ def crit1_cli_args(outdir):
         "--n-atoms", "40",
         "--gamma-over-gc", "0.01",
         "--n-max", "250",
-        "--basis", "parity",
         "--sector", "both",
         "--ops", "Jz,Jx2,photon_n",
         "--out", str(outdir),
@@ -95,7 +95,6 @@ def crit1_run(out_root):
 def _superradiant_run(gamma_over_gc):
     cfg = pipeline.RunConfig(
         params=ham.ModelParams(omega=1.0, omega0=1.0, gamma=gamma_over_gc * GC, j=20.0),
-        basis="coherent-parity",
         n_max=250,
         sectors=(1,),
         ops=("Jz",),
@@ -120,7 +119,6 @@ def g20_sector():
 def sweep_result():
     cfg = pipeline.RunConfig(
         params=ham.ModelParams(omega=1.0, omega0=1.0, gamma=0.4, j=20.0),
-        basis="coherent-parity",
         n_max=100,
         sectors=(1, -1),
         ops=(),
@@ -168,7 +166,7 @@ def test_criterion_01_zero_coupling_cluster_width(crit1_run):
     for energy, c in zip(centers, clusters):
         lam = energy + round(p.j)
         block = audit_spectrum(
-            f"c1 block {lam}", solver.eigh(ham.build_tc_block(p, lam))
+            f"c1 block {lam}", solver.eigh(build_tc_block(p, lam))
         )
         # a merged or cut cluster would pair the wrong widths
         assert c.size == block.dim, (
@@ -218,25 +216,30 @@ def test_criterion_02_convergence_certificate(crit1_run):
 
 
 def test_criterion_03_cross_basis_oracle():
+    # the production path (both parity sectors, merged by energy) against the
+    # Fock-basis oracle
     cases = {1.0: (60, 280), 5.0: (110, 380)}
     for j, (n_coh, n_fock) in cases.items():
         for frac in (0.3, 0.9, 1.5):
             p = ham.ModelParams(omega=1.0, omega0=1.0, gamma=frac * GC, j=j)
-            hc = ham.build_coherent(p, n_coh)
-            sc = audit_spectrum(f"c3 coh j={j} f={frac}", solver.eigh(hc))
-            rep = obs.delta_p(sc, enumerate_basis(hc.basis))
-            sf = audit_spectrum(
-                f"c3 fock j={j} f={frac}", solver.eigh(ham.build_fock(p, n_fock))
-            )
-            conv = rep.delta_p < 1e-12
+            energies, dp = [], []
+            for sector in (1, -1):
+                hp = ham.build_coherent_parity(p, n_coh, sector)
+                sp = audit_spectrum(f"c3 sector {sector} j={j} f={frac}", solver.eigh(hp))
+                energies.append(sp.energies)
+                dp.append(obs.delta_p(sp, enumerate_basis(hp.basis)).delta_p)
+            order = np.argsort(np.concatenate(energies), kind="stable")
+            energies = np.concatenate(energies)[order]
+            conv = np.concatenate(dp)[order] < 1e-12
+            sf = audit_spectrum(f"c3 fock j={j} f={frac}", solver.eigh(build_fock(p, n_fock)))
             assert conv[:30].all(), f"j={j} f={frac}: lowest 30 not all certified"
-            diff = np.abs(sc.energies[:30] - sf.energies[:30]).max()
+            diff = np.abs(energies[:30] - sf.energies[:30]).max()
             assert diff <= 1e-8, f"j={j} f={frac}: |dE| = {diff:.3e}"
 
 
 def test_criterion_04_parity_block_completeness():
     p = ham.ModelParams(omega=1.0, omega0=1.0, gamma=0.8 * GC, j=2.0)
-    sc = audit_spectrum("c4 full", solver.eigh(ham.build_coherent(p, 20)))
+    sc = audit_spectrum("c4 full", solver.eigh(build_coherent(p, 20)))
     sp = audit_spectrum("c4 plus", solver.eigh(ham.build_coherent_parity(p, 20, +1)))
     sm = audit_spectrum("c4 minus", solver.eigh(ham.build_coherent_parity(p, 20, -1)))
     union = np.sort(np.concatenate([sp.energies, sm.energies]))
@@ -245,8 +248,6 @@ def test_criterion_04_parity_block_completeness():
 
 
 def test_criterion_05_tavis_cummings_blocks():
-    from oracles import lambda_diag, tc_full_fock
-
     p = ham.ModelParams(omega=1.0, omega0=1.0, gamma=0.4, j=1.0)
     n_full = 60
     h_full = ham.SymmetricMatrix(tc_full_fock(p, n_full), None)
@@ -255,7 +256,7 @@ def test_criterion_05_tavis_cummings_blocks():
     lam_exp = (s_full.vectors**2 * lam[:, None]).sum(axis=0)
     size = n_full + 1
     for lam_val in range(11):
-        block = ham.build_tc_block(p, lam_val)
+        block = build_tc_block(p, lam_val)
         s_block = audit_spectrum(f"c5 block {lam_val}", solver.eigh(block))
         ref = np.sort(s_full.energies[np.abs(lam_exp - lam_val) < 1e-6])
         assert ref.size == s_block.dim

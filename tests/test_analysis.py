@@ -7,6 +7,7 @@ from dickelat import observables as obs
 from dickelat import solver
 from dickelat.basis import enumerate_basis
 from dickelat.errors import InsufficientDataError
+from oracles import build_fock, build_tc_block
 
 
 def params(gamma, j, omega=1.0, omega0=1.0):
@@ -14,13 +15,14 @@ def params(gamma, j, omega=1.0, omega0=1.0):
 
 
 def small_lattice(gamma=0.4, j=2.0, n_max=25, op="Jz"):
+    """Lattice of the even parity sector."""
     p = params(gamma, j)
-    h = ham.build_coherent(p, n_max)
+    h = ham.build_coherent_parity(p, n_max, 1)
     idx = enumerate_basis(h.basis)
     s = solver.eigh(h)
     rep = obs.delta_p(s, idx)
     exps = obs.expectation(s, obs.peres_matrix(op, idx, p))
-    parities = obs.parity_labels(s, p)
+    parities = obs.parity_labels(s)
     return analysis.lattice(s, exps, parities, rep, p, op), s, rep
 
 
@@ -35,7 +37,7 @@ class TestLattice:
 
     def test_single_state_lattice(self):
         p = params(0.3, 0.5)
-        h = ham.build_tc_block(p, 0)
+        h = build_tc_block(p, 0)
         s = solver.eigh(h)
         rep = obs.ConvergenceReport(np.zeros(1), 1e-12, 1)
         lat = analysis.lattice(s, [0.0], [1], rep, p, "photon_n")
@@ -60,14 +62,17 @@ class TestLattice:
         lat, s, rep = small_lattice(gamma=0.005, j=2.0, n_max=30)
         conv = lat.select(lat.delta_p < 1e-12)
         near_two = conv.select(np.abs(conv.energy_over_j - 1.0) < 0.01)
-        assert near_two.size == 5  # E = 2 = n + m has 5 realizations at j=2
+        # E = 2 = n + m has 5 realizations at j=2, all even: (-1)^(n + m + j) = +1
+        assert near_two.size == 5
         assert len(np.unique(np.round(near_two.expectation, 6))) == 5
 
 
 class TestDensityOfStates:
     def test_zero_coupling_degeneracy_sequence(self):
+        # the Fock oracle's zero-coupling energies are exact integers, so none
+        # sits a rounding error away from its bin edge
         p = params(0.0, 2.0)
-        s = solver.eigh(ham.build_fock(p, 30))
+        s = solver.eigh(build_fock(p, 30))
         edges, counts = analysis.density_of_states(s.energies, p.j, 0.5)
         # integer E are 0.5 apart in E/j at j=2, one cluster per bin:
         # degeneracies 1,2,3,4 then saturation at 2j+1 = 5

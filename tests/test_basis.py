@@ -7,58 +7,58 @@ from dickelat.basis import BasisSpec, basis_size, enumerate_basis, sector_twist
 half_js = st.integers(1, 8).map(lambda t: t / 2.0)
 
 
+def sector_sizes(j, n_max):
+    return [enumerate_basis(BasisSpec(j, n_max, s)).size for s in (1, -1)]
+
+
 def test_fock_size():
-    idx = enumerate_basis(BasisSpec("fock", 0.5, 1))
-    assert idx.size == 4
+    # the two sectors together hold as many states as the Fock product basis
+    assert sum(sector_sizes(0.5, 1)) == 4
 
 
 def test_parity_sector_labels_j1():
-    plus = enumerate_basis(BasisSpec("coherent-parity", 1.0, 1, parity_sector=+1))
-    minus = enumerate_basis(BasisSpec("coherent-parity", 1.0, 1, parity_sector=-1))
+    plus = enumerate_basis(BasisSpec(1.0, 1, +1))
+    minus = enumerate_basis(BasisSpec(1.0, 1, -1))
     assert [plus.label_of(i) for i in range(plus.size)] == [(0, 0.0), (0, 1.0), (1, 1.0)]
     assert [minus.label_of(i) for i in range(minus.size)] == [(1, 0.0), (0, 1.0), (1, 1.0)]
     assert plus.size + minus.size == 6
 
 
 def test_large_coherent_size():
-    idx = enumerate_basis(BasisSpec("coherent", 20.0, 250))
-    assert idx.size == 41 * 251 == 10291
+    assert sum(sector_sizes(20.0, 250)) == 41 * 251 == 10291
 
 
 def test_parity_sector_dim_at_scale():
-    plus = enumerate_basis(BasisSpec("coherent-parity", 20.0, 250, parity_sector=+1))
+    plus = enumerate_basis(BasisSpec(20.0, 250, +1))
     assert plus.size == 20 * 251 + 126 == 5146
     assert basis_size(plus.spec) == 5146
 
 
 def test_ordering_m_major_then_excitation():
-    idx = enumerate_basis(BasisSpec("fock", 1.0, 2))
-    labels = [idx.label_of(i) for i in range(idx.size)]
-    assert labels == sorted(labels, key=lambda t: (t[1], t[0]))
+    for sector in (1, -1):
+        idx = enumerate_basis(BasisSpec(1.0, 2, sector))
+        labels = [idx.label_of(i) for i in range(idx.size)]
+        assert labels == sorted(labels, key=lambda t: (t[1], t[0]))
 
 
 def test_invalid_specs_rejected():
     with pytest.raises(ValueError):
-        BasisSpec("fock", 0.7, 3)
+        BasisSpec(0.7, 3, 1)
     with pytest.raises(ValueError):
-        BasisSpec("fock", 1.0, -1)
+        BasisSpec(1.0, -1, 1)
     with pytest.raises(ValueError):
-        BasisSpec("coherent-parity", 1.0, 3)
+        BasisSpec(1.0, 3, 0)
     with pytest.raises(ValueError):
-        BasisSpec("coherent", 1.0, 3, parity_sector=1)
-    with pytest.raises(ValueError):
-        BasisSpec("bogus", 1.0, 3)
+        BasisSpec(1.0, 3, None)
+    with pytest.raises(TypeError):
+        BasisSpec(1.0, 3)
 
 
 @settings(max_examples=60, deadline=None)
 @given(j=half_js, n_max=st.integers(0, 12))
 def test_round_trip(j, n_max):
-    for spec in (
-        BasisSpec("fock", j, n_max),
-        BasisSpec("coherent", j, n_max),
-        BasisSpec("coherent-parity", j, n_max, parity_sector=+1),
-        BasisSpec("coherent-parity", j, n_max, parity_sector=-1),
-    ):
+    for sector in (1, -1):
+        spec = BasisSpec(j, n_max, sector)
         idx = enumerate_basis(spec)
         assert basis_size(spec) == idx.size
         for i in range(idx.size):
@@ -69,8 +69,8 @@ def test_round_trip(j, n_max):
 @settings(max_examples=60, deadline=None)
 @given(j=half_js, n_max=st.integers(0, 12))
 def test_sector_completeness(j, n_max):
-    plus = enumerate_basis(BasisSpec("coherent-parity", j, n_max, parity_sector=+1))
-    minus = enumerate_basis(BasisSpec("coherent-parity", j, n_max, parity_sector=-1))
+    plus = enumerate_basis(BasisSpec(j, n_max, +1))
+    minus = enumerate_basis(BasisSpec(j, n_max, -1))
     assert plus.size + minus.size == (n_max + 1) * round(2 * j + 1)
     if round(2 * j) % 2 == 1:
         # half-integer j: no m=0 label, sectors have equal size
@@ -84,7 +84,12 @@ def test_sector_twist_sign():
 
 
 def test_rows_with_excitation():
-    idx = enumerate_basis(BasisSpec("coherent", 1.0, 3))
-    rows = idx.rows_with_excitation(3)
-    assert all(idx.label_of(r)[0] == 3 for r in rows)
-    assert rows.size == 3
+    # shell 3 holds 2j + 1 = 3 labels over both sectors: m = 1 in each, and
+    # m = 0 in the sector whose sign is (-1)^3
+    sizes = {}
+    for sector in (1, -1):
+        idx = enumerate_basis(BasisSpec(1.0, 3, sector))
+        rows = idx.rows_with_excitation(3)
+        assert all(idx.label_of(r)[0] == 3 for r in rows)
+        sizes[sector] = rows.size
+    assert sizes == {1: 1, -1: 2}

@@ -4,9 +4,19 @@ import numpy as np
 import pytest
 
 from dickelat import hamiltonian as ham
-from dickelat.basis import BasisSpec, enumerate_basis, sector_twist
+from dickelat.basis import BasisSpec, enumerate_basis
 from dickelat.errors import CapacityError
-from oracles import coherent_states_in_fock, fock_parity_diag, lambda_diag, tc_full_fock
+from oracles import (
+    build_coherent,
+    build_fock,
+    build_tc_block,
+    coherent_states_in_fock,
+    fock_parity_diag,
+    full_index,
+    lambda_diag,
+    parity_projector,
+    tc_full_fock,
+)
 
 RES = ham.ModelParams  # shorthand for resonance parameter sets
 
@@ -33,25 +43,25 @@ class TestModelParams:
 
 class TestBuildFock:
     def test_zero_coupling_spectrum(self):
-        h = ham.build_fock(params(0.0, 0.5), 1)
+        h = build_fock(params(0.0, 0.5), 1)
         evals = np.sort(np.linalg.eigvalsh(h.data))
         assert np.allclose(evals, [-0.5, 0.5, 0.5, 1.5], atol=1e-14)
 
     def test_zero_coupling_diagonal(self):
-        h = ham.build_fock(params(0.0, 1.5), 6)
+        h = build_fock(params(0.0, 1.5), 6)
         assert np.count_nonzero(h.data - np.diag(np.diag(h.data))) == 0
 
     def test_single_ladder_element_by_hand(self):
         # (2 gamma / sqrt(N)) sqrt(n+1) <m'|Jx|m> at gamma=0.25, j=1/2
-        h = ham.build_fock(params(0.25, 0.5), 1)
-        idx = enumerate_basis(h.basis)
+        h = build_fock(params(0.25, 0.5), 1)
+        idx = full_index(h.basis)
         r = idx.index_of(1, -0.5)
         c = idx.index_of(0, 0.5)
         assert h.data[r, c] == pytest.approx(0.25, abs=1e-15)
 
     def test_exact_symmetry_and_parity_block_structure(self):
         p = params(0.7, 1.5)
-        h = ham.build_fock(p, 8)
+        h = build_fock(p, 8)
         assert np.array_equal(h.data, h.data.T)
         pi = fock_parity_diag(p.j, 8)
         # <i|H|k> = 0 whenever the parity eigenvalues differ, entrywise
@@ -60,28 +70,28 @@ class TestBuildFock:
 
     def test_commutes_with_parity_exactly(self):
         p = params(1.1, 2.0)
-        h = ham.build_fock(p, 7)
+        h = build_fock(p, 7)
         pi = np.diag(fock_parity_diag(p.j, 7))
         assert np.count_nonzero(h.data @ pi - pi @ h.data) == 0
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
-            ham.build_fock(params(0.1, 2.0), 40, mem_budget_bytes=10_000)
+            ham.build_coherent_parity(params(0.1, 2.0), 40, 1, mem_budget_bytes=10_000)
 
 
 class TestBuildCoherent:
     def test_zero_coupling_matches_fock_exactly(self):
         p = params(0.0, 1.0)
-        hf = ham.build_fock(p, 20)
-        hc = ham.build_coherent(p, 20)
+        hf = build_fock(p, 20)
+        hc = build_coherent(p, 20)
         assert np.allclose(
             np.linalg.eigvalsh(hf.data), np.linalg.eigvalsh(hc.data), atol=1e-13
         )
 
     def test_stated_entries_at_quarter_coupling(self):
         p = params(0.25, 0.5)
-        h = ham.build_coherent(p, 4)
-        idx = enumerate_basis(h.basis)
+        h = build_coherent(p, 4)
+        idx = full_index(h.basis)
         i = idx.index_of(0, -0.5)
         k = idx.index_of(0, 0.5)
         assert h.data[i, i] == pytest.approx(-0.0625, abs=1e-15)
@@ -90,14 +100,14 @@ class TestBuildCoherent:
 
     def test_low_spectrum_matches_fock(self):
         p = params(0.25, 0.5)
-        wc = np.linalg.eigvalsh(ham.build_coherent(p, 60).data)
-        wf = np.linalg.eigvalsh(ham.build_fock(p, 200).data)
+        wc = np.linalg.eigvalsh(build_coherent(p, 60).data)
+        wf = np.linalg.eigvalsh(build_fock(p, 200).data)
         assert np.abs(wc[:10] - wf[:10]).max() < 1e-10
 
     def test_cross_basis_oracle_j1(self):
         p = params(0.75, 1.0)
-        wc = np.linalg.eigvalsh(ham.build_coherent(p, 60).data)
-        wf = np.linalg.eigvalsh(ham.build_fock(p, 400).data)
+        wc = np.linalg.eigvalsh(build_coherent(p, 60).data)
+        wf = np.linalg.eigvalsh(build_fock(p, 400).data)
         assert np.abs(wc[:20] - wf[:20]).max() < 1e-8
 
     def test_elementwise_against_rotated_fock(self):
@@ -106,16 +116,16 @@ class TestBuildCoherent:
         n_coh, n_fock = 10, 90
         b = coherent_states_in_fock(p, n_coh, n_fock)
         assert np.abs(b.T @ b - np.eye(b.shape[1])).max() < 1e-12
-        hf = ham.build_fock(p, n_fock)
-        hc = ham.build_coherent(p, n_coh)
+        hf = build_fock(p, n_fock)
+        hc = build_coherent(p, n_coh)
         assert np.abs(b.T @ hf.data @ b - hc.data).max() < 1e-10
 
     def test_omega0_zero_is_diagonal(self):
         p = ham.ModelParams(omega=1.0, omega0=0.0, gamma=0.8, j=1.5)
-        h = ham.build_coherent(p, 12)
+        h = build_coherent(p, 12)
         off = h.data - np.diag(np.diag(h.data))
         assert np.count_nonzero(off) == 0
-        idx = enumerate_basis(h.basis)
+        idx = full_index(h.basis)
         expect = idx.n_exc - (4 * 0.8**2 / (1.0 * 3)) * idx.m_vals**2
         assert np.allclose(np.diag(h.data), expect, atol=1e-15)
 
@@ -125,22 +135,12 @@ class TestBuildCoherentParity:
         # project the full coherent matrix onto explicitly built parity vectors
         p = params(0.4, 1.0)
         n_max = 1
-        hc = ham.build_coherent(p, n_max)
-        full_idx = enumerate_basis(hc.basis)
-        twist = sector_twist(p.j)
+        hc = build_coherent(p, n_max)
+        full_idx = full_index(hc.basis)
         for sector in (+1, -1):
             hp = ham.build_coherent_parity(p, n_max, sector)
             part_idx = enumerate_basis(hp.basis)
-            proj = np.zeros((full_idx.size, part_idx.size))
-            for col in range(part_idx.size):
-                n, m = part_idx.label_of(col)
-                if m == 0.0:
-                    proj[full_idx.index_of(n, 0.0), col] = 1.0
-                else:
-                    norm = 1 / math.sqrt(2.0)
-                    s_eff = sector * twist * (-1) ** n
-                    proj[full_idx.index_of(n, m), col] = norm
-                    proj[full_idx.index_of(n, -m), col] = s_eff * norm
+            proj = parity_projector(full_idx, part_idx)
             assert np.abs(proj.T @ proj - np.eye(part_idx.size)).max() < 1e-14
             assert np.abs(proj.T @ hc.data @ proj - hp.data).max() < 1e-13
 
@@ -148,7 +148,7 @@ class TestBuildCoherentParity:
     def test_sector_union_equals_full_spectrum(self, j, gamma):
         p = params(gamma, j)
         n_max = 14
-        wc = np.linalg.eigvalsh(ham.build_coherent(p, n_max).data)
+        wc = np.linalg.eigvalsh(build_coherent(p, n_max).data)
         wp = np.linalg.eigvalsh(ham.build_coherent_parity(p, n_max, +1).data)
         wm = np.linalg.eigvalsh(ham.build_coherent_parity(p, n_max, -1).data)
         union = np.sort(np.concatenate([wp, wm]))
@@ -160,7 +160,7 @@ class TestBuildCoherentParity:
         for j, gamma in [(1.0, 0.35), (1.5, 0.35)]:
             p = params(gamma, j)
             n_fock = 120
-            hf = ham.build_fock(p, n_fock)
+            hf = build_fock(p, n_fock)
             wf, vf = np.linalg.eigh(hf.data)
             pexp = (vf**2 * fock_parity_diag(j, n_fock)[:, None]).sum(axis=0)
             for sector in (+1, -1):
@@ -178,29 +178,27 @@ class TestBuildCoherentParity:
             assert np.count_nonzero(off) == 0
 
     def test_scale_sector_dimension(self):
-        h_dim = enumerate_basis(
-            BasisSpec("coherent-parity", 20.0, 250, parity_sector=+1)
-        ).size
+        h_dim = enumerate_basis(BasisSpec(20.0, 250, +1)).size
         assert h_dim == 5146
 
 
 class TestTavisCummings:
     def test_vacuum_block(self):
         p = params(0.3, 1.0)
-        h = ham.build_tc_block(p, 0)
+        h = build_tc_block(p, 0)
         assert h.dim == 1
         assert h.data[0, 0] == pytest.approx(-1.0)
 
     def test_rabi_doublet(self):
         p = params(0.37, 0.5)
-        h = ham.build_tc_block(p, 1)
+        h = build_tc_block(p, 1)
         evals = np.sort(np.linalg.eigvalsh(h.data))
         assert np.allclose(evals, [0.5 - 0.37, 0.5 + 0.37], atol=1e-14)
 
     def test_block_dimension(self):
         p = params(0.4, 1.0)
         for lam, dim in [(0, 1), (1, 2), (2, 3), (3, 3), (10, 3)]:
-            assert ham.build_tc_block(p, lam).dim == dim
+            assert build_tc_block(p, lam).dim == dim
 
     def test_blocks_match_full_space_oracle(self):
         p = params(0.4, 1.0)
@@ -209,7 +207,7 @@ class TestTavisCummings:
         wf, vf = np.linalg.eigh(hf)
         lam_diag = lambda_diag(p.j, n_max)
         lam_exp = (vf**2 * lam_diag[:, None]).sum(axis=0)
-        block = ham.build_tc_block(p, 3)
+        block = build_tc_block(p, 3)
         w_block = np.sort(np.linalg.eigvalsh(block.data))
         ref = np.sort(wf[np.abs(lam_exp - 3) < 1e-8])
         assert ref.size == w_block.size

@@ -1,3 +1,4 @@
+import configparser
 import errno
 import hashlib
 import json
@@ -6,17 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dickelat import hamiltonian, pipeline, solver
+from dickelat import cli, hamiltonian, pipeline, solver
 from dickelat.basis import BasisSpec, basis_size, enumerate_basis
 from dickelat.cli import main
 from dickelat.errors import CapacityError, ConfigError
 from dickelat.hamiltonian import ModelParams
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 
 def small_config(tmp_path, **kw):
     defaults = dict(
         params=ModelParams(omega=1.0, omega0=1.0, gamma=0.3, j=1.0),
-        basis="coherent-parity",
         n_max=20,
         sectors=(1, -1),
         ops=("Jz", "Jx2", "photon_n"),
@@ -82,15 +84,6 @@ class TestPipelineRun:
                 b2 = (r2.out_dir / sec / name).read_bytes()
                 assert b1 == b2, f"{name} differs between identical runs"
 
-    def test_fock_run_has_nan_certificate(self, tmp_path):
-        cfg = small_config(tmp_path, basis="fock", ops=("Jz",))
-        result = pipeline.run(cfg)
-        sec = result.sectors[0]
-        assert sec.report is None
-        path = result.out_dir / "all" / "energies.csv"
-        first = path.read_text().splitlines()[1]
-        assert first.split(",")[4] == "nan"
-
     def test_run_failure_flushes_marker(self, tmp_path):
         cfg = small_config(tmp_path, mem_budget_bytes=1000)
         with pytest.raises(Exception):
@@ -140,7 +133,7 @@ class TestPipelineRun:
         # the new energies.csv, the previous run's lattice_Jz.csv
         assert sorted(p.name for p in sector_dir.iterdir()) == sorted(before)
         assert (sector_dir / "lattice_Jz.csv").read_bytes() == before["lattice_Jz.csv"]
-        dim = enumerate_basis(BasisSpec("coherent-parity", 1.0, 12, 1)).size
+        dim = enumerate_basis(BasisSpec(1.0, 12, 1)).size
         assert len((sector_dir / "energies.csv").read_text().splitlines()) == dim + 1
         assert json.loads((sector_dir / "manifest.json").read_text())["status"] == "failed"
 
@@ -237,10 +230,6 @@ class TestPipelineRun:
 
 
 class TestConfigValidation:
-    def test_bad_basis(self, tmp_path):
-        with pytest.raises(ConfigError):
-            small_config(tmp_path, basis="weird")
-
     def test_bad_sector(self, tmp_path):
         with pytest.raises(ConfigError):
             small_config(tmp_path, sectors=(2,))
@@ -253,6 +242,16 @@ class TestConfigValidation:
     def test_bad_bin_width(self, tmp_path, width):
         with pytest.raises(ConfigError):
             small_config(tmp_path, bin_width=width)
+
+
+@pytest.fixture
+def no_build(monkeypatch):
+    """Fail the test if any Hamiltonian is built."""
+
+    def build(*a, **k):
+        raise AssertionError("matrix built despite a config error")
+
+    monkeypatch.setattr(hamiltonian, "build_coherent_parity", build)
 
 
 class TestCli:
@@ -310,11 +309,7 @@ class TestCli:
             == 2
         )
 
-    def test_zero_bin_width_is_config_error_before_build(self, monkeypatch, capsys):
-        def no_build(*a, **k):
-            raise AssertionError("matrix built despite an invalid bin width")
-
-        monkeypatch.setattr(pipeline, "_build_matrix", no_build)
+    def test_zero_bin_width_is_config_error_before_build(self, no_build, capsys):
         code = self.run_cli(
             "lattice", "--n-atoms", "4", "--gamma-over-gc", "1", "--n-max", "10",
             "--bin-width", "0",
@@ -392,6 +387,69 @@ class TestCli:
         assert code == 2
         assert "not an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--gamma", "abc", "not a number: 'abc'"),
+            ("--gamma", "0.1:0.3:x", "not an integer: 'x'"),
+            ("--gamma-over-gc", "1,x", "not a number: 'x'"),
+            ("--gamma", "0:1:y", "not an integer: 'y'"),
+        ],
+        ids=["gamma-abc", "gamma-range-hi-x", "gamma-over-gc-list-x", "gamma-range-n-y"],
+    )
+    def test_bad_coupling_is_config_error(self, no_build, capsys, flag, value, message):
+        code = self.run_cli("sweep", "--n-atoms", "2", flag, value, "--n-max", "5")
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_coupling_is_config_error(self, no_build, value):
+        assert self.run_cli("spectrum", "--n-atoms", "2", "--gamma", value) == 2
+
+    def test_basis_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("spectrum", "--n-atoms", "2", "--gamma", "0.3", "--basis", "fock")
+        assert exc.value.code == 2
+        assert "--basis" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "lines, unknown",
+        [
+            (["n_max = 3"], "n_max"),
+            (["basis = fock"], "basis"),
+            (["n-max-list = 3,4", "sector = both", "nmax = 3"], "n-max-list, nmax"),
+        ],
+        ids=["typo", "basis", "other-command-flag"],
+    )
+    def test_unknown_config_key_is_config_error(self, tmp_path, no_build, capsys, lines, unknown):
+        ini = tmp_path / "run.ini"
+        ini.write_text("\n".join(["[spectrum]", "n-atoms = 2", "gamma = 0.3", *lines]) + "\n")
+        assert self.run_cli("spectrum", "--config", str(ini)) == 2
+        assert f"not spectrum flags: {unknown}" in capsys.readouterr().err
+
+    def test_bad_sector_in_config_is_config_error(self, tmp_path, no_build):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[spectrum]\nn-atoms = 2\ngamma = 0.3\nsector = x\n")
+        assert self.run_cli("spectrum", "--config", str(ini)) == 2
+
+    @pytest.mark.parametrize(
+        "path", sorted(CONFIGS.glob("*.ini")), ids=lambda path: path.stem
+    )
+    def test_checked_in_config_resolves(self, path):
+        sections = configparser.ConfigParser()
+        sections.read(path)
+        assert sections.sections()
+        for command in sections.sections():
+            args = cli.build_parser().parse_args([command, "--config", str(path)])
+            cfg = cli._resolve(cli._merged(args, command), command)
+            assert cfg.n_max >= 250 and cfg.sectors == (1, -1)
+            assert cfg.ops == ("Jz", "Jx2", "photon_n")
+
+    def test_unset_options_take_run_config_defaults(self):
+        cfg = cli._resolve({"gamma": "0.3"}, "lattice")
+        params = ModelParams(omega=1.0, omega0=1.0, gamma=0.3, j=20.0)
+        assert cfg == pipeline.RunConfig(params=params)
+
     def test_stats_subcommand(self, tmp_path, capsys):
         code = self.run_cli(
             "stats",
@@ -465,7 +523,7 @@ class TestBlasThreadScope:
 
     @pytest.mark.parametrize("above, threads", [(0, 2), (1, 1)])
     def test_threshold(self, blas_pools, monkeypatch, tmp_path, capsys, above, threads):
-        dim = max(basis_size(BasisSpec("coherent-parity", 1.0, 8, s)) for s in (1, -1))
+        dim = max(basis_size(BasisSpec(1.0, 8, s)) for s in (1, -1))
         # at the threshold the run keeps the counts it found
         monkeypatch.setattr(pipeline, "ONE_BLAS_THREAD_BELOW_DIM", dim + above)
         with solver.blas_threads(2):

@@ -5,7 +5,8 @@ import pytest
 
 from dickelat import hamiltonian as ham
 from dickelat import solver
-from dickelat.basis import BasisSpec, enumerate_basis
+from dickelat.basis import BasisSpec
+from oracles import build_coherent, build_fock, full_index, full_peres_matrix
 
 
 def wrap(data):
@@ -92,9 +93,11 @@ def test_degeneracy_saturation_at_zero_coupling():
     # gamma=0: E = n + m; multiplicity grows linearly to 2j+1, then constant
     p = ham.ModelParams(omega=1.0, omega0=1.0, gamma=0.0, j=20.0)
     n_max = 60
-    s = solver.eigh(ham.build_fock(p, n_max))
-    e = np.round(s.energies).astype(int)
-    assert np.abs(s.energies - e).max() < 1e-12
+    energies = np.concatenate(
+        [solver.eigh(ham.build_coherent_parity(p, n_max, s)).energies for s in (1, -1)]
+    )
+    e = np.round(energies).astype(int)
+    assert np.abs(energies - e).max() < 1e-12
     counts = {}
     for val in e:
         counts[val] = counts.get(val, 0) + 1
@@ -105,8 +108,8 @@ def test_degeneracy_saturation_at_zero_coupling():
 
 def test_spectrum_carries_basis_provenance():
     p = ham.ModelParams(omega=1.0, omega0=1.0, gamma=0.2, j=1.0)
-    s = solver.eigh(ham.build_coherent(p, 8))
-    assert s.basis == BasisSpec("coherent", 1.0, 8)
+    s = solver.eigh(ham.build_coherent_parity(p, 8, -1))
+    assert s.basis == BasisSpec(1.0, 8, -1)
 
 
 def banded_with_far_corner(dim, seed, band=3):
@@ -131,11 +134,11 @@ def dense_max_residual(mat, energies, vectors):
 
 def model_matrices():
     p = ham.ModelParams(omega=1.0, omega0=1.0, gamma=0.8, j=2.0)
-    fock = enumerate_basis(BasisSpec("fock", 2.0, 40))
+    fock = build_fock(p, 40)
     return {
-        "fock Jx2": ham.op_jx2(fock, p),
-        "fock H": ham.build_fock(p, 40).data,
-        "coherent H": ham.build_coherent(p, 40).data,
+        "fock Jx2": full_peres_matrix("Jx2", full_index(fock.basis), p).data,
+        "fock H": fock.data,
+        "coherent H": build_coherent(p, 40).data,
         "parity H": ham.build_coherent_parity(p, 40, -1).data,
     }
 
