@@ -1,6 +1,6 @@
 """Peres lattices and the quantitative spectral diagnostics built on them:
-density of states, slope-change (ESQPT) markers, unfolding and nearest-
-neighbour spacing statistics."""
+density of states, slope-change (ESQPT) markers, unfolding and the mean
+consecutive-gap ratio."""
 
 import math
 from dataclasses import dataclass
@@ -15,9 +15,9 @@ from .solver import Spectrum
 DEFAULT_BIN_WIDTH = 0.05
 DEFAULT_UNFOLD_DEGREE = 6
 
-# mean consecutive-gap ratio references
-POISSON_RATIO = 2.0 * math.log(2.0) - 1.0  # ~0.38629, uncorrelated levels
-GOE_RATIO = 0.5307  # level repulsion
+# A level this many bin widths or fewer below a grid edge is binned above it.
+# Degenerate levels on an edge then land together whatever their rounding.
+_EDGE_TOL = 1e-9
 
 
 @dataclass
@@ -55,13 +55,6 @@ class EsqptMarkers:
     static_marker: float
     dynamic_marker: float
     bin_width: float
-
-
-@dataclass
-class SpacingStats:
-    hist_counts: np.ndarray
-    hist_edges: np.ndarray
-    mean_ratio: float
 
 
 def lattice(
@@ -103,10 +96,14 @@ def _check_bounds(operator_kind, x, params, slack=1e-9):
         )
 
 
-def _anchored_edges(lo, hi, width):
-    first = math.floor(lo / width)
-    last = math.floor(hi / width) + 1
-    return width * np.arange(first, last + 1)
+def _grid_bins(x, width):
+    """(edges, bin of each value) on the grid of multiples of `width` that
+    spans the non-empty `x`.  A value less than _EDGE_TOL bin widths below an
+    edge goes to the bin above it."""
+    k = np.floor(x / width + _EDGE_TOL).astype(int)
+    first = int(k.min())
+    edges = width * np.arange(first, int(k.max()) + 2)
+    return edges, k - first
 
 
 def density_of_states(energies, j, bin_width):
@@ -117,9 +114,8 @@ def density_of_states(energies, j, bin_width):
     e = np.asarray(energies, dtype=float) / j
     if e.size == 0:
         return np.array([]), np.array([], dtype=int)
-    edges = _anchored_edges(e.min(), e.max(), bin_width)
-    counts, _ = np.histogram(e, bins=edges)
-    return edges, counts
+    edges, which = _grid_bins(e, bin_width)
+    return edges, np.bincount(which, minlength=edges.size - 1)
 
 
 def esqpt_markers(
@@ -148,8 +144,7 @@ def esqpt_markers(
     y = lat.expectation[inside]
     if e.size == 0:
         raise InsufficientDataError("no lattice points inside the marker window")
-    edges = _anchored_edges(e.min(), e.max(), bin_width)
-    which = np.digitize(e, edges) - 1
+    edges, which = _grid_bins(e, bin_width)
     n_bins = edges.size - 1
     counts = np.bincount(which, minlength=n_bins).astype(float)
     sums = np.bincount(which, weights=y, minlength=n_bins)
@@ -220,19 +215,6 @@ def unfold(energies, polynomial_degree=DEFAULT_UNFOLD_DEGREE):
     return (mapped - mapped[0]) * ((e.size - 1) / span)
 
 
-def spacing_stats(unfolded, bin_width=0.25) -> SpacingStats:
-    """Nearest-neighbour spacing histogram plus the mean consecutive-gap ratio
-    <min(s_i, s_i+1) / max(s_i, s_i+1)> (~0.386 for uncorrelated levels,
-    ~0.53 under level repulsion)."""
-    s = np.diff(np.asarray(unfolded, dtype=float))
-    if s.size < 2:
-        raise ValueError("need at least three levels for spacing statistics")
-    hi = max(4.0, float(s.max()))
-    edges = np.arange(0.0, hi + bin_width, bin_width)
-    counts, _ = np.histogram(s, bins=edges)
-    return SpacingStats(counts, edges, mean_gap_ratio(unfolded))
-
-
 def drop_degenerate(energies, gap_tol=1e-10):
     """Collapse near-degenerate runs to a single representative level.
 
@@ -247,7 +229,10 @@ def drop_degenerate(energies, gap_tol=1e-10):
 
 
 def mean_gap_ratio(energies):
-    """Mean consecutive-gap ratio straight from sorted energies (unfolding-free)."""
+    """Mean consecutive-gap ratio <min(s_i, s_i+1) / max(s_i, s_i+1)> of
+    sorted levels (~0.386 for uncorrelated levels, ~0.53 under level
+    repulsion).  The local level density cancels from each ratio, so it
+    can be taken with or without unfolding."""
     s = np.diff(np.asarray(energies, dtype=float))
     if s.size < 2:
         raise ValueError("need at least three levels")

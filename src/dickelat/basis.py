@@ -1,4 +1,4 @@
-"""Enumeration of the working basis and the label <-> index bijections.
+"""Enumeration of the working basis: its (N, m) labels in index order.
 
 The pipeline works in the parity-adapted displaced-shell basis, one sector of
 the Z2 parity at a time.  A label (N, m) names the displaced-shell state
@@ -44,26 +44,14 @@ class BasisSpec:
 
 
 class BasisIndex:
-    """Immutable mapping between (excitation, m) labels and contiguous indices."""
+    """The (excitation, m) label of each basis index: label i is
+    (n_exc[i], m_vals[i])."""
 
     def __init__(self, spec, n_exc, m_vals):
         self.spec = spec
         self.n_exc = np.asarray(n_exc, dtype=int)
         self.m_vals = np.asarray(m_vals, dtype=float)
         self.size = self.n_exc.size
-        self._lookup = {
-            (int(n), round(2 * m)): i
-            for i, (n, m) in enumerate(zip(self.n_exc, self.m_vals))
-        }
-
-    def label_of(self, i):
-        return int(self.n_exc[i]), float(self.m_vals[i])
-
-    def index_of(self, n, m):
-        key = (int(n), round(2 * m))
-        if key not in self._lookup:
-            raise KeyError(f"label (n={n}, m={m}) not in basis")
-        return self._lookup[key]
 
     def rows_with_excitation(self, n):
         """Indices of all labels in excitation shell n."""

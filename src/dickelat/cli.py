@@ -1,12 +1,12 @@
 """Command-line front end.
 
-Subcommands: spectrum, lattice, sweep, stats, convergence.  Every flag can
+Subcommands: spectrum, lattice, sweep, convergence.  Every flag can
 also come from an INI config file (one section per subcommand); a flag given
 on the command line wins over the file, and a key that names no flag of the
 subcommand is a config error.
 
-Exit codes: 0 success, 2 config error, 3 capacity, 4 solver,
-5 sweep with failed points.
+Exit codes: 0 success, 2 config error, 3 capacity, 4 solver (no convergence
+or a failed residual audit), 5 sweep with failed points.
 """
 
 import argparse
@@ -50,7 +50,6 @@ def build_parser():
     sub.add_parser("spectrum", parents=[common], help="energies only")
     sub.add_parser("lattice", parents=[common], help="full pipeline: lattices, DoS, markers, stats")
     sub.add_parser("sweep", parents=[common], help="one run per coupling plus a summary table")
-    sub.add_parser("stats", parents=[common], help="level statistics per window")
     conv = sub.add_parser("convergence", parents=[common], help="top-shell weight profile vs n_max")
     conv.add_argument("--n-max-list", help="comma list or lo:hi:step of truncations")
     return parser
@@ -200,16 +199,12 @@ def _resolve(merged, command):
         for flag, (field, cast) in _RUN_FIELDS.items()
         if flag in merged
     }
-    analysis_on = command in ("lattice", "sweep", "stats")
     if command == "spectrum":
         given["ops"] = ()
     try:
         params = ModelParams(omega=omega, omega0=omega0, gamma=gammas[0], j=j)
         cfg = pipeline.RunConfig(
             params=params,
-            do_markers=analysis_on,
-            do_dos=analysis_on and command != "stats",
-            do_stats=analysis_on,
             gammas=tuple(gammas) if command == "sweep" else (),
             **given,
         )
@@ -268,11 +263,7 @@ def _cmd_convergence(cfg, merged):
     n_list = _parse_int_list(merged.get("n-max-list", "50,100,150,200,250"))
     print("n_max  dim    converged  ground_dp      max_dp(E/j<=1)")
     for n_max in n_list:
-        point = replace(
-            cfg, n_max=n_max, ops=(), do_markers=False, do_dos=False,
-            do_stats=False, out_dir=None,
-        )
-        result = pipeline.run(point)
+        result = pipeline.run(replace(cfg, n_max=n_max, ops=(), out_dir=None))
         for sec in result.sectors:
             e_over_j = sec.energies / cfg.params.j
             low = sec.report.delta_p[e_over_j <= 1.0]

@@ -1,6 +1,11 @@
 """Run orchestration: enumerate -> build -> diagonalize -> observables ->
 analysis, with deterministic CSV/JSON persistence and coupling sweeps.
 
+A run's Peres operators decide its products.  A run with at least one
+operator writes a lattice per operator, the DoS and the gap-ratio statistics,
+plus the ESQPT markers when Jz is among them.  A run with none writes the
+energies only.
+
 A run or sweep whose sectors are all smaller than ONE_BLAS_THREAD_BELOW_DIM
 calls BLAS on one thread; larger ones keep the process's thread counts."""
 
@@ -33,6 +38,10 @@ SECTOR_DIRS = {1: "plus", -1: "minus"}
 # 1.10x at 1148 and 1.32x at 1661.
 ONE_BLAS_THREAD_BELOW_DIM = 1024
 
+# E/j windows of the gap-ratio statistics: below the dynamic ESQPT, and
+# between it and the static one.  None is an open end.
+STAT_WINDOWS = ((None, -1.0), (-1.0, 1.0))
+
 
 def fmt(x):
     """Full-precision, locale-free float formatting for CSV cells."""
@@ -43,19 +52,16 @@ def fmt(x):
 
 @dataclass
 class RunConfig:
-    """Everything needed to resolve one run (or a sweep) of the pipeline."""
+    """Everything needed to resolve one run (or a sweep) of the pipeline.
+    `ops` also decides the analysis products (see the module docstring)."""
 
     params: ModelParams
     n_max: int = 250
     sectors: tuple = (1, -1)
     ops: tuple = ("Jz", "Jx2", "photon_n")
     dp_tol: float = 1e-12
-    do_markers: bool = True
-    do_dos: bool = True
-    do_stats: bool = True
     bin_width: float = analysis.DEFAULT_BIN_WIDTH
     unfold_degree: int = analysis.DEFAULT_UNFOLD_DEGREE
-    stat_windows: tuple = ((None, -1.0), (-1.0, 1.0))
     out_dir: Path | None = None
     workers: int = 1
     mem_budget_bytes: int = hamiltonian.MEMORY_BUDGET_BYTES
@@ -84,7 +90,6 @@ class SectorResult:
     energies: np.ndarray
     parities: np.ndarray
     report: observables.ConvergenceReport
-    expectations: dict
     lattices: dict
     dos: tuple | None
     markers: analysis.EsqptMarkers | None
@@ -103,10 +108,11 @@ class RunResult:
     out_dir: Path | None
 
 
-def _window_stats(energies_over_j, windows, degree):
-    """Mean gap ratio per E/j window on a converged, single-sector spectrum."""
+def _window_stats(energies_over_j, degree):
+    """Mean gap ratio per STAT_WINDOWS window on a converged, single-sector
+    spectrum."""
     out = []
-    for lo, hi in windows:
+    for lo, hi in STAT_WINDOWS:
         lo_v = -math.inf if lo is None else lo
         hi_v = math.inf if hi is None else hi
         sel = energies_over_j[(energies_over_j > lo_v) & (energies_over_j < hi_v)]
@@ -116,9 +122,7 @@ def _window_stats(energies_over_j, windows, degree):
             entry["skipped"] = "fewer than 50 levels"
         else:
             try:
-                unfolded = analysis.unfold(sel, degree)
-                stats = analysis.spacing_stats(unfolded)
-                entry["mean_ratio"] = stats.mean_ratio
+                entry["mean_ratio"] = analysis.mean_gap_ratio(analysis.unfold(sel, degree))
                 entry["unfolded"] = True
             except DickelatError as exc:
                 entry["mean_ratio"] = analysis.mean_gap_ratio(sel)
@@ -132,7 +136,9 @@ def run_sector(cfg: RunConfig, sector):
     """Full pipeline for one sector; returns an in-memory SectorResult.
 
     timings_s holds the wall time of each consecutive stage (build, solve,
-    certificate, observables, analysis); they sum to wall_time_s."""
+    certificate, observables, analysis); they sum to wall_time_s.  A run
+    without Peres operators leaves lattices empty and dos, markers and stats
+    None."""
     marks = [(None, time.perf_counter())]
     matrix = hamiltonian.build_coherent_parity(
         cfg.params, cfg.n_max, sector, cfg.mem_budget_bytes
@@ -145,7 +151,6 @@ def run_sector(cfg: RunConfig, sector):
     marks.append(("solve", time.perf_counter()))
 
     report = observables.delta_p(spectrum, index, tolerance=cfg.dp_tol)
-    dp = report.delta_p
     parities = observables.parity_labels(spectrum)
     marks.append(("certificate", time.perf_counter()))
 
@@ -156,28 +161,21 @@ def run_sector(cfg: RunConfig, sector):
         del op_matrix
     marks.append(("observables", time.perf_counter()))
 
-    lattices = {
-        op: analysis.lattice(spectrum, values, parities, report, cfg.params, op)
-        for op, values in expectations.items()
-    }
-
-    e_over_j = spectrum.energies / cfg.params.j
-    dos = None
-    if cfg.do_dos:
+    lattices, dos, markers, stats = {}, None, None, None
+    if cfg.ops:
+        lattices = {
+            op: analysis.lattice(spectrum, values, parities, report, cfg.params, op)
+            for op, values in expectations.items()
+        }
         dos = analysis.density_of_states(spectrum.energies, cfg.params.j, cfg.bin_width)
-
-    markers = None
-    if cfg.do_markers and "Jz" in lattices:
-        converged = lattices["Jz"].select(dp < cfg.dp_tol)
-        try:
-            markers = analysis.esqpt_markers(converged, cfg.bin_width)
-        except DickelatError:
-            markers = None
-
-    stats = None
-    if cfg.do_stats:
-        converged_e = e_over_j[dp < cfg.dp_tol]
-        stats = _window_stats(converged_e, cfg.stat_windows, cfg.unfold_degree)
+        converged = report.delta_p < cfg.dp_tol
+        if "Jz" in lattices:
+            try:
+                markers = analysis.esqpt_markers(lattices["Jz"].select(converged), cfg.bin_width)
+            except DickelatError:
+                pass
+        e_over_j = spectrum.energies / cfg.params.j
+        stats = _window_stats(e_over_j[converged], cfg.unfold_degree)
 
     marks.append(("analysis", time.perf_counter()))
     timings = {name: t - t_prev for (_, t_prev), (name, t) in zip(marks, marks[1:])}
@@ -187,7 +185,6 @@ def run_sector(cfg: RunConfig, sector):
         energies=spectrum.energies,
         parities=parities,
         report=report,
-        expectations=expectations,
         lattices=lattices,
         dos=dos,
         markers=markers,
@@ -233,11 +230,10 @@ def write_sector_files(cfg, result, sector_dir: Path):
     """Write the per-sector CSV/JSON products; returns {name: sha256}."""
     sector_dir.mkdir(parents=True, exist_ok=True)
     files = {}
-    j = cfg.params.j
     dp = result.report.delta_p
 
     rows = [
-        (k, float(e), float(e / j), int(p), float(d))
+        (k, float(e), float(e / cfg.params.j), int(p), float(d))
         for k, (e, p, d) in enumerate(zip(result.energies, result.parities, dp))
     ]
     files["energies.csv"] = _write_text(
@@ -245,10 +241,10 @@ def write_sector_files(cfg, result, sector_dir: Path):
         _csv(rows, ["index", "energy", "energy_over_j", "parity", "delta_p"]),
     )
 
-    for op, exp in result.expectations.items():
+    for op, lat in result.lattices.items():
         rows = [
-            (float(e / j), float(x), int(p), float(d))
-            for e, x, p, d in zip(result.energies, exp, result.parities, dp)
+            (float(e), float(x), int(p), float(d))
+            for e, x, p, d in zip(lat.energy_over_j, lat.expectation, lat.parity, lat.delta_p)
         ]
         name = f"lattice_{op}.csv"
         files[name] = _write_text(

@@ -113,7 +113,8 @@ def eigh(matrix: SymmetricMatrix) -> Spectrum:
     """All eigenpairs of a SymmetricMatrix, ascending, with sign-fixed vectors,
     from LAPACK's divide-and-conquer driver (evd, the measured fastest).
 
-    Raises SolverError if the LAPACK iteration fails to converge.
+    Raises SolverError if the LAPACK iteration fails to converge or the
+    residual report breaks RESIDUAL_BOUND or ORTHO_BOUND.
     """
     try:
         energies, vectors = scipy.linalg.eigh(
@@ -125,6 +126,13 @@ def eigh(matrix: SymmetricMatrix) -> Spectrum:
         ) from exc
     vectors = _fix_signs(vectors)
     report = residual_report_for(matrix.data, energies, vectors)
+    if not report.within_bounds():
+        raise SolverError(
+            f"solver audit failed (dim={matrix.dim}): max residual "
+            f"{report.max_residual:.3e} against {RESIDUAL_BOUND:g} x ||H||_F = "
+            f"{RESIDUAL_BOUND * report.h_frobenius:.3e}, orthonormality defect "
+            f"{report.max_ortho_defect:.3e} against {ORTHO_BOUND:g}"
+        )
     return Spectrum(energies, vectors, matrix.basis, report)
 
 

@@ -25,6 +25,22 @@ from dickelat.algebra import m_values
 from dickelat.basis import BasisIndex, sector_twist
 from dickelat.hamiltonian import ModelParams, SymmetricMatrix
 
+# mean consecutive-gap ratio of uncorrelated (Poisson) levels
+POISSON_RATIO = 2.0 * math.log(2.0) - 1.0  # ~0.38629
+
+
+def label_of(index: BasisIndex, i):
+    """The (n, m) label at position i of a basis."""
+    return int(index.n_exc[i]), float(index.m_vals[i])
+
+
+def index_of(index: BasisIndex, n, m):
+    """Position of the label (n, m) in a basis; KeyError when it is absent."""
+    hits = np.flatnonzero((index.n_exc == n) & (np.rint(2 * index.m_vals) == round(2 * m)))
+    if hits.size == 0:
+        raise KeyError(f"label (n={n}, m={m}) not in basis")
+    return int(hits[0])
+
 
 def boson_ops(cutoff):
     adag = np.diag(np.sqrt(np.arange(1, cutoff + 1)), -1)
@@ -79,7 +95,7 @@ def coherent_states_in_fock(params, n_max_coh, n_max_fock):
     for mi, m in enumerate(ms):
         disp[mi] = displacement_expm(-g * m, cutoff=size_f - 1)
     for col in range(index.size):
-        n, m = index.label_of(col)
+        n, m = label_of(index, col)
         mi = round(m + j)
         cols[:, col] = np.kron(w_spin[:, mi], disp[mi][:, n])
     return cols
@@ -251,14 +267,14 @@ def parity_projector(full: BasisIndex, part: BasisIndex) -> np.ndarray:
     sector = part.spec.parity_sector
     proj = np.zeros((full.size, part.size))
     for col in range(part.size):
-        n, m = part.label_of(col)
+        n, m = label_of(part, col)
         if m == 0.0:
-            proj[full.index_of(n, 0.0), col] = 1.0
+            proj[index_of(full, n, 0.0), col] = 1.0
         else:
             norm = 1 / math.sqrt(2.0)
             s_eff = sector * sector_twist(part.spec.j) * (-1) ** n
-            proj[full.index_of(n, m), col] = norm
-            proj[full.index_of(n, -m), col] = s_eff * norm
+            proj[index_of(full, n, m), col] = norm
+            proj[index_of(full, n, -m), col] = s_eff * norm
     return proj
 
 

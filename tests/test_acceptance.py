@@ -16,7 +16,14 @@ from dickelat import observables as obs
 from dickelat import pipeline, solver
 from dickelat.basis import enumerate_basis
 from dickelat.cli import main as cli_main
-from oracles import build_coherent, build_fock, build_tc_block, lambda_diag, tc_full_fock
+from oracles import (
+    POISSON_RATIO,
+    build_coherent,
+    build_fock,
+    build_tc_block,
+    lambda_diag,
+    tc_full_fock,
+)
 
 GC = 0.5  # critical coupling at resonance omega = omega0 = 1
 
@@ -98,7 +105,6 @@ def _superradiant_run(gamma_over_gc):
         n_max=250,
         sectors=(1,),
         ops=("Jz",),
-        do_dos=False,
     )
     result = pipeline.run(cfg)
     audit_manifests(f"run_{gamma_over_gc}gc", result.manifests)
@@ -122,9 +128,6 @@ def sweep_result():
         n_max=100,
         sectors=(1, -1),
         ops=(),
-        do_markers=False,
-        do_dos=False,
-        do_stats=False,
         gammas=tuple(f * GC for f in (0.8, 1.0, 1.2, 1.5, 2.0)),
     )
     results, rows = pipeline.sweep(cfg)
@@ -320,8 +323,8 @@ def test_criterion_08_regular_chaotic_coexistence(g20_sector):
     # seeded uncorrelated-level reference
     rng = np.random.default_rng(2024)
     levels = np.sort(rng.uniform(0.0, 5000.0, 5000))
-    ratio = analysis.spacing_stats(levels).mean_ratio
-    assert abs(ratio - analysis.POISSON_RATIO) < 0.01
+    ratio = analysis.mean_gap_ratio(levels)
+    assert abs(ratio - POISSON_RATIO) < 0.01
 
 
 def test_criterion_09_solver_audit(crit1_run, g15_sector, g20_sector, sweep_result):

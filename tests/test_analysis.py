@@ -7,7 +7,7 @@ from dickelat import observables as obs
 from dickelat import solver
 from dickelat.basis import enumerate_basis
 from dickelat.errors import InsufficientDataError
-from oracles import build_fock, build_tc_block
+from oracles import POISSON_RATIO, build_tc_block
 
 
 def params(gamma, j, omega=1.0, omega0=1.0):
@@ -69,14 +69,27 @@ class TestLattice:
 
 class TestDensityOfStates:
     def test_zero_coupling_degeneracy_sequence(self):
-        # the Fock oracle's zero-coupling energies are exact integers, so none
-        # sits a rounding error away from its bin edge
+        # the production sectors give the integer zero-coupling energies to
+        # about 1e-15, some just below the bin edge they sit on
         p = params(0.0, 2.0)
-        s = solver.eigh(build_fock(p, 30))
-        edges, counts = analysis.density_of_states(s.energies, p.j, 0.5)
+        energies = np.sort(np.concatenate([
+            solver.eigh(ham.build_coherent_parity(p, 30, sector)).energies
+            for sector in (1, -1)
+        ]))
+        edges, counts = analysis.density_of_states(energies, p.j, 0.5)
         # integer E are 0.5 apart in E/j at j=2, one cluster per bin:
         # degeneracies 1,2,3,4 then saturation at 2j+1 = 5
         assert list(counts[:8]) == [1, 2, 3, 4, 5, 5, 5, 5]
+        assert edges[0] == -1.0
+
+    def test_level_just_below_an_edge_joins_the_bin_above(self):
+        below = 1.0 - 1e-12
+        edges, counts = analysis.density_of_states([0.3, below, 1.0, 1.2], 1.0, 0.5)
+        assert list(edges) == [0.0, 0.5, 1.0, 1.5]
+        assert list(counts) == [1, 0, 3]
+        # a level further below the edge than the tolerance stays below it
+        _, counts = analysis.density_of_states([0.3, 1.0 - 1e-6, 1.2], 1.0, 0.5)
+        assert list(counts) == [1, 1, 1]
 
     def test_empty_input(self):
         edges, counts = analysis.density_of_states([], 2.0, 0.1)
@@ -157,28 +170,22 @@ class TestUnfold:
 
 
 class TestSpacingStats:
+    """The spacing statistic the pipeline reports: the mean gap ratio."""
+
     def test_poisson_reference(self):
         rng = np.random.default_rng(123)
         levels = np.sort(rng.uniform(0.0, 5000.0, 5000))
-        stats = analysis.spacing_stats(levels)
-        assert stats.mean_ratio == pytest.approx(analysis.POISSON_RATIO, abs=0.01)
+        assert analysis.mean_gap_ratio(levels) == pytest.approx(POISSON_RATIO, abs=0.01)
 
     def test_rigid_spectrum_ratio_one(self):
-        stats = analysis.spacing_stats(np.arange(200.0))
-        assert stats.mean_ratio == pytest.approx(1.0, abs=1e-12)
+        assert analysis.mean_gap_ratio(np.arange(200.0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_ratio_in_unit_interval(self):
         rng = np.random.default_rng(9)
         levels = np.sort(rng.standard_normal(500)).cumsum() * 0 + np.sort(
             rng.uniform(0, 100, 500)
         )
-        stats = analysis.spacing_stats(levels)
-        assert 0.0 <= stats.mean_ratio <= 1.0
-
-    def test_histogram_counts_all_spacings(self):
-        levels = np.sort(np.random.default_rng(4).uniform(0, 60, 200))
-        stats = analysis.spacing_stats(levels)
-        assert stats.hist_counts.sum() == 199
+        assert 0.0 <= analysis.mean_gap_ratio(levels) <= 1.0
 
 
 class TestDropDegenerate:

@@ -13,6 +13,7 @@ from oracles import (
     coherent_states_in_fock,
     fock_parity_diag,
     full_index,
+    index_of,
     lambda_diag,
     parity_projector,
     tc_full_fock,
@@ -55,8 +56,8 @@ class TestBuildFock:
         # (2 gamma / sqrt(N)) sqrt(n+1) <m'|Jx|m> at gamma=0.25, j=1/2
         h = build_fock(params(0.25, 0.5), 1)
         idx = full_index(h.basis)
-        r = idx.index_of(1, -0.5)
-        c = idx.index_of(0, 0.5)
+        r = index_of(idx, 1, -0.5)
+        c = index_of(idx, 0, 0.5)
         assert h.data[r, c] == pytest.approx(0.25, abs=1e-15)
 
     def test_exact_symmetry_and_parity_block_structure(self):
@@ -92,8 +93,8 @@ class TestBuildCoherent:
         p = params(0.25, 0.5)
         h = build_coherent(p, 4)
         idx = full_index(h.basis)
-        i = idx.index_of(0, -0.5)
-        k = idx.index_of(0, 0.5)
+        i = index_of(idx, 0, -0.5)
+        k = index_of(idx, 0, 0.5)
         assert h.data[i, i] == pytest.approx(-0.0625, abs=1e-15)
         assert h.data[k, k] == pytest.approx(-0.0625, abs=1e-15)
         assert h.data[i, k] == pytest.approx(0.5 * math.exp(-2 * 0.25**2), abs=1e-12)

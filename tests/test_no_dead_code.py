@@ -1,8 +1,12 @@
-"""Every public module-level function and class in src/dickelat must be reached
-by the package itself: referenced somewhere in src/ outside its own body,
-exported through dickelat.__all__, or named as a console script in
-pyproject.toml.  Code that only tests call is deleted or moved into the test
-oracles, not kept."""
+"""Every public module-level function, class and constant in src/dickelat, and
+every public method and property of its classes, must be reached by the
+package itself: referenced somewhere in src/ outside its own body, exported
+through dickelat.__all__, or named as a console script in pyproject.toml.
+Code that only tests call is deleted or moved into the test oracles, not
+kept.
+
+References are matched by name, so a method counts as reached when anything
+in src/ reads an attribute of that name."""
 
 import ast
 import re
@@ -17,18 +21,51 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
 
 
+def _trees():
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+
+
 def _uses(tree):
-    """(name, enclosing top-level function or class, or None) for every name
-    load and attribute access in a module."""
+    """(name, enclosing definitions as a tuple of names) for every name load
+    and attribute read in a module; the tuple is empty at module level."""
     out = []
-    for top in tree.body:
-        owner = top.name if isinstance(top, DEFINITIONS) else None
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                out.append((node.id, owner))
-            elif isinstance(node, ast.Attribute):
-                out.append((node.attr, owner))
+
+    def walk(node, owner):
+        if isinstance(node, DEFINITIONS):
+            owner = (*owner, node.name)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append((node.id, owner))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.append((node.attr, owner))
+        for child in ast.iter_child_nodes(node):
+            walk(child, owner)
+
+    walk(tree, ())
     return out
+
+
+def _definitions(tree, kinds):
+    """(path, name) of every public definition of the given kinds: "function",
+    "class", "constant" at module level and "method" (properties included)
+    inside top-level classes.  path is the tuple of enclosing names plus the
+    definition's own."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            if "class" in kinds:
+                out.append(((node.name,), node.name))
+            if "method" in kinds:
+                out += [
+                    ((node.name, item.name), item.name)
+                    for item in node.body
+                    if isinstance(item, FUNCTIONS)
+                ]
+        elif isinstance(node, FUNCTIONS) and "function" in kinds:
+            out.append(((node.name,), node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and "constant" in kinds:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [((), t.id) for t in targets if isinstance(t, ast.Name)]
+    return [(path, name) for path, name in out if not name.startswith("_")]
 
 
 def _exported():
@@ -43,32 +80,42 @@ def _exported():
     return out
 
 
-def unreached(kinds):
-    """module.name of every public top-level definition of the given AST
-    kinds that nothing in src/ reaches."""
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+def unreached(*kinds):
+    """Dotted names of every public definition of the given kinds that
+    nothing in src/ reaches."""
+    trees = _trees()
     uses = [(mod, name, owner) for mod, tree in trees.items() for name, owner in _uses(tree)]
     exported = _exported()
     dead = []
     for mod, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, kinds):
+        for path, name in _definitions(tree, kinds):
+            if len(path) == 1 and (mod, name) in exported:
                 continue
-            if node.name.startswith("_") or (mod, node.name) in exported:
-                continue
-            # a definition's references to itself (recursion, annotations) do not count
+            # a definition's references from inside itself (recursion,
+            # annotations) do not count; a constant has no inside
             if not any(
-                name == node.name and (m, owner) != (mod, node.name) for m, name, owner in uses
+                use == name and not (path and m == mod and owner[: len(path)] == path)
+                for m, use, owner in uses
             ):
-                dead.append(f"{mod}.{node.name}")
+                dead.append(".".join((mod, *path) if path else (mod, name)))
     return dead
 
 
 def test_every_public_function_is_reached():
-    dead = unreached(FUNCTIONS)
+    dead = unreached("function")
     assert not dead, f"public functions nothing in src/ reaches: {dead}"
 
 
 def test_every_public_class_is_reached():
-    dead = unreached((ast.ClassDef,))
+    dead = unreached("class")
     assert not dead, f"public classes nothing in src/ reaches: {dead}"
+
+
+def test_every_public_method_is_reached():
+    dead = unreached("method")
+    assert not dead, f"public methods and properties nothing in src/ reaches: {dead}"
+
+
+def test_every_public_constant_is_reached():
+    dead = unreached("constant")
+    assert not dead, f"public module constants nothing in src/ reaches: {dead}"

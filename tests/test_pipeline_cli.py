@@ -48,6 +48,22 @@ class TestPipelineRun:
                 1e-10 * man["residual_report"]["h_frobenius"]
             )
 
+    @pytest.mark.parametrize(
+        "ops, products",
+        [
+            (("Jx2",), ["dos.csv", "energies.csv", "lattice_Jx2.csv", "stats.json"]),
+            ((), ["energies.csv"]),
+        ],
+        ids=["no-Jz", "no-ops"],
+    )
+    def test_ops_decide_products(self, tmp_path, ops, products):
+        result = pipeline.run(small_config(tmp_path, sectors=(1,), ops=ops))
+        assert sorted(result.manifests[0]["files"]) == products
+        sector = result.sectors[0]
+        assert list(sector.lattices) == list(ops)
+        assert sector.markers is None
+        assert (sector.dos is None) == (sector.stats is None) == (not ops)
+
     def test_manifest_stage_timings_sum_to_wall_time(self, tmp_path):
         result = pipeline.run(small_config(tmp_path))
         for man in result.manifests:
@@ -186,7 +202,6 @@ class TestPipelineRun:
     def test_sweep_concurrent_workers(self, tmp_path):
         cfg = small_config(
             tmp_path, n_max=12, ops=(), gammas=(0.2, 0.3, 0.4), workers=2,
-            do_markers=False, do_stats=False,
         )
         results, rows = pipeline.sweep(cfg)
         assert [row["status"] for row in rows] == ["ok"] * 3
@@ -198,7 +213,7 @@ class TestPipelineRun:
         default = hamiltonian.MEMORY_BUDGET_BYTES
         cfg = small_config(
             tmp_path, n_max=12, ops=(), gammas=(0.2, 0.3, 0.4, 0.5), workers=2,
-            do_markers=False, do_stats=False, mem_budget_bytes=2**30,
+            mem_budget_bytes=2**30,
         )
         _, rows = pipeline.sweep(cfg)
         assert [row["status"] for row in rows] == ["ok"] * 4
@@ -220,8 +235,6 @@ class TestPipelineRun:
             n_max=60,
             ops=(),
             gammas=(0.25, 0.75),
-            do_markers=False,
-            do_stats=False,
             out_dir=None,
         )
         results, rows = pipeline.sweep(cfg)
@@ -337,6 +350,22 @@ class TestCli:
         code = self.run_cli("spectrum", "--n-atoms", "2", "--gamma", "0.3", "--n-max", "8")
         assert code == 4
 
+    def test_failed_audit_is_solver_error(self, tmp_path, monkeypatch, capsys):
+        def out_of_bounds(hmat, energies, vectors):
+            return solver.ResidualReport(1e-3, 0.0, 1.0)
+
+        monkeypatch.setattr(solver, "residual_report_for", out_of_bounds)
+        argv = ["--n-atoms", "2", "--gamma", "0.3", "--n-max", "8", "--sector", "+"]
+        assert self.run_cli("lattice", *argv, "--out", str(tmp_path / "l")) == 4
+        assert "solver audit failed" in capsys.readouterr().err
+        man = json.loads((tmp_path / "l" / "gamma=0.3" / "plus" / "manifest.json").read_text())
+        assert man["status"] == "failed"
+        assert "solver audit failed" in man["error"]
+        assert self.run_cli("sweep", *argv, "--out", str(tmp_path / "s")) == 5
+        assert "[failed]" in capsys.readouterr().out
+        summary = (tmp_path / "s" / "summary.csv").read_text().splitlines()
+        assert summary[1].split(",")[2] == "failed"
+
     def test_sweep_cli(self, tmp_path, capsys):
         code = self.run_cli(
             "sweep",
@@ -450,22 +479,12 @@ class TestCli:
         params = ModelParams(omega=1.0, omega0=1.0, gamma=0.3, j=20.0)
         assert cfg == pipeline.RunConfig(params=params)
 
-    def test_stats_subcommand(self, tmp_path, capsys):
-        code = self.run_cli(
-            "stats",
-            "--n-atoms", "4",
-            "--gamma", "0.45",
-            "--n-max", "40",
-            "--sector", "+",
-            "--ops", "Jz",
-            "--tol-dp", "1e-10",
-            "--out", str(tmp_path / "st"),
-        )
-        assert code == 0
-        man = json.loads(
-            (tmp_path / "st" / "gamma=0.45" / "plus" / "manifest.json").read_text()
-        )
-        assert man["dp_tolerance"] == 1e-10
+    def test_stats_subcommand_is_rejected(self, capsys):
+        # lattice writes every product stats wrote
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("stats", "--n-atoms", "4", "--gamma", "0.45", "--n-max", "40")
+        assert exc.value.code == 2
+        assert "invalid choice: 'stats'" in capsys.readouterr().err
 
 
 @pytest.fixture
