@@ -40,7 +40,7 @@ def build_parser():
     g.add_argument("--config", help="INI config file; flags override its values")
     g.add_argument("--bin-width", type=float, help="E/j bin width for DoS and markers")
     g.add_argument("--unfold-degree", type=int, help="polynomial degree for unfolding")
-    g.add_argument("--mem-budget-gib", type=float, help="dense-matrix memory budget")
+    g.add_argument("--mem-budget-gib", type=float, help="memory budget of one sector's solve")
 
     parser = argparse.ArgumentParser(
         prog="dickelat",

@@ -21,8 +21,19 @@ from . import algebra
 from .basis import BasisIndex, BasisSpec, enumerate_basis, sector_twist
 from .errors import CapacityError
 
-# Default size (bytes) above which the builder refuses to allocate a dense matrix.
+# Default memory budget (bytes) of one sector: the builder refuses a sector
+# whose footprint_bytes exceed it.
 MEMORY_BUDGET_BYTES = 4 * 2**30
+
+# A sector's peak memory above the interpreter's, in dense matrices of its
+# dimension: H, evd's 2n^2 workspace and H's saved envelopes while the solve
+# runs in H's buffer.  One full lattice sector (N = 40, 2 gamma_c, three Peres
+# operators, 2 BLAS threads) peaked at 3.33x at dim 2481 and 3.31x at 3301.
+FOOTPRINT_MATRICES = 3.5
+
+# Side of the square tiles in which the exact symmetry check compares H with
+# its transpose: a tile pair stays in cache, and no dim x dim temporary forms.
+_SYMMETRY_TILE = 256
 
 
 @dataclass(frozen=True)
@@ -71,7 +82,7 @@ class SymmetricMatrix:
         d = self.data
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("matrix must be square")
-        if not np.array_equal(d, d.T):
+        if not _exactly_symmetric(d):
             raise ValueError("matrix entries are not exactly symmetric")
         if not np.isfinite(d).all():
             raise ValueError("matrix contains non-finite entries")
@@ -81,12 +92,32 @@ class SymmetricMatrix:
         return self.data.shape[0]
 
 
+def _exactly_symmetric(d):
+    """np.array_equal(d, d.T), compared one tile pair d[I, J], d[J, I].T at
+    a time over the upper triangle; stops at the first tile that differs."""
+    dim = d.shape[0]
+    for start in range(0, dim, _SYMMETRY_TILE):
+        rows = slice(start, start + _SYMMETRY_TILE)
+        for col_start in range(start, dim, _SYMMETRY_TILE):
+            cols = slice(col_start, col_start + _SYMMETRY_TILE)
+            if not np.array_equal(d[rows, cols], d[cols, rows].T):
+                return False
+    return True
+
+
+def footprint_bytes(dim):
+    """Bytes a sector of dimension `dim` is charged against the memory
+    budget: FOOTPRINT_MATRICES dense dim x dim matrices."""
+    return round(FOOTPRINT_MATRICES * 8 * dim * dim)
+
+
 def _check_capacity(dim, budget):
-    need = 8 * dim * dim
+    need = footprint_bytes(dim)
     if need > budget:
         raise CapacityError(
-            f"dense {dim}x{dim} matrix needs {need / 2**30:.2f} GiB, "
-            f"budget is {budget / 2**30:.2f} GiB"
+            f"dim-{dim} sector is charged {need / 2**20:.1f} MiB "
+            f"({FOOTPRINT_MATRICES:g} x its {8 * dim * dim / 2**20:.1f} MiB dense "
+            f"matrix, the solve's measured peak), budget is {budget / 2**20:.1f} MiB"
         )
 
 
@@ -156,7 +187,7 @@ def build_coherent_parity(
 
     The union of the two sectors' spectra equals the full displaced-basis
     spectrum; at omega0 = 0 the matrix is diagonal.  Raises CapacityError if
-    the dense matrix would exceed `mem_budget_bytes`.
+    the sector's footprint_bytes would exceed `mem_budget_bytes`.
     """
     spec = BasisSpec(params.j, n_max, sector)
     index = enumerate_basis(spec)

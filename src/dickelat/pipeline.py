@@ -93,6 +93,7 @@ class SectorResult:
     lattices: dict
     dos: tuple | None
     markers: analysis.EsqptMarkers | None
+    markers_error: str | None
     stats: list | None
     residual_report: solver.ResidualReport
     wall_time_s: float
@@ -138,7 +139,8 @@ def run_sector(cfg: RunConfig, sector):
     timings_s holds the wall time of each consecutive stage (build, solve,
     certificate, observables, analysis); they sum to wall_time_s.  A run
     without Peres operators leaves lattices empty and dos, markers and stats
-    None."""
+    None.  When the Jz markers are not found, markers is None and
+    markers_error says why."""
     marks = [(None, time.perf_counter())]
     matrix = hamiltonian.build_coherent_parity(
         cfg.params, cfg.n_max, sector, cfg.mem_budget_bytes
@@ -161,7 +163,7 @@ def run_sector(cfg: RunConfig, sector):
         del op_matrix
     marks.append(("observables", time.perf_counter()))
 
-    lattices, dos, markers, stats = {}, None, None, None
+    lattices, dos, markers, markers_error, stats = {}, None, None, None, None
     if cfg.ops:
         lattices = {
             op: analysis.lattice(spectrum, values, parities, report, cfg.params, op)
@@ -172,8 +174,8 @@ def run_sector(cfg: RunConfig, sector):
         if "Jz" in lattices:
             try:
                 markers = analysis.esqpt_markers(lattices["Jz"].select(converged), cfg.bin_width)
-            except DickelatError:
-                pass
+            except DickelatError as exc:
+                markers_error = str(exc)
         e_over_j = spectrum.energies / cfg.params.j
         stats = _window_stats(e_over_j[converged], cfg.unfold_degree)
 
@@ -188,6 +190,7 @@ def run_sector(cfg: RunConfig, sector):
         lattices=lattices,
         dos=dos,
         markers=markers,
+        markers_error=markers_error,
         stats=stats,
         residual_report=residual,
         wall_time_s=marks[-1][1] - marks[0][1],
@@ -313,6 +316,8 @@ def _sector_manifest(cfg, gamma, sector, result=None, files=None, error=None):
             wall_time_s=result.wall_time_s,
             timings_s=result.timings_s,
         )
+        if result.markers_error is not None:
+            man["markers_error"] = result.markers_error
     if error is not None:
         man["error"] = str(error)
     return man

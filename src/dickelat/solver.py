@@ -105,7 +105,8 @@ def residual_report_for(hmat: np.ndarray, energies, vectors) -> ResidualReport:
     max_resid = float(np.sqrt(sq).max())
     gram = vectors.T @ vectors
     gram[np.diag_indices_from(gram)] -= 1.0
-    max_ortho = float(np.abs(gram).max())
+    # max |gram| without the dim x dim temporary of np.abs
+    max_ortho = float(max(gram.max(), -gram.min()))
     return ResidualReport(max_resid, max_ortho, h_frob)
 
 
@@ -113,19 +114,48 @@ def eigh(matrix: SymmetricMatrix) -> Spectrum:
     """All eigenpairs of a SymmetricMatrix, ascending, with sign-fixed vectors,
     from LAPACK's divide-and-conquer driver (evd, the measured fastest).
 
+    The solve runs in the matrix's own buffer.  H is exactly symmetric, so
+    data.T is H in Fortran order, and LAPACK writes the vectors over it
+    rather than over a transposed copy.  The vectors are then copied out and
+    H is written back from its row envelopes, saved before the solve, so the
+    input is left as it was, also when LAPACK raises.  Any other input (read
+    only, not C-contiguous or not float64) is solved in scipy's copy.
+
     Raises SolverError if the LAPACK iteration fails to converge or the
     residual report breaks RESIDUAL_BOUND or ORTHO_BOUND.
     """
+    data = matrix.data
+    in_place = (
+        data.dtype == np.float64 and data.flags.c_contiguous and data.flags.writeable
+    )
+    saved = []
+    if in_place:
+        # envelopes of the bit patterns, so a -0.0 is kept like any nonzero
+        saved = [
+            (rows, cols, data[rows, cols].copy())
+            for rows, cols in _row_envelopes(data.view(np.uint64))
+        ]
     try:
         energies, vectors = scipy.linalg.eigh(
-            matrix.data, driver="evd", check_finite=False
+            data.T if in_place else data,
+            driver="evd",
+            check_finite=False,
+            overwrite_a=in_place,
         )
+        if in_place:
+            vectors = vectors.copy(order="F")
     except scipy.linalg.LinAlgError as exc:
         raise SolverError(
             f"dense eigensolver (evd, dim={matrix.dim}) did not converge: {exc}"
         ) from exc
+    finally:
+        if in_place:
+            data.fill(0.0)
+            for rows, cols, block in saved:
+                data[rows, cols] = block
+    del saved
     vectors = _fix_signs(vectors)
-    report = residual_report_for(matrix.data, energies, vectors)
+    report = residual_report_for(data, energies, vectors)
     if not report.within_bounds():
         raise SolverError(
             f"solver audit failed (dim={matrix.dim}): max residual "

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,3 +218,99 @@ class TestTavisCummings:
         assert ref.size == w_block.size
         assert np.abs(w_block - ref).max() < 1e-10
 
+
+def _symmetric(dim, seed=0):
+    a = np.random.default_rng(seed).standard_normal((dim, dim))
+    return a + a.T
+
+
+def _nudge(d, i, j):
+    d[i, j] = np.nextafter(d[i, j], np.inf)
+    return d
+
+
+def _nan_at(d, *pairs):
+    for i, j in pairs:
+        d[i, j] = np.nan
+    return d
+
+
+def _signed_zero_pair(d, i, j):
+    d[i, j], d[j, i] = 0.0, -0.0
+    return d
+
+
+class TestExactSymmetryCheck:
+    """The tiled check gives np.array_equal(d, d.T)'s verdict; dim 600 has
+    two whole 256-tiles and a partial one per side."""
+
+    CASES = {
+        "symmetric": (lambda: _symmetric(600), True),
+        "far-corner-upper": (lambda: _nudge(_symmetric(600), 0, 599), False),
+        "far-corner-lower": (lambda: _nudge(_symmetric(600), 599, 0), False),
+        "partial-edge-tile": (lambda: _nudge(_symmetric(600), 300, 590), False),
+        "partial-corner-tile": (lambda: _nudge(_symmetric(600), 595, 598), False),
+        "nan-on-diagonal": (lambda: _nan_at(_symmetric(600), (7, 7)), False),
+        "nan-pair": (lambda: _nan_at(_symmetric(600), (5, 580), (580, 5)), False),
+        "signed-zero-pair": (lambda: _signed_zero_pair(_symmetric(600), 10, 590), True),
+        "one-tile": (lambda: _nudge(_symmetric(256), 255, 0), False),
+        "tile-plus-one": (lambda: _nudge(_symmetric(257), 256, 3), False),
+        "dim-1": (lambda: _symmetric(1), True),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_verdict_matches_full_comparison(self, case):
+        make, symmetric = self.CASES[case]
+        d = make()
+        assert np.array_equal(d, d.T) == symmetric
+        if symmetric:
+            ham.SymmetricMatrix(d, None)
+        else:
+            with pytest.raises(ValueError, match="not exactly symmetric"):
+                ham.SymmetricMatrix(d, None)
+
+
+_PEAK_SCRIPT = """
+import resource, sys
+from dickelat import hamiltonian, pipeline
+
+def maxrss():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+params = hamiltonian.ModelParams(omega=1.0, omega0=1.0, gamma=1.0, j=20.0)
+pipeline.run_sector(pipeline.RunConfig(params, n_max=20, sectors=(1,)), 1)
+baseline = maxrss()
+result = pipeline.run_sector(pipeline.RunConfig(params, n_max=int(sys.argv[1]), sectors=(1,)), 1)
+print(result.dim, maxrss() - baseline)
+"""
+
+# Linux starts a child's ru_maxrss at the peak RSS of the process it was
+# forked from, so a child of a large pytest process would read pytest's peak
+# as its own.  A small interpreter in between forks the measured process.
+_LAUNCH = "import subprocess, sys; subprocess.run([sys.executable, '-c', *sys.argv[1:]], check=True)"
+
+
+class TestMemoryBudget:
+    @pytest.mark.parametrize("n_max", [120, 160])
+    def test_charge_bounds_a_sectors_measured_peak(self, n_max):
+        # one lattice sector (N = 40, 2 gamma_c, three Peres operators) in a
+        # fresh process; its peak above a warm baseline must lie within the
+        # charge and above charge / 1.3, so the charge is not merely pessimistic
+        src = str(Path(ham.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _LAUNCH, _PEAK_SCRIPT, str(n_max)],
+            env=env, capture_output=True, text=True, check=True, timeout=600,
+        )
+        dim, used = map(int, proc.stdout.split())
+        assert dim >= 2000
+        charge = ham.footprint_bytes(dim)
+        assert charge >= used >= charge / 1.3, (dim, used / (8 * dim * dim))
+
+    def test_capacity_error_names_the_charge(self):
+        dim = enumerate_basis(BasisSpec(2.0, 40, 1)).size
+        with pytest.raises(CapacityError) as err:
+            ham.build_coherent_parity(params(0.1, 2.0), 40, 1, mem_budget_bytes=10_000)
+        message = str(err.value)
+        assert f"charged {ham.footprint_bytes(dim) / 2**20:.1f} MiB" in message
+        assert f"{ham.FOOTPRINT_MATRICES:g} x its {8 * dim * dim / 2**20:.1f} MiB" in message

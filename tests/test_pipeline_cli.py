@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dickelat import cli, hamiltonian, pipeline, solver
+from dickelat import analysis, cli, hamiltonian, pipeline, solver
 from dickelat.basis import BasisSpec, basis_size, enumerate_basis
 from dickelat.cli import main
 from dickelat.errors import CapacityError, ConfigError
@@ -240,6 +240,30 @@ class TestPipelineRun:
         results, rows = pipeline.sweep(cfg)
         assert rows[0]["ground_e_over_j"] == pytest.approx(-1.0, abs=0.02)
         assert rows[1]["ground_e_over_j"] < -1.1
+
+    def test_manifest_says_why_markers_are_missing(self, tmp_path):
+        # the benchmark's 16-coupling sweep: N = 20, n_max 40, both sectors
+        params = ModelParams(omega=1.0, omega0=1.0, gamma=0.1, j=10.0)
+        cfg = small_config(
+            tmp_path,
+            params=params,
+            n_max=40,
+            bin_width=analysis.DEFAULT_BIN_WIDTH,
+            gammas=tuple(params.gamma_c * (0.2 + k * 2.8 / 15) for k in range(16)),
+        )
+        _, rows = pipeline.sweep(cfg)
+        assert [row["status"] for row in rows] == ["ok"] * 16
+        manifests = sorted(cfg.out_dir.glob("gamma=*/*/manifest.json"))
+        assert len(manifests) == 32
+        missing = 0
+        for path in manifests:
+            man = json.loads(path.read_text())
+            if (path.parent / "markers.json").exists():
+                assert "markers_error" not in man, path
+            else:
+                missing += 1
+                assert man["markers_error"], path
+        assert 0 < missing < 32
 
 
 class TestConfigValidation:

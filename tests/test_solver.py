@@ -2,10 +2,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dickelat import hamiltonian as ham
 from dickelat import solver
 from dickelat.basis import BasisSpec
+from dickelat.errors import SolverError
 from oracles import build_coherent, build_fock, full_index, full_peres_matrix
 
 
@@ -229,3 +231,78 @@ class TestBlasThreads:
         with pytest.raises(RuntimeError), solver.blas_threads(1):
             raise RuntimeError("solve failed")
         assert solver.blas_thread_counts() == pools
+
+
+class TestInPlaceSolve:
+    """eigh solves in the input's buffer and writes H back, so the caller's
+    matrix comes out as it went in."""
+
+    @staticmethod
+    def production():
+        p = ham.ModelParams(omega=1.0, omega0=1.0, gamma=1.0, j=5.0)
+        return ham.build_coherent_parity(p, 40, 1)
+
+    def test_input_keeps_buffer_and_bytes(self):
+        m = self.production()
+        data, before = m.data, m.data.tobytes()
+        s = solver.eigh(m)
+        assert m.data is data
+        assert m.data.tobytes() == before
+        assert not np.shares_memory(s.vectors, m.data)
+        assert s.vectors.flags.f_contiguous
+
+    def test_repeated_solves_are_byte_identical(self):
+        m = self.production()
+        first, second = solver.eigh(m), solver.eigh(m)
+        assert first.energies.tobytes() == second.energies.tobytes()
+        assert first.vectors.tobytes() == second.vectors.tobytes()
+        assert first.residual_report == second.residual_report
+
+    def test_read_only_input_solved_in_a_copy_gives_the_same_bytes(self):
+        m = self.production()
+        in_place = solver.eigh(m)
+        m.data.setflags(write=False)
+        before = m.data.tobytes()
+        copied = solver.eigh(m)
+        assert m.data.tobytes() == before
+        assert copied.energies.tobytes() == in_place.energies.tobytes()
+        assert copied.vectors.tobytes() == in_place.vectors.tobytes()
+        assert copied.residual_report == in_place.residual_report
+
+    def test_non_contiguous_input(self):
+        a = banded_with_far_corner(80, seed=21)
+        big = np.zeros((160, 160))
+        big[::2, ::2] = a
+        view = big[::2, ::2]
+        assert not view.flags.c_contiguous
+        before = big.tobytes()
+        s = solver.eigh(wrap(view))
+        assert big.tobytes() == before
+        assert np.allclose(s.energies, np.linalg.eigvalsh(a), rtol=0, atol=1e-12)
+
+    def test_band_with_far_corner_restored_exactly(self):
+        a = banded_with_far_corner(200, seed=4)
+        # a signed zero outside every chunk's nonzero envelope is kept too
+        a[100, 180] = a[180, 100] = -0.0
+        assert all(
+            not (rows.start <= r < rows.stop and cols.start <= c < cols.stop)
+            for rows, cols in solver._row_envelopes(a)
+            for r, c in ((100, 180), (180, 100))
+        )
+        before = a.tobytes()
+        s = solver.eigh(wrap(a))
+        assert a.tobytes() == before
+        assert s.residual_report.within_bounds()
+
+    def test_failed_lapack_leaves_input_restored(self, monkeypatch):
+        m = self.production()
+        before = m.data.tobytes()
+
+        def scribble_then_fail(a, **kwargs):
+            a[...] = np.nan
+            raise scipy.linalg.LinAlgError("iteration failed to converge")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", scribble_then_fail)
+        with pytest.raises(SolverError, match="did not converge"):
+            solver.eigh(m)
+        assert m.data.tobytes() == before
