@@ -12,7 +12,7 @@ from .observables import (
     peres_matrix,
 )
 from .pipeline import RunConfig, run, sweep
-from .solver import Spectrum, eigh, residuals
+from .solver import Spectrum, eigh
 
 __all__ = [
     "BasisIndex",
@@ -29,7 +29,6 @@ __all__ = [
     "expectation",
     "parity_labels",
     "peres_matrix",
-    "residuals",
     "run",
     "sweep",
 ]

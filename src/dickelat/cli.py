@@ -34,12 +34,11 @@ def build_parser():
     g.add_argument("--n-max", type=int, help="photon/shell truncation")
     g.add_argument("--sector", choices=sorted(_SECTOR_CHOICES), help="parity sector(s)")
     g.add_argument("--ops", help="comma list of Peres operators (Jz,Jx2,photon_n)")
-    g.add_argument("--tol-dp", type=float, help="convergence tolerance on the top-shell weight")
+    g.add_argument("--tol-dp", type=float, help="top-shell weight tolerance, in (0, 1)")
     g.add_argument("--out", help="output directory")
-    g.add_argument("--workers", type=int, help="concurrent sweep points")
     g.add_argument("--config", help="INI config file; flags override its values")
     g.add_argument("--bin-width", type=float, help="E/j bin width for DoS and markers")
-    g.add_argument("--unfold-degree", type=int, help="polynomial degree for unfolding")
+    g.add_argument("--unfold-degree", type=int, help="polynomial degree for unfolding, >= 1")
     g.add_argument("--mem-budget-gib", type=float, help="memory budget of one sector's solve")
 
     parser = argparse.ArgumentParser(
@@ -163,7 +162,6 @@ _RUN_FIELDS = {
     "bin-width": ("bin_width", float),
     "unfold-degree": ("unfold_degree", int),
     "out": ("out_dir", lambda text: Path(text) if text else None),
-    "workers": ("workers", int),
     "mem-budget-gib": ("mem_budget_bytes", lambda text: round(float(text) * 2**30)),
 }
 

@@ -6,18 +6,17 @@ operator writes a lattice per operator, the DoS and the gap-ratio statistics,
 plus the ESQPT markers when Jz is among them.  A run with none writes the
 energies only.
 
-A run or sweep whose sectors are all smaller than ONE_BLAS_THREAD_BELOW_DIM
-calls BLAS on one thread; larger ones keep the process's thread counts."""
+A run whose sectors are all smaller than ONE_BLAS_THREAD_BELOW_DIM calls BLAS
+on one thread; larger ones keep the process's thread counts.  A sweep runs
+its couplings one after another, so it holds one sector at a time, as the
+per-sector memory budget assumes."""
 
 import contextlib
 import hashlib
 import json
 import math
 import os
-import resource
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -63,7 +62,6 @@ class RunConfig:
     bin_width: float = analysis.DEFAULT_BIN_WIDTH
     unfold_degree: int = analysis.DEFAULT_UNFOLD_DEGREE
     out_dir: Path | None = None
-    workers: int = 1
     mem_budget_bytes: int = hamiltonian.MEMORY_BUDGET_BYTES
     gammas: tuple = ()
 
@@ -75,10 +73,12 @@ class RunConfig:
                 raise ConfigError(f"unknown Peres operator {op!r}")
         if self.n_max < 0:
             raise ConfigError("n_max must be >= 0")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        if not 0 < self.dp_tol < 1:
+            raise ConfigError("dp_tol must be in (0, 1): it bounds a probability")
         if not self.bin_width > 0:
             raise ConfigError("bin_width must be > 0")
+        if self.unfold_degree < 1:
+            raise ConfigError("unfold_degree must be >= 1")
         if self.out_dir is not None:
             self.out_dir = Path(self.out_dir)
 
@@ -206,7 +206,7 @@ def _write_text(path: Path, text: str):
     `path`, so no partly written file ever carries a final name.  Returns the
     sha256 of the bytes written."""
     data = text.encode("utf-8")
-    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)
@@ -288,6 +288,20 @@ def write_sector_files(cfg, result, sector_dir: Path):
     return files
 
 
+def _peak_rss_mib():
+    """This process's own peak resident set size (VmHWM) in MiB, or None where
+    /proc/self/status cannot be read.  ru_maxrss is no substitute: a child
+    starts with the high-water mark of the process that forked it."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return None
+
+
 def _sector_manifest(cfg, gamma, sector, result=None, files=None, error=None):
     man = {
         "status": "ok" if error is None else "failed",
@@ -302,7 +316,7 @@ def _sector_manifest(cfg, gamma, sector, result=None, files=None, error=None):
         "files": files or {},
         # one process-wide count: the highest over the loaded OpenBLAS libraries
         "blas_threads": max(solver.blas_thread_counts().values(), default=None),
-        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "peak_rss_mib": _peak_rss_mib(),
     }
     if result is not None:
         man.update(
@@ -411,38 +425,21 @@ def _summary_row(cfg, gamma, result: RunResult | None, error=None):
 
 
 def sweep(cfg: RunConfig):
-    """One run per coupling in cfg.gammas (concurrently up to cfg.workers);
-    per-point failures are isolated.  Returns (results, summary_rows) where a
-    failed point appears as (gamma, exception) in results."""
+    """One run per coupling in cfg.gammas, one after another; per-point
+    failures are isolated.  Returns (results, summary_rows) where a failed
+    point appears as (gamma, exception) in results."""
     gammas = list(cfg.gammas) if cfg.gammas else [cfg.params.gamma]
-    point_cfgs = [
-        replace(cfg, params=replace(cfg.params, gamma=g), gammas=()) for g in gammas
-    ]
-
-    def one(point_cfg):
+    results, rows = [], []
+    for g in gammas:
+        point_cfg = replace(cfg, params=replace(cfg.params, gamma=g), gammas=())
         try:
-            return run(point_cfg)
+            result = run(point_cfg)
         except Exception as exc:
-            return exc
-
-    # set before the pool starts: the count is process-wide, and each point's
-    # run then finds it already in place
-    with _blas_scope(cfg):
-        if cfg.workers > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                outcomes = list(pool.map(one, point_cfgs))
+            rows.append(_summary_row(point_cfg, g, None, error=exc))
+            results.append((g, exc))
         else:
-            outcomes = [one(pc) for pc in point_cfgs]
-
-    rows = []
-    results = []
-    for g, pc, outcome in zip(gammas, point_cfgs, outcomes):
-        if isinstance(outcome, Exception):
-            rows.append(_summary_row(pc, g, None, error=outcome))
-            results.append((g, outcome))
-        else:
-            rows.append(_summary_row(pc, g, outcome))
-            results.append(outcome)
+            rows.append(_summary_row(point_cfg, g, result))
+            results.append(result)
 
     if cfg.out_dir is not None:
         header = list(rows[0].keys())

@@ -166,13 +166,6 @@ def eigh(matrix: SymmetricMatrix) -> Spectrum:
     return Spectrum(energies, vectors, matrix.basis, report)
 
 
-def residuals(matrix: SymmetricMatrix, spectrum: Spectrum) -> ResidualReport:
-    """Recompute the accuracy report for `spectrum` against `matrix`."""
-    if matrix.dim != spectrum.dim:
-        raise ValueError("matrix and spectrum dimensions differ")
-    return residual_report_for(matrix.data, spectrum.energies, spectrum.vectors)
-
-
 def _openblas_pools():
     """(file name, set, get) for each OpenBLAS library mapped into this
     process, found by path in /proc/self/maps; empty where there is none."""

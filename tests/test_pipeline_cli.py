@@ -2,6 +2,9 @@ import configparser
 import errno
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +168,28 @@ class TestPipelineRun:
             assert 0 < man["peak_rss_mib"] < 1e6
         assert result.manifests[0]["peak_rss_mib"] <= man["peak_rss_mib"]
 
+    def test_peak_rss_excludes_the_launcher(self, tmp_path):
+        # a launcher holding 300 MiB (written, so resident) while the run lives
+        # must not lend its peak to the run's manifest
+        held = np.ones(300 * 2**20 // 8)
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        argv = ["spectrum", "--n-atoms", "2", "--gamma", "0.3", "--n-max", "8", "--sector", "+"]
+        subprocess.run(
+            [sys.executable, "-m", "dickelat", *argv, "--out", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, check=True, timeout=120,
+        )
+        del held
+        man = json.loads((tmp_path / "gamma=0.3" / "plus" / "manifest.json").read_text())
+        assert 0 < man["peak_rss_mib"] < 150
+
+    def test_peak_rss_is_null_without_proc_status(self, tmp_path, monkeypatch):
+        def unreadable(*args, **kwargs):
+            raise OSError(errno.ENOENT, "no /proc")
+
+        monkeypatch.setattr(pipeline, "open", unreadable, raising=False)
+        result = pipeline.run(small_config(tmp_path, n_max=8, sectors=(1,)))
+        assert result.manifests[0]["peak_rss_mib"] is None
+
     def test_killed_rerun_leaves_no_manifest(self, tmp_path, monkeypatch):
         first = small_config(tmp_path, n_max=10)
         pipeline.run(first)
@@ -201,18 +226,18 @@ class TestPipelineRun:
 
     def test_sweep_concurrent_workers(self, tmp_path):
         cfg = small_config(
-            tmp_path, n_max=12, ops=(), gammas=(0.2, 0.3, 0.4), workers=2,
+            tmp_path, n_max=12, ops=(), gammas=(0.2, 0.3, 0.4),
         )
         results, rows = pipeline.sweep(cfg)
         assert [row["status"] for row in rows] == ["ok"] * 3
-        # concurrent execution must not scramble the per-point outputs
+        # results and rows follow the order of the couplings
         grounds = [min(s.energies[0] for s in r.sectors) for r in results]
         assert grounds == sorted(grounds, reverse=True)
 
     def test_concurrent_sweep_leaves_default_budget(self, tmp_path):
         default = hamiltonian.MEMORY_BUDGET_BYTES
         cfg = small_config(
-            tmp_path, n_max=12, ops=(), gammas=(0.2, 0.3, 0.4, 0.5), workers=2,
+            tmp_path, n_max=12, ops=(), gammas=(0.2, 0.3, 0.4, 0.5),
             mem_budget_bytes=2**30,
         )
         _, rows = pipeline.sweep(cfg)
@@ -221,7 +246,7 @@ class TestPipelineRun:
 
     def test_concurrent_sweep_budget_below_every_matrix(self, tmp_path):
         cfg = small_config(
-            tmp_path, n_max=12, ops=(), gammas=(0.2, 0.3, 0.4, 0.5), workers=2,
+            tmp_path, n_max=12, ops=(), gammas=(0.2, 0.3, 0.4, 0.5),
             mem_budget_bytes=1000,
         )
         results, rows = pipeline.sweep(cfg)
@@ -279,6 +304,16 @@ class TestConfigValidation:
     def test_bad_bin_width(self, tmp_path, width):
         with pytest.raises(ConfigError):
             small_config(tmp_path, bin_width=width)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-12, 1.0])
+    def test_bad_dp_tol(self, tmp_path, tol):
+        with pytest.raises(ConfigError, match="dp_tol"):
+            small_config(tmp_path, dp_tol=tol)
+
+    @pytest.mark.parametrize("degree", [-1, 0])
+    def test_bad_unfold_degree(self, tmp_path, degree):
+        with pytest.raises(ConfigError, match="unfold_degree"):
+            small_config(tmp_path, unfold_degree=degree)
 
 
 @pytest.fixture
@@ -353,6 +388,20 @@ class TestCli:
         )
         assert code == 2
         assert "bin_width" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--tol-dp", "nan", "dp_tol"), ("--unfold-degree", "-1", "unfold_degree")],
+        ids=["tol-dp-nan", "unfold-degree-negative"],
+    )
+    def test_out_of_range_setting_is_config_error_before_build(
+        self, no_build, capsys, flag, value, field
+    ):
+        code = self.run_cli(
+            "lattice", "--n-atoms", "4", "--gamma-over-gc", "2", "--n-max", "10", flag, value,
+        )
+        assert code == 2
+        assert field in capsys.readouterr().err
 
     def test_capacity_exit_code(self, tmp_path):
         code = self.run_cli(
@@ -459,20 +508,24 @@ class TestCli:
     def test_non_finite_coupling_is_config_error(self, no_build, value):
         assert self.run_cli("spectrum", "--n-atoms", "2", "--gamma", value) == 2
 
-    def test_basis_flag_is_rejected(self, capsys):
+    @pytest.mark.parametrize(
+        "flag, value", [("--basis", "fock"), ("--workers", "2")], ids=["basis", "workers"]
+    )
+    def test_removed_flag_is_rejected(self, capsys, flag, value):
         with pytest.raises(SystemExit) as exc:
-            self.run_cli("spectrum", "--n-atoms", "2", "--gamma", "0.3", "--basis", "fock")
+            self.run_cli("sweep", "--n-atoms", "2", "--gamma", "0.3", flag, value)
         assert exc.value.code == 2
-        assert "--basis" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "lines, unknown",
         [
             (["n_max = 3"], "n_max"),
             (["basis = fock"], "basis"),
+            (["workers = 2"], "workers"),
             (["n-max-list = 3,4", "sector = both", "nmax = 3"], "n-max-list, nmax"),
         ],
-        ids=["typo", "basis", "other-command-flag"],
+        ids=["typo", "basis", "workers", "other-command-flag"],
     )
     def test_unknown_config_key_is_config_error(self, tmp_path, no_build, capsys, lines, unknown):
         ini = tmp_path / "run.ini"
@@ -540,7 +593,7 @@ class TestBlasThreadScope:
         "argv, code",
         [
             (["spectrum", *SMALL], 0),
-            (["sweep", "--n-atoms", "2", "--gamma", "0.2,0.3,0.4", "--workers", "2"], 0),
+            (["sweep", "--n-atoms", "2", "--gamma", "0.2,0.3,0.4"], 0),
             (["convergence", "--n-atoms", "2", "--gamma", "0.3", "--n-max-list", "8,-1"], 2),
             (["spectrum", *SMALL, "--mem-budget-gib", "1e-9"], 3),
         ],
@@ -559,7 +612,7 @@ class TestBlasThreadScope:
     def test_library_calls_run_one_thread(self, blas_pools, sector_thread_counts, tmp_path):
         with solver.blas_threads(2):
             pipeline.run(small_config(tmp_path, n_max=8))
-            pipeline.sweep(small_config(tmp_path, n_max=8, gammas=(0.2, 0.4), workers=2))
+            pipeline.sweep(small_config(tmp_path, n_max=8, gammas=(0.2, 0.4)))
             assert set(solver.blas_thread_counts().values()) == {2}
         assert len(sector_thread_counts) == 2 + 2 * 2
         assert all(set(counts.values()) == {1} for counts in sector_thread_counts)
@@ -575,20 +628,3 @@ class TestBlasThreadScope:
         for sector in ("plus", "minus"):
             man = json.loads((tmp_path / "gamma=0.3" / sector / "manifest.json").read_text())
             assert man["blas_threads"] == threads
-
-    def test_sweep_outputs_identical_across_workers(self, tmp_path, capsys):
-        products = []
-        for workers in ("1", "2"):
-            out = tmp_path / f"w{workers}"
-            code = main([
-                "sweep", "--n-atoms", "4", "--gamma-over-gc", "0.4:1.6:4", "--n-max", "30",
-                "--bin-width", "0.2", "--workers", workers, "--out", str(out),
-            ])
-            assert code == 0
-            products.append({
-                str(p.relative_to(out)): p.read_bytes()
-                for p in out.rglob("*") if p.is_file() and p.name != "manifest.json"
-            })
-        assert "summary.csv" in products[0]
-        assert sum(name.endswith(".csv") for name in products[0]) > 4 * 2
-        assert products[0] == products[1]

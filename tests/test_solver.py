@@ -55,7 +55,7 @@ def test_residuals_reproduce_stored_report():
     a = rng.standard_normal((40, 40))
     m = wrap(a + a.T)
     s = solver.eigh(m)
-    again = solver.residuals(m, s)
+    again = solver.residual_report_for(m.data, s.energies, s.vectors)
     assert again == s.residual_report
 
 
@@ -65,7 +65,7 @@ def test_injected_fault_detected():
     m = wrap(a + a.T)
     s = solver.eigh(m)
     s.vectors[:, 10] *= 1 + 1e-6
-    rep = solver.residuals(m, s)
+    rep = solver.residual_report_for(m.data, s.energies, s.vectors)
     assert rep.max_ortho_defect == pytest.approx(2e-6, rel=0.1)
 
 
@@ -200,7 +200,7 @@ class TestRowEnvelopes:
         bad = m.data.copy()
         delta = 1e-8 * np.linalg.norm(m.data)
         bad[0, -1] = bad[-1, 0] = delta
-        rep = solver.residuals(wrap(bad), s)
+        rep = solver.residual_report_for(bad, s.energies, s.vectors)
         assert rep.max_residual > solver.RESIDUAL_BOUND * rep.h_frobenius
         assert rep.max_residual == pytest.approx(
             dense_max_residual(bad, s.energies, s.vectors), rel=1e-6
