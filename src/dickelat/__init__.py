@@ -3,14 +3,10 @@ displaced-shell basis, with per-state convergence certificates, Peres lattices
 and chaos diagnostics."""
 
 from .basis import BasisIndex, BasisSpec, enumerate_basis
-from .hamiltonian import ModelParams, SymmetricMatrix, build_coherent_parity
-from .observables import (
-    ConvergenceReport,
-    delta_p,
-    expectation,
-    parity_labels,
-    peres_matrix,
+from .hamiltonian import (
+    ModelParams, SymmetricMatrix, build_coherent_parity, build_sector, sector_ladder
 )
+from .observables import ConvergenceReport, delta_p, parity_labels, peres_expectation
 from .pipeline import RunConfig, run, sweep
 from .solver import Spectrum, eigh
 
@@ -23,13 +19,14 @@ __all__ = [
     "Spectrum",
     "SymmetricMatrix",
     "build_coherent_parity",
+    "build_sector",
     "delta_p",
     "eigh",
     "enumerate_basis",
-    "expectation",
     "parity_labels",
-    "peres_matrix",
+    "peres_expectation",
     "run",
+    "sector_ladder",
     "sweep",
 ]
 

@@ -259,15 +259,17 @@ def _cmd_sweep(cfg):
 
 def _cmd_convergence(cfg, merged):
     n_list = _parse_int_list(merged.get("n-max-list", "50,100,150,200,250"))
+    # every truncation is checked before the first one is solved
+    points = [replace(cfg, n_max=n_max, ops=(), out_dir=None) for n_max in n_list]
     print("n_max  dim    converged  ground_dp      max_dp(E/j<=1)")
-    for n_max in n_list:
-        result = pipeline.run(replace(cfg, n_max=n_max, ops=(), out_dir=None))
+    for point in points:
+        result = pipeline.run(point)
         for sec in result.sectors:
             e_over_j = sec.energies / cfg.params.j
             low = sec.report.delta_p[e_over_j <= 1.0]
             max_low = low.max() if low.size else math.nan
             print(
-                f"{n_max:<6d} {sec.dim:<6d} {sec.report.converged_count:<10d} "
+                f"{point.n_max:<6d} {sec.dim:<6d} {sec.report.converged_count:<10d} "
                 f"{sec.report.delta_p[0]:<14.3e} {max_low:.3e}"
             )
     return 0

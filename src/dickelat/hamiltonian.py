@@ -1,5 +1,5 @@
 """Dense symmetric Dicke Hamiltonian in one parity sector of the displaced-shell
-basis, and the Peres-operator kernels in the same basis.
+basis, built from the sector's m-ladder (which the Peres expectations read too).
 
 The construction rewrites
 
@@ -7,9 +7,8 @@ The construction rewrites
 
 with A = a + G Jx and G = 2 gamma / (omega sqrt(N_atoms)): diagonal in the
 displaced shells, with the Jz term laddering m by one and picking up a
-displaced-oscillator overlap between adjacent shells.  The same Jz / photon
-kernels also serve as Peres-operator matrices, which keeps the ladder sign
-convention consistent across the package.
+displaced-oscillator overlap between adjacent shells.  SectorLadder holds
+that ladder for the builder and for <Jz>, so both use one sign convention.
 """
 
 import math
@@ -122,77 +121,78 @@ def _check_capacity(dim, budget):
 
 
 # ---------------------------------------------------------------------------
-# operator kernels (shared by the builder and the Peres-operator matrices)
+# the m-ladder of one sector
 
-def op_jz(index: BasisIndex, params: ModelParams) -> np.ndarray:
-    """Jz matrix in the parity sector described by `index`."""
-    j = index.spec.j
-    sector = index.spec.parity_sector
-    s_eff = sector * sector_twist(j)
-    w = algebra.displacement_matrix(index.spec.n_max, params.g_disp)
-    mat = np.zeros((index.size, index.size))
+@dataclass(frozen=True)
+class SectorLadder:
+    """One sector's labels, the displacement matrix W over its shells and the
+    pieces of Jz: each pair (c, lo, hi, shells_lo, shells_hi) of adjacent m
+    blocks holds c * W[shells_hi, shells_lo].T at rows lo, columns hi; at
+    half-integer j, self_block (c, sl, signs) is c * W * signs[None, :] at
+    the m = 1/2 block.  A full block's shells are slice(None): W is not copied."""
+
+    params: ModelParams
+    index: BasisIndex
+    w: np.ndarray
+    pairs: tuple
+    self_block: tuple | None
+
+
+def _shells(index, sl):
+    """Selector of W's rows or columns for the shells of block `sl`."""
+    n = index.n_exc[sl]
+    return slice(None) if n.size == index.spec.n_max + 1 else n
+
+
+def sector_ladder(
+    params: ModelParams, n_max: int, sector: int, mem_budget_bytes=MEMORY_BUDGET_BYTES
+) -> SectorLadder:
+    """The m-ladder of one parity sector.  Raises CapacityError if the
+    sector's footprint_bytes would exceed `mem_budget_bytes`."""
+    spec = BasisSpec(params.j, n_max, sector)
+    index = enumerate_basis(spec)
+    _check_capacity(index.size, mem_budget_bytes)
+    j = params.j
+    w = algebra.displacement_matrix(n_max, params.g_disp)
     blocks = index.block_slices()
-    for b in range(len(blocks) - 1):
-        m, sl = blocks[b]
-        _, sl_up = blocks[b + 1]
+    pairs = []
+    for (m, lo), (_, hi) in zip(blocks, blocks[1:]):
         c = 0.5 * algebra.ladder_coeff(j, m, +1)
         if m == 0.0:
             c *= math.sqrt(2.0)  # self-paired m=0 against the sqrt(2)-normalized pair
-        n_lo = index.n_exc[sl]
-        n_hi = index.n_exc[sl_up]
-        # rows: lower-m block, cols: upper: <N1|D(-G)|N2> = W[N2, N1]
-        blk = c * w[np.ix_(n_hi, n_lo)].T
-        mat[sl, sl_up] = blk
-        mat[sl_up, sl] = blk.T
+        pairs.append((c, lo, hi, _shells(index, lo), _shells(index, hi)))
+    self_block = None
     if blocks and blocks[0][0] == 0.5:
         # half-integer j: the m=1/2 pair couples to itself through its mirror
-        m, sl = blocks[0]
-        c = 0.5 * math.sqrt(j * (j + 1) + 0.25)
-        n_list = index.n_exc[sl]
-        signs = np.where(n_list % 2 == 0, 1.0, -1.0) * s_eff
-        blk = c * w[np.ix_(n_list, n_list)] * signs[None, :]
-        mat[sl, sl] = blk
-    return mat
-
-
-def op_photon(index: BasisIndex, params: ModelParams) -> np.ndarray:
-    """Photon number a^dag a in the displaced shells described by `index`."""
-    # a = A - G Jx: diagonal N + G^2 m^2 with a same-m ladder in N
-    g = params.g_disp
-    mat = np.diag(index.n_exc + (g * index.m_vals) ** 2)
-    for _, sl in index.block_slices():
-        n_list = index.n_exc[sl]
-        m = index.m_vals[sl.start]
-        base = sl.start
-        for k in range(len(n_list) - 1):
-            if n_list[k + 1] == n_list[k] + 1:
-                val = -g * m * math.sqrt(n_list[k] + 1.0)
-                mat[base + k + 1, base + k] = val
-                mat[base + k, base + k + 1] = val
-    return mat
-
-
-def op_jx2(index: BasisIndex, params: ModelParams) -> np.ndarray:
-    """Jx^2 matrix: diagonal m^2, since m is a Jx projection."""
-    return np.diag(index.m_vals**2)
+        sl = blocks[0][1]
+        signs = np.where(index.n_exc[sl] % 2 == 0, 1.0, -1.0) * sector * sector_twist(j)
+        self_block = (0.5 * math.sqrt(j * (j + 1) + 0.25), sl, signs)
+    return SectorLadder(params, index, w, tuple(pairs), self_block)
 
 
 # ---------------------------------------------------------------------------
 # builder
 
+def build_sector(ladder: SectorLadder) -> SymmetricMatrix:
+    """Dense Dicke Hamiltonian of the sector, its diagonal plus omega0 Jz.  The
+    two sectors' spectra together are the full displaced-basis spectrum."""
+    params, index, w = ladder.params, ladder.index, ladder.w
+    mat = np.zeros((index.size, index.size))
+    for c, lo, hi, shells_lo, shells_hi in ladder.pairs:
+        # rows: lower-m block, cols: upper: <N1|D(-G)|N2> = W[N2, N1]
+        blk = params.omega0 * (c * w[shells_hi][:, shells_lo].T)
+        mat[lo, hi] = blk
+        mat[hi, lo] = blk.T
+    if ladder.self_block is not None:
+        c, sl, signs = ladder.self_block
+        mat[sl, sl] = params.omega0 * (c * w * signs[None, :])
+    quad = 4.0 * params.gamma**2 / (params.omega * params.n_atoms)
+    mat[np.diag_indices(index.size)] += params.omega * index.n_exc - quad * index.m_vals**2
+    return SymmetricMatrix(mat, index.spec)
+
+
 def build_coherent_parity(
     params: ModelParams, n_max: int, sector: int, mem_budget_bytes=MEMORY_BUDGET_BYTES
 ) -> SymmetricMatrix:
-    """Dicke Hamiltonian restricted to one parity sector of the displaced basis.
-
-    The union of the two sectors' spectra equals the full displaced-basis
-    spectrum; at omega0 = 0 the matrix is diagonal.  Raises CapacityError if
-    the sector's footprint_bytes would exceed `mem_budget_bytes`.
-    """
-    spec = BasisSpec(params.j, n_max, sector)
-    index = enumerate_basis(spec)
-    _check_capacity(index.size, mem_budget_bytes)
-    mat = params.omega0 * op_jz(index, params)
-    quad = 4.0 * params.gamma**2 / (params.omega * params.n_atoms)
-    mat[np.diag_indices(index.size)] += params.omega * index.n_exc - quad * index.m_vals**2
-    return SymmetricMatrix(mat, spec)
+    """build_sector of the sector's ladder in one call."""
+    return build_sector(sector_ladder(params, n_max, sector, mem_budget_bytes))

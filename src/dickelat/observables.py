@@ -1,18 +1,15 @@
-"""Peres-operator matrices, per-eigenstate expectation values, parity labels
-and the top-shell truncation-error certificate."""
+"""Per-eigenstate Peres expectation values read from a sector's m-ladder,
+parity labels and the top-shell truncation-error certificate."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import hamiltonian as ham
 from .basis import BasisIndex
-from .hamiltonian import ModelParams, SymmetricMatrix
-from .solver import Spectrum, _row_envelopes
+from .hamiltonian import SectorLadder
+from .solver import Spectrum
 
 PERES_OPS = ("Jz", "Jx2", "photon_n")
-
-_KERNELS = {"Jz": ham.op_jz, "Jx2": ham.op_jx2, "photon_n": ham.op_photon}
 
 
 @dataclass
@@ -25,26 +22,36 @@ class ConvergenceReport:
     converged_count: int
 
 
-def peres_matrix(op_kind: str, index: BasisIndex, params: ModelParams) -> SymmetricMatrix:
-    """Matrix of a Peres operator in the given basis."""
+def peres_expectation(op_kind: str, spectrum: Spectrum, ladder: SectorLadder) -> np.ndarray:
+    """<v_k| op |v_k> for every eigenstate k from the sector's m-ladder, with
+    no operator matrix: Jz is 2 c <v[lo]| W[shells_hi, shells_lo].T |v[hi]>
+    per pair plus the m = 1/2 self block, Jx^2 the diagonal m^2, and
+    a^dag a = (A - G Jx)^dag (A - G Jx) the diagonal N + G^2 m^2 plus the
+    same-m ladder -G m sqrt(N + 1) between shells N and N + 1."""
     if op_kind == "Jx":
         raise ValueError("Jx connects states of different parity; not a usable Peres operator")
     if op_kind not in PERES_OPS:
         raise ValueError(f"unknown Peres operator {op_kind!r}")
-    return SymmetricMatrix(_KERNELS[op_kind](index, params), index.spec)
-
-
-def expectation(spectrum: Spectrum, op: SymmetricMatrix) -> np.ndarray:
-    """<v_k| op |v_k> for every eigenstate k, accumulated over the row chunks
-    of op and each chunk's nonzero column envelope."""
-    if op.basis != spectrum.basis:
-        raise ValueError("operator and spectrum live in different bases")
-    if op.dim != spectrum.dim:
-        raise ValueError("operator and spectrum dimensions differ")
+    index = ladder.index
+    if index.spec != spectrum.basis:
+        raise ValueError("ladder and spectrum live in different bases")
     v = spectrum.vectors
+    if op_kind == "Jx2":
+        return np.einsum("i,ik,ik->k", index.m_vals**2, v, v)
+    if op_kind == "photon_n":
+        g = ladder.params.g_disp
+        step = -g * index.m_vals[:-1] * np.sqrt(index.n_exc[:-1] + 1.0)
+        # only consecutive labels of one m > 0 block are a shell step N -> N + 1
+        step[np.diff(index.n_exc) != 1] = 0.0
+        out = np.einsum("i,ik,ik->k", index.n_exc + (g * index.m_vals) ** 2, v, v)
+        return out + 2.0 * np.einsum("i,ik,ik->k", step, v[:-1], v[1:])
+    w = ladder.w
     out = np.zeros(spectrum.dim)
-    for rows, cols in _row_envelopes(op.data):
-        out += np.einsum("ik,ik->k", v[rows], op.data[rows, cols] @ v[cols])
+    for c, lo, hi, shells_lo, shells_hi in ladder.pairs:
+        out += 2.0 * c * np.einsum("ik,ik->k", v[lo], w[shells_hi][:, shells_lo].T @ v[hi])
+    if ladder.self_block is not None:
+        c, sl, signs = ladder.self_block
+        out += c * np.einsum("ik,ik->k", v[sl], w @ (signs[:, None] * v[sl]))
     return out
 
 

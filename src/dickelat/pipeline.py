@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, hamiltonian, observables, solver
-from .basis import BasisSpec, basis_size, enumerate_basis
+from .basis import BasisSpec, basis_size
 from .errors import ConfigError, DickelatError
 from .hamiltonian import ModelParams
 
@@ -40,13 +40,6 @@ ONE_BLAS_THREAD_BELOW_DIM = 1024
 # E/j windows of the gap-ratio statistics: below the dynamic ESQPT, and
 # between it and the static one.  None is an open end.
 STAT_WINDOWS = ((None, -1.0), (-1.0, 1.0))
-
-
-def fmt(x):
-    """Full-precision, locale-free float formatting for CSV cells."""
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
 @dataclass
@@ -142,25 +135,19 @@ def run_sector(cfg: RunConfig, sector):
     None.  When the Jz markers are not found, markers is None and
     markers_error says why."""
     marks = [(None, time.perf_counter())]
-    matrix = hamiltonian.build_coherent_parity(
-        cfg.params, cfg.n_max, sector, cfg.mem_budget_bytes
-    )
-    index = enumerate_basis(matrix.basis)
+    ladder = hamiltonian.sector_ladder(cfg.params, cfg.n_max, sector, cfg.mem_budget_bytes)
+    matrix = hamiltonian.build_sector(ladder)
     marks.append(("build", time.perf_counter()))
     spectrum = solver.eigh(matrix)
     residual = spectrum.residual_report
     del matrix
     marks.append(("solve", time.perf_counter()))
 
-    report = observables.delta_p(spectrum, index, tolerance=cfg.dp_tol)
+    report = observables.delta_p(spectrum, ladder.index, tolerance=cfg.dp_tol)
     parities = observables.parity_labels(spectrum)
     marks.append(("certificate", time.perf_counter()))
 
-    expectations = {}
-    for op in cfg.ops:
-        op_matrix = observables.peres_matrix(op, index, cfg.params)
-        expectations[op] = observables.expectation(spectrum, op_matrix)
-        del op_matrix
+    expectations = {op: observables.peres_expectation(op, spectrum, ladder) for op in cfg.ops}
     marks.append(("observables", time.perf_counter()))
 
     lattices, dos, markers, markers_error, stats = {}, None, None, None, None
@@ -216,11 +203,11 @@ def _write_text(path: Path, text: str):
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
-def _csv(rows, header):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(c) for c in row))
-    return "\n".join(lines) + "\n"
+def _write_csv(path: Path, header, row_format, *columns):
+    """_write_text of a CSV: the header line, then one line per row, its cells
+    formatted together by `row_format` ("{:.17g}" keeps full precision and
+    prints nan)."""
+    return _write_text(path, "\n".join([header, *map(row_format.format, *columns)]) + "\n")
 
 
 def _json_default(o):
@@ -233,35 +220,23 @@ def write_sector_files(cfg, result, sector_dir: Path):
     """Write the per-sector CSV/JSON products; returns {name: sha256}."""
     sector_dir.mkdir(parents=True, exist_ok=True)
     files = {}
-    dp = result.report.delta_p
-
-    rows = [
-        (k, float(e), float(e / cfg.params.j), int(p), float(d))
-        for k, (e, p, d) in enumerate(zip(result.energies, result.parities, dp))
-    ]
-    files["energies.csv"] = _write_text(
-        sector_dir / "energies.csv",
-        _csv(rows, ["index", "energy", "energy_over_j", "parity", "delta_p"]),
+    e = result.energies
+    files["energies.csv"] = _write_csv(
+        sector_dir / "energies.csv", "index,energy,energy_over_j,parity,delta_p",
+        "{},{:.17g},{:.17g},{},{:.17g}", range(e.size), e.tolist(),
+        (e / cfg.params.j).tolist(), result.parities.tolist(), result.report.delta_p.tolist(),
     )
-
     for op, lat in result.lattices.items():
-        rows = [
-            (float(e), float(x), int(p), float(d))
-            for e, x, p, d in zip(lat.energy_over_j, lat.expectation, lat.parity, lat.delta_p)
-        ]
-        name = f"lattice_{op}.csv"
-        files[name] = _write_text(
-            sector_dir / name, _csv(rows, ["E_over_j", "expval", "parity", "delta_p"])
+        files[f"lattice_{op}.csv"] = _write_csv(
+            sector_dir / f"lattice_{op}.csv", "E_over_j,expval,parity,delta_p",
+            "{:.17g},{:.17g},{},{:.17g}", lat.energy_over_j.tolist(),
+            lat.expectation.tolist(), lat.parity.tolist(), lat.delta_p.tolist(),
         )
-
     if result.dos is not None:
         edges, counts = result.dos
-        rows = [
-            (float(edges[i]), float(edges[i + 1]), int(counts[i]))
-            for i in range(counts.size)
-        ]
-        files["dos.csv"] = _write_text(
-            sector_dir / "dos.csv", _csv(rows, ["bin_left", "bin_right", "count"])
+        files["dos.csv"] = _write_csv(
+            sector_dir / "dos.csv", "bin_left,bin_right,count", "{:.17g},{:.17g},{}",
+            edges[:-1].tolist(), edges[1:].tolist(), counts.tolist(),
         )
 
     if result.markers is not None:
@@ -442,8 +417,9 @@ def sweep(cfg: RunConfig):
             results.append(result)
 
     if cfg.out_dir is not None:
-        header = list(rows[0].keys())
-        csv_rows = [tuple(r[k] for k in header) for r in rows]
+        header = list(rows[0])
+        row_format = ",".join("{}" if k == "status" else "{:.17g}" for k in header)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        _write_text(cfg.out_dir / "summary.csv", _csv(csv_rows, header))
+        columns = ([r[k] for r in rows] for k in header)
+        _write_csv(cfg.out_dir / "summary.csv", ",".join(header), row_format, *columns)
     return results, rows

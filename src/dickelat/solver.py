@@ -11,6 +11,7 @@ thread count of every loaded one for the duration of a block.
 """
 
 import ctypes
+import functools
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -166,14 +167,16 @@ def eigh(matrix: SymmetricMatrix) -> Spectrum:
     return Spectrum(energies, vectors, matrix.basis, report)
 
 
+@functools.cache
 def _openblas_pools():
     """(file name, set, get) for each OpenBLAS library mapped into this
-    process, found by path in /proc/self/maps; empty where there is none."""
+    process, found by path in /proc/self/maps; empty where there is none.
+    Found once: numpy's and scipy's are mapped once this module is imported."""
     try:
         with open("/proc/self/maps", "rb") as fh:
             lines = [line for line in fh if b"openblas" in line]
     except OSError:
-        return []
+        return ()
     paths = {os.fsdecode(line.split(maxsplit=5)[5].strip()) for line in lines}
     pools = []
     for path in sorted(paths):
@@ -188,7 +191,7 @@ def _openblas_pools():
             if hasattr(lib, set_name) and hasattr(lib, get_name):
                 pools.append((name, getattr(lib, set_name), getattr(lib, get_name)))
                 break
-    return pools
+    return tuple(pools)
 
 
 def blas_thread_counts():

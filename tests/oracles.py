@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import expm
 
-from dickelat import algebra, hamiltonian
+from dickelat import algebra
 from dickelat.algebra import m_values
 from dickelat.basis import BasisIndex, sector_twist
 from dickelat.hamiltonian import ModelParams, SymmetricMatrix
@@ -241,9 +241,30 @@ def build_coherent(params: ModelParams, n_max: int) -> SymmetricMatrix:
     return SymmetricMatrix(mat, basis)
 
 
+def op_photon(index: BasisIndex, params: ModelParams) -> np.ndarray:
+    """Photon number a^dag a over displaced-shell labels: a = A - G Jx gives
+    the diagonal N + G^2 m^2 with a same-m ladder in N."""
+    g = params.g_disp
+    mat = np.diag(index.n_exc + (g * index.m_vals) ** 2)
+    for _, sl in index.block_slices():
+        n_list = index.n_exc[sl]
+        m = index.m_vals[sl.start]
+        base = sl.start
+        for k in range(len(n_list) - 1):
+            if n_list[k + 1] == n_list[k] + 1:
+                val = -g * m * math.sqrt(n_list[k] + 1.0)
+                mat[base + k + 1, base + k] = val
+                mat[base + k, base + k + 1] = val
+    return mat
+
+
+def op_jx2(index: BasisIndex) -> np.ndarray:
+    """Jx^2 over displaced-shell labels: diagonal m^2, m being a Jx projection."""
+    return np.diag(index.m_vals**2)
+
+
 def full_peres_matrix(op_kind, index: BasisIndex, params: ModelParams) -> SymmetricMatrix:
-    """A Peres operator in a reference basis.  In the full displaced shells
-    <n> and Jx^2 take the package's kernels, which read only the labels."""
+    """A Peres operator in a reference basis."""
     if index.spec.kind == "fock":
         if op_kind == "Jz":
             mat = np.diag(index.m_vals)
@@ -254,10 +275,23 @@ def full_peres_matrix(op_kind, index: BasisIndex, params: ModelParams) -> Symmet
     elif op_kind == "Jz":
         mat = coherent_jz(index, params)
     elif op_kind == "photon_n":
-        mat = hamiltonian.op_photon(index, params)
+        mat = op_photon(index, params)
     else:
-        mat = hamiltonian.op_jx2(index, params)
+        mat = op_jx2(index)
     return SymmetricMatrix(mat, index.spec)
+
+
+def sector_peres_matrix(op_kind, index: BasisIndex, params: ModelParams) -> np.ndarray:
+    """A Peres operator in one parity sector, dense: the full displaced-shell
+    operator projected onto the sector's states."""
+    full = full_index(FullBasis("coherent", index.spec.j, index.spec.n_max))
+    proj = parity_projector(full, index)
+    return proj.T @ full_peres_matrix(op_kind, full, params).data @ proj
+
+
+def dense_expectation(vectors, op):
+    """<v_k| op |v_k> for every column k, from the dense product op @ V."""
+    return (vectors * (op @ vectors)).sum(axis=0)
 
 
 def parity_projector(full: BasisIndex, part: BasisIndex) -> np.ndarray:

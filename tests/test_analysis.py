@@ -5,7 +5,6 @@ from dickelat import analysis
 from dickelat import hamiltonian as ham
 from dickelat import observables as obs
 from dickelat import solver
-from dickelat.basis import enumerate_basis
 from dickelat.errors import InsufficientDataError
 from oracles import POISSON_RATIO, build_tc_block
 
@@ -17,11 +16,10 @@ def params(gamma, j, omega=1.0, omega0=1.0):
 def small_lattice(gamma=0.4, j=2.0, n_max=25, op="Jz"):
     """Lattice of the even parity sector."""
     p = params(gamma, j)
-    h = ham.build_coherent_parity(p, n_max, 1)
-    idx = enumerate_basis(h.basis)
-    s = solver.eigh(h)
-    rep = obs.delta_p(s, idx)
-    exps = obs.expectation(s, obs.peres_matrix(op, idx, p))
+    ladder = ham.sector_ladder(p, n_max, 1)
+    s = solver.eigh(ham.build_sector(ladder))
+    rep = obs.delta_p(s, ladder.index)
+    exps = obs.peres_expectation(op, s, ladder)
     parities = obs.parity_labels(s)
     return analysis.lattice(s, exps, parities, rep, p, op), s, rep
 

@@ -4,17 +4,18 @@ import pytest
 from dickelat import hamiltonian as ham
 from dickelat import observables as obs
 from dickelat import solver
-from dickelat.basis import BasisSpec, enumerate_basis
 from oracles import (
     build_coherent,
     build_fock,
     coherent_states_in_fock,
+    dense_expectation,
     fock_parity_diag,
     full_index,
     full_peres_matrix,
     index_of,
     label_of,
     parity_projector,
+    sector_peres_matrix,
 )
 
 
@@ -27,18 +28,18 @@ def solve(matrix):
 
 
 def sector_solve(p, n_max, sector):
-    """(spectrum, index) of one parity sector."""
-    h = ham.build_coherent_parity(p, n_max, sector)
-    return solve(h), enumerate_basis(h.basis)
+    """(spectrum, ladder) of one parity sector."""
+    ladder = ham.sector_ladder(p, n_max, sector)
+    return solve(ham.build_sector(ladder)), ladder
 
 
 def sector_union(p, n_max, values):
     """Energies of both sectors, merged in ascending order, with the per-state
-    arrays that values(spectrum, index) returns, reordered alike."""
+    arrays that values(spectrum, ladder) returns, reordered alike."""
     parts = [sector_solve(p, n_max, s) for s in (1, -1)]
     energies = np.concatenate([s.energies for s, _ in parts])
     order = np.argsort(energies, kind="stable")
-    return energies[order], np.concatenate([values(s, idx) for s, idx in parts])[order]
+    return energies[order], np.concatenate([values(s, lad) for s, lad in parts])[order]
 
 
 def fock_parities(spectrum, j, n_max):
@@ -46,31 +47,43 @@ def fock_parities(spectrum, j, n_max):
     return (spectrum.vectors**2 * fock_parity_diag(j, n_max)[:, None]).sum(axis=0)
 
 
+def ladder_matrix(op_kind, ladder):
+    """The operator that peres_expectation applies, read back entry by entry:
+    <e_a|O|e_a> = O_aa and <e_a + e_b|O|e_a + e_b> = O_aa + O_bb + 2 O_ab."""
+    dim = ladder.index.size
+    a, b = np.triu_indices(dim, 1)
+    vectors = np.eye(dim)[:, np.concatenate([np.arange(dim), a])]
+    vectors[b, dim + np.arange(a.size)] = 1.0
+    probe = solver.Spectrum(np.zeros(vectors.shape[1]), vectors, ladder.index.spec, None)
+    values = obs.peres_expectation(op_kind, probe, ladder)
+    mat = np.diag(values[:dim])
+    mat[a, b] = mat[b, a] = (values[dim:] - values[a] - values[b]) / 2
+    return mat
+
+
 class TestPeresMatrix:
     def test_jx_rejected(self):
-        p = params(0.3, 1.0)
-        idx = enumerate_basis(BasisSpec(1.0, 4, 1))
+        s, ladder = sector_solve(params(0.3, 1.0), 4, 1)
         with pytest.raises(ValueError, match="parity"):
-            obs.peres_matrix("Jx", idx, p)
+            obs.peres_expectation("Jx", s, ladder)
 
     def test_photon_number_fock_zero_coupling(self):
         # incommensurate omega0 keeps E = n + 0.21 m non-degenerate, so the
         # state nearest E = 5 - 0.105 is exactly |n=5, m=-1/2>
         p = params(0.0, 0.5, omega0=0.21)
-        h = build_fock(p, 8)
-        idx = full_index(h.basis)
-        s = solve(h)
-        vals = obs.expectation(s, full_peres_matrix("photon_n", idx, p))
-        k = int(np.argmin(np.abs(s.energies - (5.0 - 0.105))))
+        energies, vals = sector_union(
+            p, 8, lambda s, ladder: obs.peres_expectation("photon_n", s, ladder)
+        )
+        k = int(np.argmin(np.abs(energies - (5.0 - 0.105))))
         assert vals[k] == pytest.approx(5.0, abs=1e-12)
 
     def test_jx2_coherent_diagonal(self):
         p = params(0.6, 3.0)
-        idx = enumerate_basis(BasisSpec(3.0, 5, 1))
-        op = obs.peres_matrix("Jx2", idx, p)
-        i = index_of(idx, 2, 3.0)
-        assert op.data[i, i] == 9.0
-        assert np.count_nonzero(op.data - np.diag(np.diag(op.data))) == 0
+        ladder = ham.sector_ladder(p, 5, 1)
+        op = ladder_matrix("Jx2", ladder)
+        i = index_of(ladder.index, 2, 3.0)
+        assert op[i, i] == 9.0
+        assert np.count_nonzero(op - np.diag(np.diag(op))) == 0
 
     @pytest.mark.parametrize("op_kind", ["Jz", "Jx2", "photon_n"])
     def test_cross_basis_expectations(self, op_kind):
@@ -78,16 +91,17 @@ class TestPeresMatrix:
         p = params(0.75, 1.0)
         hf = build_fock(p, 300)
         sf = solve(hf)
-        ef = obs.expectation(sf, full_peres_matrix(op_kind, full_index(hf.basis), p))
+        ef = dense_expectation(sf.vectors, full_peres_matrix(op_kind, full_index(hf.basis), p).data)
         energies, ep = sector_union(
-            p, 60, lambda s, idx: obs.expectation(s, obs.peres_matrix(op_kind, idx, p))
+            p, 60, lambda s, ladder: obs.peres_expectation(op_kind, s, ladder)
         )
         assert np.abs(energies[:10] - sf.energies[:10]).max() < 1e-8
         assert np.abs(ef[:10] - ep[:10]).max() < 1e-8
 
     def test_operators_match_rotated_fock_elementwise(self):
         # Fock operators rotated into the full displaced shells, then
-        # projected onto each parity sector, give the package's matrices
+        # projected onto each parity sector, give the operators that the
+        # package applies, read back entry by entry
         p = params(0.45, 1.5)
         n_coh, n_fock = 8, 80
         b = coherent_states_in_fock(p, n_coh, n_fock)
@@ -98,35 +112,46 @@ class TestPeresMatrix:
             oc = full_peres_matrix(kind, idx_c, p)
             assert np.abs(b.T @ of.data @ b - oc.data).max() < 1e-10
             for sector in (1, -1):
-                idx_p = enumerate_basis(BasisSpec(p.j, n_coh, sector))
-                proj = parity_projector(idx_c, idx_p)
-                op = obs.peres_matrix(kind, idx_p, p)
-                assert np.abs(proj.T @ oc.data @ proj - op.data).max() < 1e-12, kind
+                ladder = ham.sector_ladder(p, n_coh, sector)
+                proj = parity_projector(idx_c, ladder.index)
+                op = ladder_matrix(kind, ladder)
+                assert np.abs(proj.T @ oc.data @ proj - op).max() < 1e-12, kind
 
 
 class TestExpectation:
     def test_identity_gives_one(self):
+        # at j = 1/2 every label has m^2 = 1/4, so Jx^2 is the identity / 4
+        p = params(0.4, 0.5)
+        s, ladder = sector_solve(p, 10, 1)
+        assert np.allclose(4.0 * obs.peres_expectation("Jx2", s, ladder), 1.0, atol=1e-12)
+
+    def test_trace_sum_rules(self):
+        # over a complete orthonormal set of eigenstates every expectation
+        # sums to the operator's trace: sum m^2, sum (N + G^2 m^2), and for
+        # integer j a traceless Jz
         p = params(0.4, 1.0)
-        h = ham.build_coherent_parity(p, 10, 1)
-        s = solve(h)
-        ident = ham.SymmetricMatrix(np.eye(h.dim), h.basis)
-        assert np.allclose(obs.expectation(s, ident), 1.0, atol=1e-12)
+        s, ladder = sector_solve(p, 10, 1)
+        m, n = ladder.index.m_vals, ladder.index.n_exc
+        sums = {op: obs.peres_expectation(op, s, ladder).sum() for op in obs.PERES_OPS}
+        assert sums["Jx2"] == pytest.approx((m**2).sum(), rel=1e-12)
+        assert sums["photon_n"] == pytest.approx((n + (p.g_disp * m) ** 2).sum(), rel=1e-12)
+        assert abs(sums["Jz"]) < 1e-12 * s.dim
 
     def test_basis_mismatch_rejected(self):
         p = params(0.4, 1.5)
         s, _ = sector_solve(p, 10, 1)
-        op = obs.peres_matrix("Jz", enumerate_basis(BasisSpec(1.5, 10, -1)), p)
-        assert op.dim == s.dim
+        other = ham.sector_ladder(p, 10, -1)
+        assert other.index.size == s.dim
         with pytest.raises(ValueError, match="bases"):
-            obs.expectation(s, op)
+            obs.peres_expectation("Jz", s, other)
 
     def test_near_zero_coupling_ground_state(self):
         # <Jz> ~ -j, <n> ~ 0, E/j ~ -1, <Jx^2> = j/2 at gamma -> 0
         p = params(0.005, 20.0)
-        s, idx = sector_solve(p, 40, 1)
-        jz = obs.expectation(s, obs.peres_matrix("Jz", idx, p))
-        nn = obs.expectation(s, obs.peres_matrix("photon_n", idx, p))
-        jx2 = obs.expectation(s, obs.peres_matrix("Jx2", idx, p))
+        s, ladder = sector_solve(p, 40, 1)
+        jz = obs.peres_expectation("Jz", s, ladder)
+        nn = obs.peres_expectation("photon_n", s, ladder)
+        jx2 = obs.peres_expectation("Jx2", s, ladder)
         assert jz[0] == pytest.approx(-20.0, abs=1e-3)
         assert nn[0] == pytest.approx(0.0, abs=1e-3)
         assert s.energies[0] / p.j == pytest.approx(-1.0, abs=1e-3)
@@ -136,13 +161,37 @@ class TestExpectation:
         p = params(0.9, 2.0)
         eps = 1e-9
         for sector in (1, -1):
-            s, idx = sector_solve(p, 30, sector)
-            jz = obs.expectation(s, obs.peres_matrix("Jz", idx, p))
-            jx2 = obs.expectation(s, obs.peres_matrix("Jx2", idx, p))
-            nn = obs.expectation(s, obs.peres_matrix("photon_n", idx, p))
+            s, ladder = sector_solve(p, 30, sector)
+            jz = obs.peres_expectation("Jz", s, ladder)
+            jx2 = obs.peres_expectation("Jx2", s, ladder)
+            nn = obs.peres_expectation("photon_n", s, ladder)
             assert jz.min() >= -2.0 - eps and jz.max() <= 2.0 + eps
             assert jx2.min() >= -eps and jx2.max() <= 4.0 + eps
             assert nn.min() >= -eps
+
+
+class TestBlockExpectation:
+    """The m-block expectations against the dense sector operators of the
+    oracle, on each shape the ladder takes."""
+
+    CASES = {
+        "integer-j-m0-block": (0.8, 2.0, 12),
+        "half-integer-j-self-block": (0.7, 2.5, 10),
+        "n_max-0-integer-j": (0.9, 2.0, 0),
+        "n_max-0-half-integer-j": (0.9, 1.5, 0),
+        "gamma-0": (0.0, 2.0, 8),
+    }
+
+    @pytest.mark.parametrize("sector", [1, -1])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_dense_oracle(self, case, sector):
+        gamma, j, n_max = self.CASES[case]
+        p = params(gamma, j)
+        s, ladder = sector_solve(p, n_max, sector)
+        for op_kind in obs.PERES_OPS:
+            want = dense_expectation(s.vectors, sector_peres_matrix(op_kind, ladder.index, p))
+            got = obs.peres_expectation(op_kind, s, ladder)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), op_kind
 
 
 class TestParity:
@@ -195,7 +244,7 @@ class TestParity:
         p = params(0.45, 1.5)
         n_fock = 160
         sf = solve(build_fock(p, n_fock))
-        energies, labels = sector_union(p, 40, lambda s, idx: obs.parity_labels(s))
+        energies, labels = sector_union(p, 40, lambda s, ladder: obs.parity_labels(s))
         n_low = 25
         assert np.abs(energies[:n_low] - sf.energies[:n_low]).max() < 1e-9
         labels_f = np.where(fock_parities(sf, p.j, n_fock)[:n_low] > 0, 1, -1)
@@ -212,7 +261,8 @@ class TestDeltaP:
         # omega0 = 0: the matrix is diagonal, eigenvectors are unit vectors,
         # and any state outside the top shell has exactly zero weight there
         p = ham.ModelParams(omega=1.0, omega0=0.0, gamma=0.5, j=1.0)
-        s, idx = sector_solve(p, 6, 1)
+        s, ladder = sector_solve(p, 6, 1)
+        idx = ladder.index
         rep = obs.delta_p(s, idx)
         rows = idx.rows_with_excitation(6)
         low_states = np.abs(s.vectors[rows, :]).max(axis=0) == 0.0
@@ -221,7 +271,8 @@ class TestDeltaP:
 
     def test_probability_sum_rule(self):
         p = params(0.7, 1.5)
-        s, idx = sector_solve(p, 25, -1)
+        s, ladder = sector_solve(p, 25, -1)
+        idx = ladder.index
         # the shells partition the basis: per-state shell weights sum to one,
         # and the top shell's weight is the delta_p certificate
         probs = np.array(
@@ -232,7 +283,8 @@ class TestDeltaP:
 
     def test_converged_count_prefix_rule(self):
         p = params(0.7, 1.0)
-        s, idx = sector_solve(p, 30, 1)
+        s, ladder = sector_solve(p, 30, 1)
+        idx = ladder.index
         r = obs.delta_p(s, idx, tolerance=1e-12)
         dp = r.delta_p
         assert 0 < r.converged_count < s.dim
@@ -244,62 +296,9 @@ class TestDeltaP:
         p = params(0.7, 2.0)
         tol = 1e-12
         for sector in (1, -1):
-            s1, idx1 = sector_solve(p, 40, sector)
-            r1 = obs.delta_p(s1, idx1, tolerance=tol)
-            s2, idx2 = sector_solve(p, 65, sector)
-            r2 = obs.delta_p(s2, idx2, tolerance=2 * tol)
+            s1, ladder1 = sector_solve(p, 40, sector)
+            r1 = obs.delta_p(s1, ladder1.index, tolerance=tol)
+            s2, ladder2 = sector_solve(p, 65, sector)
+            r2 = obs.delta_p(s2, ladder2.index, tolerance=2 * tol)
             assert r2.converged_count >= r1.converged_count
             assert np.all(r2.delta_p[: r1.converged_count] < 2 * tol)
-
-
-def dense_expectation(vectors, op):
-    return (vectors * (op @ vectors)).sum(axis=0)
-
-
-class TestEnvelopeExpectation:
-    @pytest.mark.parametrize("dim", [1, 63, 65, 130, 331])
-    def test_random_operator_matches_dense(self, dim):
-        rng = np.random.default_rng(dim)
-        a = np.triu(np.tril(rng.standard_normal((dim, dim)), 2), -2)
-        a = a + a.T
-        a[0, -1] = a[-1, 0] = -1.3
-        v = rng.standard_normal((dim, dim))
-        s = solver.Spectrum(np.zeros(dim), v, None, None)
-        want = dense_expectation(v, a)
-        got = obs.expectation(s, ham.SymmetricMatrix(a, None))
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-    @pytest.mark.parametrize("kind", ["fock", "coherent", "coherent-parity"])
-    def test_peres_operators_match_dense(self, kind):
-        # the reference bases' operators are banded too, with other shapes
-        p = params(0.8, 2.0)
-        if kind == "coherent-parity":
-            h = ham.build_coherent_parity(p, 40, 1)
-            idx = enumerate_basis(h.basis)
-            peres = obs.peres_matrix
-        else:
-            h = {"fock": build_fock, "coherent": build_coherent}[kind](p, 40)
-            idx = full_index(h.basis)
-            peres = full_peres_matrix
-        s = solve(h)
-        for op_kind in obs.PERES_OPS:
-            op = peres(op_kind, idx, p)
-            want = dense_expectation(s.vectors, op.data)
-            got = obs.expectation(s, op)
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), op_kind
-
-    def test_envelope_area_stays_banded(self):
-        # count-based guard against a silent fallback to dense products on
-        # the production basis (N = 40, n_max = 160, one parity sector)
-        p = params(1.0, 20.0)
-        h = ham.build_coherent_parity(p, 160, 1)
-        idx = enumerate_basis(h.basis)
-        mats = {"H": h.data}
-        mats.update({k: obs.peres_matrix(k, idx, p).data for k in obs.PERES_OPS})
-        limits = {"H": 0.20, "Jz": 0.20, "Jx2": 0.03, "photon_n": 0.03}
-        for name, mat in mats.items():
-            area = sum(
-                (rows.stop - rows.start) * (cols.stop - cols.start)
-                for rows, cols in solver._row_envelopes(mat)
-            )
-            assert area <= limits[name] * h.dim**2, (name, area / h.dim**2)

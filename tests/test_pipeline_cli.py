@@ -323,7 +323,7 @@ def no_build(monkeypatch):
     def build(*a, **k):
         raise AssertionError("matrix built despite a config error")
 
-    monkeypatch.setattr(hamiltonian, "build_coherent_parity", build)
+    monkeypatch.setattr(hamiltonian, "build_sector", build)
 
 
 class TestCli:
@@ -489,6 +489,16 @@ class TestCli:
         assert code == 2
         assert "not an integer" in capsys.readouterr().err
 
+    def test_negative_n_max_entry_is_config_error_before_build(self, no_build, capsys):
+        code = self.run_cli(
+            "convergence", "--n-atoms", "20", "--gamma-over-gc", "2", "--sector", "+",
+            "--n-max-list", "80,-1",
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "n_max must be >= 0" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [
@@ -605,7 +615,8 @@ class TestBlasThreadScope:
         with solver.blas_threads(2):
             assert main(argv) == code
             assert set(solver.blas_thread_counts().values()) == {2}
-        assert sector_thread_counts
+        # a bad --n-max-list entry is a config error before any sector runs
+        assert bool(sector_thread_counts) == (code != 2)
         assert all(set(counts.values()) == {1} for counts in sector_thread_counts)
         assert solver.blas_thread_counts() == blas_pools
 

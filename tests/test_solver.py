@@ -191,6 +191,17 @@ class TestRowEnvelopes:
         rep = solver.residual_report_for(np.diag(d), energies, np.eye(150))
         assert rep.max_residual == 5.0
 
+    def test_hamiltonian_envelope_area_stays_banded(self):
+        # count-based guard against a silent fallback to dense products in
+        # the audit on the production basis (N = 40, n_max = 160, one sector)
+        p = ham.ModelParams(omega=1.0, omega0=1.0, gamma=1.0, j=20.0)
+        h = ham.build_coherent_parity(p, 160, 1)
+        area = sum(
+            (rows.stop - rows.start) * (cols.stop - cols.start)
+            for rows, cols in solver._row_envelopes(h.data)
+        )
+        assert area <= 0.20 * h.dim**2, area / h.dim**2
+
     def test_far_off_band_fault_detected(self):
         p = ham.ModelParams(omega=1.0, omega0=1.0, gamma=1.2, j=3.0)
         m = ham.build_coherent_parity(p, 100, 1)
@@ -226,6 +237,23 @@ class TestBlasThreads:
                 assert set(seen.values()) == {1}
             assert set(solver.blas_thread_counts().values()) == {2}
         assert solver.blas_thread_counts() == pools
+
+    def test_libraries_found_once_counts_read_live(self, pools, monkeypatch):
+        opened = []
+        real_open = open
+
+        def spy(path, *args, **kwargs):
+            opened.append(path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", spy)
+        solver._openblas_pools.cache_clear()
+        assert solver.blas_thread_counts() == pools
+        assert opened == ["/proc/self/maps"]
+        with solver.blas_threads(1):
+            assert set(solver.blas_thread_counts().values()) == {1}
+        assert solver.blas_thread_counts() == pools
+        assert opened == ["/proc/self/maps"]
 
     def test_counts_restored_after_an_exception(self, pools):
         with pytest.raises(RuntimeError), solver.blas_threads(1):
