@@ -30,7 +30,6 @@ class PeresLattice:
     expectation: np.ndarray
     parity: np.ndarray
     delta_p: np.ndarray
-    params: ModelParams
 
     @property
     def size(self):
@@ -43,7 +42,6 @@ class PeresLattice:
             self.expectation[mask],
             self.parity[mask],
             self.delta_p[mask],
-            self.params,
         )
 
 
@@ -75,7 +73,7 @@ def lattice(
     if not np.isfinite(dp).all():
         raise ValueError("every lattice point needs a finite delta_p")
     _check_bounds(operator_kind, x, params)
-    return PeresLattice(operator_kind, e / params.j, x, p, dp, params)
+    return PeresLattice(operator_kind, e / params.j, x, p, dp)
 
 
 def _check_bounds(operator_kind, x, params, slack=1e-9):

@@ -138,7 +138,7 @@ def _get(merged, key, cast, default=None):
         return default
     try:
         return cast(merged[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value for {key}: {merged[key]!r} ({exc})") from exc
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .basis import BasisIndex, BasisSpec, enumerate_basis, sector_twist
+from .basis import BasisIndex, BasisSpec, basis_size, enumerate_basis, sector_twist
 from .errors import CapacityError
 
 # Default memory budget (bytes) of one sector: the builder refuses a sector
@@ -147,11 +147,12 @@ def _shells(index, sl):
 def sector_ladder(
     params: ModelParams, n_max: int, sector: int, mem_budget_bytes=MEMORY_BUDGET_BYTES
 ) -> SectorLadder:
-    """The m-ladder of one parity sector.  Raises CapacityError if the
-    sector's footprint_bytes would exceed `mem_budget_bytes`."""
+    """The m-ladder of one parity sector.  Raises CapacityError, before any
+    label is enumerated, if the sector's footprint_bytes would exceed
+    `mem_budget_bytes`."""
     spec = BasisSpec(params.j, n_max, sector)
+    _check_capacity(basis_size(spec), mem_budget_bytes)
     index = enumerate_basis(spec)
-    _check_capacity(index.size, mem_budget_bytes)
     j = params.j
     w = algebra.displacement_matrix(n_max, params.g_disp)
     blocks = index.block_slices()

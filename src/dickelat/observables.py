@@ -15,10 +15,9 @@ PERES_OPS = ("Jz", "Jx2", "photon_n")
 @dataclass
 class ConvergenceReport:
     """Per-state top-shell probability weight and the count of leading states
-    below tolerance."""
+    below the tolerance delta_p was given."""
 
     delta_p: np.ndarray
-    tolerance: float
     converged_count: int
 
 
@@ -76,4 +75,4 @@ def delta_p(spectrum: Spectrum, index: BasisIndex, tolerance=1e-12) -> Convergen
     dp = (spectrum.vectors[rows, :] ** 2).sum(axis=0)
     above = dp >= tolerance
     converged = int(above.argmax()) if above.any() else spectrum.dim
-    return ConvergenceReport(dp, tolerance, converged)
+    return ConvergenceReport(dp, converged)

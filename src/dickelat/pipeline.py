@@ -68,17 +68,18 @@ class RunConfig:
             raise ConfigError("n_max must be >= 0")
         if not 0 < self.dp_tol < 1:
             raise ConfigError("dp_tol must be in (0, 1): it bounds a probability")
-        if not self.bin_width > 0:
-            raise ConfigError("bin_width must be > 0")
+        if not 0 < self.bin_width < math.inf:
+            raise ConfigError("bin_width must be finite and > 0")
         if self.unfold_degree < 1:
             raise ConfigError("unfold_degree must be >= 1")
+        if not self.mem_budget_bytes > 0:
+            raise ConfigError("mem_budget_bytes must be > 0")
         if self.out_dir is not None:
             self.out_dir = Path(self.out_dir)
 
 
 @dataclass
 class SectorResult:
-    sector: int
     dim: int
     energies: np.ndarray
     parities: np.ndarray
@@ -95,7 +96,6 @@ class SectorResult:
 
 @dataclass
 class RunResult:
-    config: RunConfig
     gamma: float
     sectors: list
     manifests: list
@@ -169,7 +169,6 @@ def run_sector(cfg: RunConfig, sector):
     marks.append(("analysis", time.perf_counter()))
     timings = {name: t - t_prev for (_, t_prev), (name, t) in zip(marks, marks[1:])}
     return SectorResult(
-        sector=sector,
         dim=spectrum.dim,
         energies=spectrum.energies,
         parities=parities,
@@ -365,7 +364,7 @@ def _run(cfg):
             _write_manifest(sector_dir, man)
         results.append(result)
         manifests.append(man)
-    return RunResult(cfg, gamma, results, manifests, gamma_dir)
+    return RunResult(gamma, results, manifests, gamma_dir)
 
 
 def _summary_row(cfg, gamma, result: RunResult | None, error=None):

@@ -68,18 +68,6 @@ class Spectrum:
         return self.energies.size
 
 
-def _fix_signs(vectors, rel_tol=1e-12):
-    """Deterministic gauge: make the first non-negligible component of every
-    column positive (ties inside degenerate clusters become reproducible)."""
-    scale = np.abs(vectors).max(axis=0)
-    mask = np.abs(vectors) > rel_tol * scale[None, :]
-    first = mask.argmax(axis=0)
-    signs = np.sign(vectors[first, np.arange(vectors.shape[1])])
-    signs[signs == 0] = 1.0
-    vectors *= signs[None, :]
-    return vectors
-
-
 def _row_envelopes(mat):
     """(rows, cols) slice pairs covering every nonzero of the square `mat`:
     rows walks `_ROW_CHUNK` rows at a time, cols is the span from the chunk's
@@ -112,8 +100,9 @@ def residual_report_for(hmat: np.ndarray, energies, vectors) -> ResidualReport:
 
 
 def eigh(matrix: SymmetricMatrix) -> Spectrum:
-    """All eigenpairs of a SymmetricMatrix, ascending, with sign-fixed vectors,
-    from LAPACK's divide-and-conquer driver (evd, the measured fastest).
+    """All eigenpairs of a SymmetricMatrix, ascending, from LAPACK's
+    divide-and-conquer driver (evd, the measured fastest).  Each vector's sign
+    is LAPACK's: every product is a quadratic form in one vector.
 
     The solve runs in the matrix's own buffer.  H is exactly symmetric, so
     data.T is H in Fortran order, and LAPACK writes the vectors over it
@@ -155,7 +144,6 @@ def eigh(matrix: SymmetricMatrix) -> Spectrum:
             for rows, cols, block in saved:
                 data[rows, cols] = block
     del saved
-    vectors = _fix_signs(vectors)
     report = residual_report_for(data, energies, vectors)
     if not report.within_bounds():
         raise SolverError(

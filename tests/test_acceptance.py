@@ -26,6 +26,7 @@ from oracles import (
 )
 
 GC = 0.5  # critical coupling at resonance omega = omega0 = 1
+DP_TOL = 1e-12  # top-shell weight tolerance of the superradiant runs
 
 # (label, max_residual, max_ortho_defect, h_frobenius) for criterion 9
 AUDITS = []
@@ -105,6 +106,7 @@ def _superradiant_run(gamma_over_gc):
         n_max=250,
         sectors=(1,),
         ops=("Jz",),
+        dp_tol=DP_TOL,
     )
     result = pipeline.run(cfg)
     audit_manifests(f"run_{gamma_over_gc}gc", result.manifests)
@@ -290,7 +292,7 @@ def test_criterion_06_esqpt_markers(g15_sector, g20_sector):
     assert abs(m15.static_marker - m20.static_marker) < 0.05
     # stability invariant: halving the bin width moves markers by less than one bin
     for sec in (g15_sector, g20_sector):
-        lat = sec.lattices["Jz"].select(sec.report.delta_p < sec.report.tolerance)
+        lat = sec.lattices["Jz"].select(sec.report.delta_p < DP_TOL)
         fine = analysis.esqpt_markers(lat, bin_width=0.025)
         coarse = sec.markers
         assert abs(fine.dynamic_marker - coarse.dynamic_marker) < 0.05

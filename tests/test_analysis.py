@@ -13,12 +13,15 @@ def params(gamma, j, omega=1.0, omega0=1.0):
     return ham.ModelParams(omega=omega, omega0=omega0, gamma=gamma, j=j)
 
 
+DP_TOL = 1e-12
+
+
 def small_lattice(gamma=0.4, j=2.0, n_max=25, op="Jz"):
-    """Lattice of the even parity sector."""
+    """Lattice of the even parity sector, certified at DP_TOL."""
     p = params(gamma, j)
     ladder = ham.sector_ladder(p, n_max, 1)
     s = solver.eigh(ham.build_sector(ladder))
-    rep = obs.delta_p(s, ladder.index)
+    rep = obs.delta_p(s, ladder.index, tolerance=DP_TOL)
     exps = obs.peres_expectation(op, s, ladder)
     parities = obs.parity_labels(s)
     return analysis.lattice(s, exps, parities, rep, p, op), s, rep
@@ -37,22 +40,20 @@ class TestLattice:
         p = params(0.3, 0.5)
         h = build_tc_block(p, 0)
         s = solver.eigh(h)
-        rep = obs.ConvergenceReport(np.zeros(1), 1e-12, 1)
+        rep = obs.ConvergenceReport(np.zeros(1), 1)
         lat = analysis.lattice(s, [0.0], [1], rep, p, "photon_n")
         assert lat.size == 1
 
     def test_length_mismatch_rejected(self):
         lat, s, rep = small_lattice()
         with pytest.raises(ValueError):
-            analysis.lattice(s, lat.expectation[:-1], lat.parity, rep, lat.params, "Jz")
+            analysis.lattice(s, lat.expectation[:-1], lat.parity, rep, params(0.4, 2.0), "Jz")
 
     def test_converged_only_filter(self):
         lat, s, rep = small_lattice()
         full = lat.size
-        filt = lat.select(rep.delta_p < rep.tolerance)
-        assert filt.size == rep.converged_count or filt.size == (
-            rep.delta_p < rep.tolerance
-        ).sum()
+        filt = lat.select(rep.delta_p < DP_TOL)
+        assert filt.size == rep.converged_count or filt.size == (rep.delta_p < DP_TOL).sum()
         assert filt.size < full
 
     def test_near_zero_coupling_lattice_is_regular(self):
@@ -103,9 +104,7 @@ class TestMarkers:
         rng = np.random.default_rng(seed)
         e = np.sort(rng.uniform(-2.0, 2.0, n))
         y = np.abs(e - kink)  # piecewise-linear kink
-        p = params(0.5, 2.0)
-        lat = analysis.PeresLattice("Jz", e, y - 2.0, np.ones(n, dtype=int), np.zeros(n), p)
-        return lat
+        return analysis.PeresLattice("Jz", e, y - 2.0, np.ones(n, dtype=int), np.zeros(n))
 
     def test_synthetic_kink_found(self):
         lat = self.synthetic(kink=0.0)
@@ -125,14 +124,8 @@ class TestMarkers:
             analysis.esqpt_markers(lat)
 
     def test_insufficient_bins(self):
-        p = params(0.5, 2.0)
         lat = analysis.PeresLattice(
-            "Jz",
-            np.array([0.0, 0.01, 0.02]),
-            np.zeros(3),
-            np.ones(3, dtype=int),
-            np.zeros(3),
-            p,
+            "Jz", np.array([0.0, 0.01, 0.02]), np.zeros(3), np.ones(3, dtype=int), np.zeros(3)
         )
         with pytest.raises(InsufficientDataError):
             analysis.esqpt_markers(lat, bin_width=0.05)

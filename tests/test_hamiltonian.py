@@ -314,3 +314,12 @@ class TestMemoryBudget:
         message = str(err.value)
         assert f"charged {ham.footprint_bytes(dim) / 2**20:.1f} MiB" in message
         assert f"{ham.FOOTPRINT_MATRICES:g} x its {8 * dim * dim / 2**20:.1f} MiB" in message
+
+    def test_capacity_checked_before_enumeration(self, monkeypatch):
+        # the budget is checked on the label count, so a sector too large for
+        # it is refused without one label being built
+        calls = []
+        monkeypatch.setattr(ham, "enumerate_basis", lambda spec: calls.append(spec))
+        with pytest.raises(CapacityError):
+            ham.sector_ladder(params(0.1, 20.0), 400, 1, mem_budget_bytes=10_000)
+        assert calls == []

@@ -1,12 +1,14 @@
 """Every public module-level function, class and constant in src/dickelat, and
-every public method and property of its classes, must be reached by the
-package itself: referenced somewhere in src/ outside its own body, exported
-through dickelat.__all__, or named as a console script in pyproject.toml.
-Code that only tests call is deleted or moved into the test oracles, not
-kept.
+every public method, property and field of its classes, must be reached by
+the package itself: referenced somewhere in src/ outside its own body,
+exported through dickelat.__all__, or named as a console script in
+pyproject.toml.  Code that only tests call is deleted or moved into the test
+oracles, not kept.
 
 References are matched by name, so a method counts as reached when anything
-in src/ reads an attribute of that name."""
+in src/ reads an attribute of that name, and a field only when anything reads
+an attribute of that name (a local variable or argument of the same name does
+not count)."""
 
 import ast
 import re
@@ -26,17 +28,18 @@ def _trees():
 
 
 def _uses(tree):
-    """(name, enclosing definitions as a tuple of names) for every name load
-    and attribute read in a module; the tuple is empty at module level."""
+    """(name, enclosing definitions as a tuple of names, whether it is an
+    attribute read) for every name load and attribute read in a module; the
+    tuple is empty at module level."""
     out = []
 
     def walk(node, owner):
         if isinstance(node, DEFINITIONS):
             owner = (*owner, node.name)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.append((node.id, owner))
+            out.append((node.id, owner, False))
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            out.append((node.attr, owner))
+            out.append((node.attr, owner, True))
         for child in ast.iter_child_nodes(node):
             walk(child, owner)
 
@@ -46,9 +49,10 @@ def _uses(tree):
 
 def _definitions(tree, kinds):
     """(path, name) of every public definition of the given kinds: "function",
-    "class", "constant" at module level and "method" (properties included)
-    inside top-level classes.  path is the tuple of enclosing names plus the
-    definition's own."""
+    "class", "constant" at module level, and "method" (properties included)
+    and "field" (an annotated assignment in the class body, as a dataclass
+    declares its fields) inside top-level classes.  path is the tuple of
+    enclosing names plus the definition's own."""
     out = []
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
@@ -59,6 +63,12 @@ def _definitions(tree, kinds):
                     ((node.name, item.name), item.name)
                     for item in node.body
                     if isinstance(item, FUNCTIONS)
+                ]
+            if "field" in kinds:
+                out += [
+                    ((node.name, item.target.id), item.target.id)
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
                 ]
         elif isinstance(node, FUNCTIONS) and "function" in kinds:
             out.append(((node.name,), node.name))
@@ -84,18 +94,21 @@ def unreached(*kinds):
     """Dotted names of every public definition of the given kinds that
     nothing in src/ reaches."""
     trees = _trees()
-    uses = [(mod, name, owner) for mod, tree in trees.items() for name, owner in _uses(tree)]
+    uses = [(mod, *use) for mod, tree in trees.items() for use in _uses(tree)]
     exported = _exported()
     dead = []
     for mod, tree in trees.items():
+        fields = {path for path, _ in _definitions(tree, ("field",))}
         for path, name in _definitions(tree, kinds):
             if len(path) == 1 and (mod, name) in exported:
                 continue
             # a definition's references from inside itself (recursion,
             # annotations) do not count; a constant has no inside
             if not any(
-                use == name and not (path and m == mod and owner[: len(path)] == path)
-                for m, use, owner in uses
+                use == name
+                and (attr or path not in fields)
+                and not (path and m == mod and owner[: len(path)] == path)
+                for m, use, owner, attr in uses
             ):
                 dead.append(".".join((mod, *path) if path else (mod, name)))
     return dead
@@ -119,3 +132,11 @@ def test_every_public_method_is_reached():
 def test_every_public_constant_is_reached():
     dead = unreached("constant")
     assert not dead, f"public module constants nothing in src/ reaches: {dead}"
+
+
+def test_every_public_field_is_reached():
+    """Name matching cannot see a field whose name other code reads: a
+    dataclass field named `params` or `config` counts as reached wherever any
+    object's `.params` or `.config` is read."""
+    dead = unreached("field")
+    assert not dead, f"public class fields nothing in src/ reaches: {dead}"

@@ -300,10 +300,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             small_config(tmp_path, ops=("Jx",))
 
-    @pytest.mark.parametrize("width", [0.0, -0.1, float("nan")])
+    @pytest.mark.parametrize("width", [0.0, -0.1, float("nan"), float("inf")])
     def test_bad_bin_width(self, tmp_path, width):
         with pytest.raises(ConfigError):
             small_config(tmp_path, bin_width=width)
+
+    @pytest.mark.parametrize("budget", [0, -(2**30)])
+    def test_bad_mem_budget(self, tmp_path, budget):
+        with pytest.raises(ConfigError, match="mem_budget_bytes"):
+            small_config(tmp_path, mem_budget_bytes=budget)
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-12, 1.0])
     def test_bad_dp_tol(self, tmp_path, tol):
@@ -391,8 +396,22 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "flag, value, field",
-        [("--tol-dp", "nan", "dp_tol"), ("--unfold-degree", "-1", "unfold_degree")],
-        ids=["tol-dp-nan", "unfold-degree-negative"],
+        [
+            ("--tol-dp", "nan", "dp_tol"),
+            ("--unfold-degree", "-1", "unfold_degree"),
+            ("--bin-width", "inf", "bin_width"),
+            ("--mem-budget-gib", "inf", "mem-budget-gib"),
+            ("--mem-budget-gib", "-1", "mem_budget_bytes"),
+            ("--mem-budget-gib", "0", "mem_budget_bytes"),
+        ],
+        ids=[
+            "tol-dp-nan",
+            "unfold-degree-negative",
+            "bin-width-inf",
+            "mem-budget-gib-inf",
+            "mem-budget-gib-negative",
+            "mem-budget-gib-zero",
+        ],
     )
     def test_out_of_range_setting_is_config_error_before_build(
         self, no_build, capsys, flag, value, field

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from dickelat import hamiltonian as ham
-from dickelat import solver
+from dickelat import pipeline, solver
 from dickelat.basis import BasisSpec
 from dickelat.errors import SolverError
 from oracles import build_coherent, build_fock, full_index, full_peres_matrix
@@ -29,14 +29,54 @@ def test_diagonal_matrix():
     assert np.allclose(np.abs(s.vectors).max(axis=0), 1.0, atol=1e-14)
 
 
-def test_sign_convention_first_component_positive():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((30, 30))
-    s = solver.eigh(wrap(a + a.T))
-    for k in range(30):
-        v = s.vectors[:, k]
-        lead = v[np.abs(v) > 1e-12 * np.abs(v).max()][0]
-        assert lead > 0
+def flip_every_third(vectors):
+    flipped = vectors.copy(order="F")
+    flipped[:, ::3] *= -1.0
+    return flipped
+
+
+def sector_products(cfg, sector):
+    """Every product of one run_sector, as comparable values: arrays as bytes."""
+    res = pipeline.run_sector(cfg, sector)
+    lattices = {
+        op: [lat.operator_kind]
+        + [a.tobytes() for a in (lat.energy_over_j, lat.expectation, lat.parity, lat.delta_p)]
+        for op, lat in res.lattices.items()
+    }
+    return {
+        "energies": res.energies.tobytes(),
+        "delta_p": res.report.delta_p.tobytes(),
+        "converged_count": res.report.converged_count,
+        "lattices": lattices,
+        "dos": [a.tobytes() for a in res.dos],
+        "markers": res.markers,
+        "stats": res.stats,
+    }
+
+
+@pytest.mark.parametrize("j", [10.0, 10.5], ids=["integer-j", "half-integer-j"])
+def test_products_do_not_depend_on_eigenvector_signs(monkeypatch, j):
+    # every product is a quadratic form in one eigenvector, so LAPACK's signs
+    # need no gauge: flipping the sign of every third vector changes no bit
+    cfg = pipeline.RunConfig(ham.ModelParams(1.0, 1.0, 1.0, j), n_max=40, sectors=(1,))
+    plain = sector_products(cfg, 1)
+    assert plain["markers"] is not None and len(plain["lattices"]) == 3
+
+    eigh = solver.eigh
+
+    def flipped_eigh(matrix):
+        spectrum = eigh(matrix)
+        spectrum.vectors = flip_every_third(spectrum.vectors)
+        return spectrum
+
+    monkeypatch.setattr(solver, "eigh", flipped_eigh)
+    assert sector_products(cfg, 1) == plain
+
+    ladder = ham.sector_ladder(cfg.params, cfg.n_max, 1)
+    h = ham.build_sector(ladder)
+    s = eigh(h)
+    flipped = solver.residual_report_for(h.data, s.energies, flip_every_third(s.vectors))
+    assert flipped == solver.residual_report_for(h.data, s.energies, s.vectors)
 
 
 def test_random_matrix_defects_small():
