@@ -6,7 +6,7 @@ from .basis import BasisIndex, BasisSpec, enumerate_basis
 from .hamiltonian import (
     ModelParams, SymmetricMatrix, build_coherent_parity, build_sector, sector_ladder
 )
-from .observables import ConvergenceReport, delta_p, parity_labels, peres_expectation
+from .observables import ConvergenceReport, delta_p, peres_expectation
 from .pipeline import RunConfig, run, sweep
 from .solver import Spectrum, eigh
 
@@ -23,7 +23,6 @@ __all__ = [
     "delta_p",
     "eigh",
     "enumerate_basis",
-    "parity_labels",
     "peres_expectation",
     "run",
     "sector_ladder",

@@ -35,9 +35,9 @@ def displacement_matrix(n_top, delta):
     For r >= c, W[r, c] = sqrt(c!/r!) delta^(r-c) e^(-delta^2/2) L_c^(r-c)(delta^2);
     the upper triangle follows from W[c, r] = (-1)^(r-c) W[r, c].
 
-    Filled diagonal-by-diagonal: for each order difference the Laguerre
-    recurrence runs upward in degree, vectorized over the difference, with
-    per-difference rescaling and a single exponentiation per entry.
+    The Laguerre recurrence runs upward in degree, vectorized over the order
+    difference, with per-difference rescaling; each degree's values and log
+    scale are kept, and the lower triangle is exponentiated in one pass.
     """
     size = n_top + 1
     if delta == 0.0:
@@ -45,43 +45,42 @@ def displacement_matrix(n_top, delta):
     if not math.isfinite(delta):
         raise ValueError("displacement must be finite")
     x = delta * delta
-    lg = gammaln(np.arange(size, dtype=float) + 1.0)  # lg[k] = log k!
-    log_abs_delta = math.log(abs(delta))
-    w = np.zeros((size, size))
     alphas = np.arange(size, dtype=float)
-
-    def emit(k, lvals, shifts):
-        # entries (row, col) = (k + a, k) for all order differences a
-        amax = n_top - k
-        a = np.arange(amax + 1)
-        rows = k + a
-        lpref = 0.5 * (lg[k] - lg[rows]) + a * log_abs_delta - 0.5 * x
-        abs_l = np.abs(lvals[: amax + 1])
-        with np.errstate(divide="ignore"):
-            vals = np.sign(lvals[: amax + 1]) * np.exp(
-                lpref + np.log(abs_l) + shifts[: amax + 1]
-            )
-        vals[abs_l == 0.0] = 0.0
-        if delta < 0:
-            vals = vals * np.where(a % 2 == 0, 1.0, -1.0)
-        cols = np.full_like(rows, k)
-        w[rows, cols] = vals
-        w[cols, rows] = vals * np.where(a % 2 == 0, 1.0, -1.0)
-
+    # L_k^(a)(x) = lvals[k, a] * e^shifts[k, a]
+    lvals = np.empty((size, size))
+    shifts = np.zeros((size, size))
     prev = np.ones(size)
     cur = 1.0 + alphas - x
-    shifts = np.zeros(size)
-    emit(0, prev, shifts)
+    shift = np.zeros(size)
+    lvals[0] = prev
     if n_top >= 1:
-        emit(1, cur, shifts)
+        lvals[1] = cur
     for k in range(1, n_top):
         prev, cur = cur, ((2 * k + 1 + alphas - x) * cur - (k + alphas) * prev) / (k + 1)
         big = np.abs(cur) > _RESCALE_LIMIT
         if big.any():
             cur[big] /= _RESCALE_LIMIT
             prev[big] /= _RESCALE_LIMIT
-            shifts[big] += _LOG_RESCALE
-        emit(k + 1, cur, shifts)
+            shift[big] += _LOG_RESCALE
+        lvals[k + 1] = cur
+        shifts[k + 1] = shift
+
+    # entries (row, col) = (k + a, k) of the lower triangle
+    k, a = np.nonzero(np.add.outer(alphas, alphas) <= n_top)
+    rows = k + a
+    lg = gammaln(alphas + 1.0)  # lg[k] = log k!
+    lpref = 0.5 * (lg[k] - lg[rows]) + a * math.log(abs(delta)) - 0.5 * x
+    l_ka = lvals[k, a]
+    abs_l = np.abs(l_ka)
+    with np.errstate(divide="ignore"):
+        vals = np.sign(l_ka) * np.exp(lpref + np.log(abs_l) + shifts[k, a])
+    vals[abs_l == 0.0] = 0.0
+    flip = np.where(a % 2 == 0, 1.0, -1.0)
+    if delta < 0:
+        vals = vals * flip
+    w = np.zeros((size, size))
+    w[rows, k] = vals
+    w[k, rows] = vals * flip
     if np.isnan(w).any():
         raise ArithmeticError(f"displacement matrix lost to NaN at delta={delta}")
     return w

@@ -19,16 +19,23 @@ DEFAULT_UNFOLD_DEGREE = 6
 # Degenerate levels on an edge then land together whatever their rounding.
 _EDGE_TOL = 1e-9
 
+# Slope-change markers: the E/j window searched, the least distance between
+# the two markers, and the energy scale the binned curve is averaged over.
+_MARKER_WINDOW = (-2.0, 2.0)
+_MARKER_MIN_SEPARATION = 0.5
+_CURVATURE_SCALE = 0.25
+# A level at most this far above the one before it is degenerate with it.
+_DEGENERATE_GAP = 1e-10
+
 
 @dataclass
 class PeresLattice:
-    """Per-eigenstate records (E/j, expectation, parity, top-shell weight) for
-    one Peres operator, sorted by energy."""
+    """Per-eigenstate records (E/j, expectation, top-shell weight) for one
+    Peres operator of one parity sector, sorted by energy."""
 
     operator_kind: str
     energy_over_j: np.ndarray
     expectation: np.ndarray
-    parity: np.ndarray
     delta_p: np.ndarray
 
     @property
@@ -40,7 +47,6 @@ class PeresLattice:
             self.operator_kind,
             self.energy_over_j[mask],
             self.expectation[mask],
-            self.parity[mask],
             self.delta_p[mask],
         )
 
@@ -58,7 +64,6 @@ class EsqptMarkers:
 def lattice(
     spectrum: Spectrum,
     expectations,
-    parities,
     report: ConvergenceReport,
     params: ModelParams,
     operator_kind: str,
@@ -66,14 +71,13 @@ def lattice(
     """Assemble the per-state lattice for one operator, energies normalized by j."""
     e = np.asarray(spectrum.energies, dtype=float)
     x = np.asarray(expectations, dtype=float)
-    p = np.asarray(parities, dtype=int)
     dp = np.asarray(report.delta_p, dtype=float)
-    if not (e.size == x.size == p.size == dp.size):
-        raise ValueError("spectrum, expectations, parities and report lengths differ")
+    if not (e.size == x.size == dp.size):
+        raise ValueError("spectrum, expectations and report lengths differ")
     if not np.isfinite(dp).all():
         raise ValueError("every lattice point needs a finite delta_p")
     _check_bounds(operator_kind, x, params)
-    return PeresLattice(operator_kind, e / params.j, x, p, dp)
+    return PeresLattice(operator_kind, e / params.j, x, dp)
 
 
 def _check_bounds(operator_kind, x, params, slack=1e-9):
@@ -116,28 +120,24 @@ def density_of_states(energies, j, bin_width):
     return edges, np.bincount(which, minlength=edges.size - 1)
 
 
-def esqpt_markers(
-    lat: PeresLattice,
-    bin_width=DEFAULT_BIN_WIDTH,
-    window=(-2.0, 2.0),
-    min_separation=0.5,
-    curvature_scale=0.25,
-) -> EsqptMarkers:
-    """Locate the two slope changes of the bin-averaged Jz lattice inside `window`.
+def esqpt_markers(lat: PeresLattice, bin_width=DEFAULT_BIN_WIDTH) -> EsqptMarkers:
+    """Locate the two slope changes of the bin-averaged Jz lattice inside
+    _MARKER_WINDOW.
 
     The points are binned at `bin_width`; the binned curve is averaged over a
-    fixed energy scale `curvature_scale` (count-weighted, so scatter inside
+    fixed energy scale _CURVATURE_SCALE (count-weighted, so scatter inside
     the chaotic region averages out) and its two largest-magnitude second
     differences at that lag give the marker positions, constrained to sit at
-    least `min_separation` apart so both flanks of one kink are not reported
-    twice.  Marker positions resolve at bin-width level while the curvature
-    estimate lives on the fixed physical scale, which keeps the markers
-    stable when the bin width is halved.  The smaller position is the dynamic
+    least _MARKER_MIN_SEPARATION apart so both flanks of one kink are not
+    reported twice.  Marker positions resolve at bin-width level while the
+    curvature estimate lives on the fixed physical scale, which keeps the
+    markers stable when the bin width is halved.  The smaller position is the dynamic
     marker, the larger the static one.
     """
     if lat.operator_kind != "Jz":
         raise ValueError("slope-change markers are defined on the Jz lattice")
-    inside = (lat.energy_over_j >= window[0]) & (lat.energy_over_j <= window[1])
+    lo, hi = _MARKER_WINDOW
+    inside = (lat.energy_over_j >= lo) & (lat.energy_over_j <= hi)
     e = lat.energy_over_j[inside]
     y = lat.expectation[inside]
     if e.size == 0:
@@ -151,8 +151,8 @@ def esqpt_markers(
             f"only {np.count_nonzero(counts)} populated bins; need at least 5"
         )
     centers = 0.5 * (edges[:-1] + edges[1:])
-    half = max(0, round(curvature_scale / (2 * bin_width)))
-    lag = max(1, round(curvature_scale / bin_width))
+    half = max(0, round(_CURVATURE_SCALE / (2 * bin_width)))
+    lag = max(1, round(_CURVATURE_SCALE / bin_width))
     box = np.ones(2 * half + 1)
     sum_s = np.convolve(sums, box, mode="same")
     cnt_s = np.convolve(counts, box, mode="same")
@@ -171,7 +171,7 @@ def esqpt_markers(
     for idx in order[1:]:
         if mag[idx] < 0:
             break
-        if abs(centers[idx] - centers[first]) >= min_separation:
+        if abs(centers[idx] - centers[first]) >= _MARKER_MIN_SEPARATION:
             second = idx
             break
     if second is None:
@@ -213,8 +213,9 @@ def unfold(energies, polynomial_degree=DEFAULT_UNFOLD_DEGREE):
     return (mapped - mapped[0]) * ((e.size - 1) / span)
 
 
-def drop_degenerate(energies, gap_tol=1e-10):
-    """Collapse near-degenerate runs to a single representative level.
+def drop_degenerate(energies):
+    """Collapse runs of levels spaced at most _DEGENERATE_GAP apart to a
+    single representative level.
 
     Symmetry-driven degeneracies carry no dynamical information, so spacing
     statistics exclude them.
@@ -222,7 +223,7 @@ def drop_degenerate(energies, gap_tol=1e-10):
     e = np.asarray(energies, dtype=float)
     if e.size == 0:
         return e
-    keep = np.concatenate([[True], np.diff(e) > gap_tol])
+    keep = np.concatenate([[True], np.diff(e) > _DEGENERATE_GAP])
     return e[keep]
 
 

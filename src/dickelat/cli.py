@@ -38,7 +38,6 @@ def build_parser():
     g.add_argument("--out", help="output directory")
     g.add_argument("--config", help="INI config file; flags override its values")
     g.add_argument("--bin-width", type=float, help="E/j bin width for DoS and markers")
-    g.add_argument("--unfold-degree", type=int, help="polynomial degree for unfolding, >= 1")
     g.add_argument("--mem-budget-gib", type=float, help="memory budget of one sector's solve")
 
     parser = argparse.ArgumentParser(
@@ -160,7 +159,6 @@ _RUN_FIELDS = {
     "ops": ("ops", _ops),
     "tol-dp": ("dp_tol", float),
     "bin-width": ("bin_width", float),
-    "unfold-degree": ("unfold_degree", int),
     "out": ("out_dir", lambda text: Path(text) if text else None),
     "mem-budget-gib": ("mem_budget_bytes", lambda text: round(float(text) * 2**30)),
 }

@@ -110,13 +110,24 @@ def footprint_bytes(dim):
     return round(FOOTPRINT_MATRICES * 8 * dim * dim)
 
 
+def _size_text(n_bytes):
+    """A byte count in the largest binary unit it holds at least one of:
+    "1 B", "21.4 KiB"."""
+    if n_bytes < 1024:
+        return f"{n_bytes:.0f} B"
+    for unit in ("KiB", "MiB", "GiB", "TiB"):
+        n_bytes /= 1024
+        if n_bytes < 1024 or unit == "TiB":
+            return f"{n_bytes:.1f} {unit}"
+
+
 def _check_capacity(dim, budget):
     need = footprint_bytes(dim)
     if need > budget:
         raise CapacityError(
-            f"dim-{dim} sector is charged {need / 2**20:.1f} MiB "
-            f"({FOOTPRINT_MATRICES:g} x its {8 * dim * dim / 2**20:.1f} MiB dense "
-            f"matrix, the solve's measured peak), budget is {budget / 2**20:.1f} MiB"
+            f"dim-{dim} sector is charged {_size_text(need)} "
+            f"({FOOTPRINT_MATRICES:g} x its {_size_text(8 * dim * dim)} dense "
+            f"matrix, the solve's measured peak), budget is {_size_text(budget)}"
         )
 
 

@@ -1,5 +1,5 @@
-"""Per-eigenstate Peres expectation values read from a sector's m-ladder,
-parity labels and the top-shell truncation-error certificate."""
+"""Per-eigenstate Peres expectation values read from a sector's m-ladder and
+the top-shell truncation-error certificate."""
 
 from dataclasses import dataclass
 
@@ -52,12 +52,6 @@ def peres_expectation(op_kind: str, spectrum: Spectrum, ladder: SectorLadder) ->
         c, sl, signs = ladder.self_block
         out += c * np.einsum("ik,ik->k", v[sl], w @ (signs[:, None] * v[sl]))
     return out
-
-
-def parity_labels(spectrum: Spectrum):
-    """Parity label +-1 per eigenstate: the sector label of the spectrum's
-    basis, which every eigenstate of one parity sector carries."""
-    return np.full(spectrum.dim, spectrum.basis.parity_sector, dtype=int)
 
 
 def delta_p(spectrum: Spectrum, index: BasisIndex, tolerance=1e-12) -> ConvergenceReport:

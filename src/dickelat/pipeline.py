@@ -53,7 +53,6 @@ class RunConfig:
     ops: tuple = ("Jz", "Jx2", "photon_n")
     dp_tol: float = 1e-12
     bin_width: float = analysis.DEFAULT_BIN_WIDTH
-    unfold_degree: int = analysis.DEFAULT_UNFOLD_DEGREE
     out_dir: Path | None = None
     mem_budget_bytes: int = hamiltonian.MEMORY_BUDGET_BYTES
     gammas: tuple = ()
@@ -70,8 +69,6 @@ class RunConfig:
             raise ConfigError("dp_tol must be in (0, 1): it bounds a probability")
         if not 0 < self.bin_width < math.inf:
             raise ConfigError("bin_width must be finite and > 0")
-        if self.unfold_degree < 1:
-            raise ConfigError("unfold_degree must be >= 1")
         if not self.mem_budget_bytes > 0:
             raise ConfigError("mem_budget_bytes must be > 0")
         if self.out_dir is not None:
@@ -82,7 +79,6 @@ class RunConfig:
 class SectorResult:
     dim: int
     energies: np.ndarray
-    parities: np.ndarray
     report: observables.ConvergenceReport
     lattices: dict
     dos: tuple | None
@@ -102,7 +98,7 @@ class RunResult:
     out_dir: Path | None
 
 
-def _window_stats(energies_over_j, degree):
+def _window_stats(energies_over_j):
     """Mean gap ratio per STAT_WINDOWS window on a converged, single-sector
     spectrum."""
     out = []
@@ -116,7 +112,7 @@ def _window_stats(energies_over_j, degree):
             entry["skipped"] = "fewer than 50 levels"
         else:
             try:
-                entry["mean_ratio"] = analysis.mean_gap_ratio(analysis.unfold(sel, degree))
+                entry["mean_ratio"] = analysis.mean_gap_ratio(analysis.unfold(sel))
                 entry["unfolded"] = True
             except DickelatError as exc:
                 entry["mean_ratio"] = analysis.mean_gap_ratio(sel)
@@ -144,7 +140,6 @@ def run_sector(cfg: RunConfig, sector):
     marks.append(("solve", time.perf_counter()))
 
     report = observables.delta_p(spectrum, ladder.index, tolerance=cfg.dp_tol)
-    parities = observables.parity_labels(spectrum)
     marks.append(("certificate", time.perf_counter()))
 
     expectations = {op: observables.peres_expectation(op, spectrum, ladder) for op in cfg.ops}
@@ -153,7 +148,7 @@ def run_sector(cfg: RunConfig, sector):
     lattices, dos, markers, markers_error, stats = {}, None, None, None, None
     if cfg.ops:
         lattices = {
-            op: analysis.lattice(spectrum, values, parities, report, cfg.params, op)
+            op: analysis.lattice(spectrum, values, report, cfg.params, op)
             for op, values in expectations.items()
         }
         dos = analysis.density_of_states(spectrum.energies, cfg.params.j, cfg.bin_width)
@@ -164,14 +159,13 @@ def run_sector(cfg: RunConfig, sector):
             except DickelatError as exc:
                 markers_error = str(exc)
         e_over_j = spectrum.energies / cfg.params.j
-        stats = _window_stats(e_over_j[converged], cfg.unfold_degree)
+        stats = _window_stats(e_over_j[converged])
 
     marks.append(("analysis", time.perf_counter()))
     timings = {name: t - t_prev for (_, t_prev), (name, t) in zip(marks, marks[1:])}
     return SectorResult(
         dim=spectrum.dim,
         energies=spectrum.energies,
-        parities=parities,
         report=report,
         lattices=lattices,
         dos=dos,
@@ -215,21 +209,22 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
-def write_sector_files(cfg, result, sector_dir: Path):
-    """Write the per-sector CSV/JSON products; returns {name: sha256}."""
+def write_sector_files(cfg, sector, result, sector_dir: Path):
+    """Write the per-sector CSV/JSON products; returns {name: sha256}.  Every
+    `parity` cell holds the sector label, which all its states carry."""
     sector_dir.mkdir(parents=True, exist_ok=True)
     files = {}
     e = result.energies
     files["energies.csv"] = _write_csv(
         sector_dir / "energies.csv", "index,energy,energy_over_j,parity,delta_p",
-        "{},{:.17g},{:.17g},{},{:.17g}", range(e.size), e.tolist(),
-        (e / cfg.params.j).tolist(), result.parities.tolist(), result.report.delta_p.tolist(),
+        f"{{}},{{:.17g}},{{:.17g}},{sector},{{:.17g}}", range(e.size), e.tolist(),
+        (e / cfg.params.j).tolist(), result.report.delta_p.tolist(),
     )
     for op, lat in result.lattices.items():
         files[f"lattice_{op}.csv"] = _write_csv(
             sector_dir / f"lattice_{op}.csv", "E_over_j,expval,parity,delta_p",
-            "{:.17g},{:.17g},{},{:.17g}", lat.energy_over_j.tolist(),
-            lat.expectation.tolist(), lat.parity.tolist(), lat.delta_p.tolist(),
+            f"{{:.17g}},{{:.17g}},{sector},{{:.17g}}", lat.energy_over_j.tolist(),
+            lat.expectation.tolist(), lat.delta_p.tolist(),
         )
     if result.dos is not None:
         edges, counts = result.dos
@@ -353,7 +348,7 @@ def _run(cfg):
             result = run_sector(cfg, sector)
             files = {}
             if sector_dir is not None:
-                files = write_sector_files(cfg, result, sector_dir)
+                files = write_sector_files(cfg, sector, result, sector_dir)
         except Exception as exc:
             if sector_dir is not None:
                 sector_dir.mkdir(parents=True, exist_ok=True)

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.special import gammaln
 
 from dickelat import algebra
 from dickelat.algebra import m_values
@@ -51,6 +52,65 @@ def displacement_expm(delta, cutoff=200):
     """exp(delta (a^dag - a)) by dense matrix exponential at the given cutoff."""
     a, adag = boson_ops(cutoff)
     return expm(delta * (adag - a))
+
+
+def displacement_by_diagonal(n_top, delta):
+    """Dense (n_top+1)^2 matrix W with W[r, c] = <r| exp(delta (a^dag - a)) |c>.
+
+    For r >= c, W[r, c] = sqrt(c!/r!) delta^(r-c) e^(-delta^2/2) L_c^(r-c)(delta^2);
+    the upper triangle follows from W[c, r] = (-1)^(r-c) W[r, c].
+
+    Filled one degree at a time as the Laguerre recurrence runs upward in
+    degree, vectorized over the order difference, with per-difference
+    rescaling.  The package's displacement_matrix does the same arithmetic
+    over the whole lower triangle at once and must match it bit for bit.
+    """
+    size = n_top + 1
+    if delta == 0.0:
+        return np.eye(size)
+    if not math.isfinite(delta):
+        raise ValueError("displacement must be finite")
+    x = delta * delta
+    lg = gammaln(np.arange(size, dtype=float) + 1.0)  # lg[k] = log k!
+    log_abs_delta = math.log(abs(delta))
+    w = np.zeros((size, size))
+    alphas = np.arange(size, dtype=float)
+
+    def emit(k, lvals, shifts):
+        # entries (row, col) = (k + a, k) for all order differences a
+        amax = n_top - k
+        a = np.arange(amax + 1)
+        rows = k + a
+        lpref = 0.5 * (lg[k] - lg[rows]) + a * log_abs_delta - 0.5 * x
+        abs_l = np.abs(lvals[: amax + 1])
+        with np.errstate(divide="ignore"):
+            vals = np.sign(lvals[: amax + 1]) * np.exp(
+                lpref + np.log(abs_l) + shifts[: amax + 1]
+            )
+        vals[abs_l == 0.0] = 0.0
+        if delta < 0:
+            vals = vals * np.where(a % 2 == 0, 1.0, -1.0)
+        cols = np.full_like(rows, k)
+        w[rows, cols] = vals
+        w[cols, rows] = vals * np.where(a % 2 == 0, 1.0, -1.0)
+
+    prev = np.ones(size)
+    cur = 1.0 + alphas - x
+    shifts = np.zeros(size)
+    emit(0, prev, shifts)
+    if n_top >= 1:
+        emit(1, cur, shifts)
+    for k in range(1, n_top):
+        prev, cur = cur, ((2 * k + 1 + alphas - x) * cur - (k + alphas) * prev) / (k + 1)
+        big = np.abs(cur) > algebra._RESCALE_LIMIT
+        if big.any():
+            cur[big] /= algebra._RESCALE_LIMIT
+            prev[big] /= algebra._RESCALE_LIMIT
+            shifts[big] += algebra._LOG_RESCALE
+        emit(k + 1, cur, shifts)
+    if np.isnan(w).any():
+        raise ArithmeticError(f"displacement matrix lost to NaN at delta={delta}")
+    return w
 
 
 def laguerre_rational(n, alpha, x_frac: Fraction):

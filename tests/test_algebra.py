@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from dickelat import algebra
 from dickelat.basis import BasisSpec
 from dickelat.hamiltonian import ModelParams
-from oracles import displacement_expm, jx_matrix, jx_squared, laguerre_rational
+from oracles import (
+    displacement_by_diagonal, displacement_expm, jx_matrix, jx_squared, laguerre_rational
+)
 
 HALF_SPINS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.5]
 
@@ -134,6 +136,16 @@ class TestDisplacedOverlap:
         cutoff = npr + math.ceil(40 * (1 + delta * delta))
         col = algebra.displacement_matrix(cutoff, delta)[:, npr]
         assert (col**2).sum() == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("n_top", [0, 1, 2, 7, 40, 160, 431, 900])
+    def test_bits_match_the_diagonal_reference(self, n_top):
+        # H's entries are compared byte for byte, so W keeps every bit of the
+        # diagonal-by-diagonal fill; n_top 431 and 900 take the rescale branch
+        for delta in (0.05, 0.8, 2.7, 6.0):
+            for signed in (delta, -delta):
+                got = algebra.displacement_matrix(n_top, signed)
+                want = displacement_by_diagonal(n_top, signed)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), signed
 
     def test_large_arguments_stay_finite(self):
         # several hundred shells push the raw Laguerre recurrence past 1e250,

@@ -23,8 +23,7 @@ def small_lattice(gamma=0.4, j=2.0, n_max=25, op="Jz"):
     s = solver.eigh(ham.build_sector(ladder))
     rep = obs.delta_p(s, ladder.index, tolerance=DP_TOL)
     exps = obs.peres_expectation(op, s, ladder)
-    parities = obs.parity_labels(s)
-    return analysis.lattice(s, exps, parities, rep, p, op), s, rep
+    return analysis.lattice(s, exps, rep, p, op), s, rep
 
 
 class TestLattice:
@@ -41,13 +40,13 @@ class TestLattice:
         h = build_tc_block(p, 0)
         s = solver.eigh(h)
         rep = obs.ConvergenceReport(np.zeros(1), 1)
-        lat = analysis.lattice(s, [0.0], [1], rep, p, "photon_n")
+        lat = analysis.lattice(s, [0.0], rep, p, "photon_n")
         assert lat.size == 1
 
     def test_length_mismatch_rejected(self):
         lat, s, rep = small_lattice()
         with pytest.raises(ValueError):
-            analysis.lattice(s, lat.expectation[:-1], lat.parity, rep, params(0.4, 2.0), "Jz")
+            analysis.lattice(s, lat.expectation[:-1], rep, params(0.4, 2.0), "Jz")
 
     def test_converged_only_filter(self):
         lat, s, rep = small_lattice()
@@ -104,7 +103,7 @@ class TestMarkers:
         rng = np.random.default_rng(seed)
         e = np.sort(rng.uniform(-2.0, 2.0, n))
         y = np.abs(e - kink)  # piecewise-linear kink
-        return analysis.PeresLattice("Jz", e, y - 2.0, np.ones(n, dtype=int), np.zeros(n))
+        return analysis.PeresLattice("Jz", e, y - 2.0, np.zeros(n))
 
     def test_synthetic_kink_found(self):
         lat = self.synthetic(kink=0.0)
@@ -124,9 +123,7 @@ class TestMarkers:
             analysis.esqpt_markers(lat)
 
     def test_insufficient_bins(self):
-        lat = analysis.PeresLattice(
-            "Jz", np.array([0.0, 0.01, 0.02]), np.zeros(3), np.ones(3, dtype=int), np.zeros(3)
-        )
+        lat = analysis.PeresLattice("Jz", np.array([0.0, 0.01, 0.02]), np.zeros(3), np.zeros(3))
         with pytest.raises(InsufficientDataError):
             analysis.esqpt_markers(lat, bin_width=0.05)
 

@@ -206,7 +206,7 @@ class TestParity:
         minus, _ = sector_solve(p, 6, -1)
         assert plus.energies[0] == pytest.approx(-1.0, abs=1e-13)
         assert minus.energies[0] == pytest.approx(0.0, abs=1e-13)
-        assert obs.parity_labels(plus)[0] == 1
+        assert plus.basis.parity_sector == 1
 
     def test_action_on_displaced_shells(self):
         # Pi |N; j, m> = (-1)^(2j) (-1)^N |N; j, -m> in the fock representation
@@ -244,16 +244,13 @@ class TestParity:
         p = params(0.45, 1.5)
         n_fock = 160
         sf = solve(build_fock(p, n_fock))
-        energies, labels = sector_union(p, 40, lambda s, ladder: obs.parity_labels(s))
+        energies, labels = sector_union(
+            p, 40, lambda s, ladder: np.full(s.dim, s.basis.parity_sector)
+        )
         n_low = 25
         assert np.abs(energies[:n_low] - sf.energies[:n_low]).max() < 1e-9
         labels_f = np.where(fock_parities(sf, p.j, n_fock)[:n_low] > 0, 1, -1)
         assert np.array_equal(labels[:n_low], labels_f)
-
-    def test_parity_labels_sector_constant(self):
-        p = params(0.45, 2.0)
-        s = solve(ham.build_coherent_parity(p, 12, -1))
-        assert np.array_equal(obs.parity_labels(s), -np.ones(s.dim, dtype=int))
 
 
 class TestDeltaP:

@@ -89,6 +89,21 @@ class TestPipelineRun:
         vals = np.array([float(l.split(",")[1]) for l in lines[1:]])
         assert np.array_equal(vals, sector.energies)  # 17 digits: exact round trip
 
+    @pytest.mark.parametrize("j", [1.0, 1.5], ids=["integer-j", "half-integer-j"])
+    def test_parity_column_is_the_sector_label(self, tmp_path, j):
+        params = ModelParams(omega=1.0, omega0=1.0, gamma=0.6, j=j)
+        cfg = small_config(tmp_path, params=params)
+        result = pipeline.run(cfg)
+        tables = ["energies.csv", *(f"lattice_{op}.csv" for op in cfg.ops)]
+        for man in result.manifests:
+            sector_dir = result.out_dir / pipeline.SECTOR_DIRS[man["sector"]]
+            for name in tables:
+                lines = (sector_dir / name).read_text().splitlines()
+                column = lines[0].split(",").index("parity")
+                cells = [line.split(",")[column] for line in lines[1:]]
+                assert len(cells) == man["dim"]
+                assert set(cells) == {str(man["sector"])}, name
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg1 = small_config(tmp_path, out_dir=tmp_path / "a")
         cfg2 = small_config(tmp_path, out_dir=tmp_path / "b")
@@ -315,11 +330,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="dp_tol"):
             small_config(tmp_path, dp_tol=tol)
 
-    @pytest.mark.parametrize("degree", [-1, 0])
-    def test_bad_unfold_degree(self, tmp_path, degree):
-        with pytest.raises(ConfigError, match="unfold_degree"):
-            small_config(tmp_path, unfold_degree=degree)
-
 
 @pytest.fixture
 def no_build(monkeypatch):
@@ -398,7 +408,6 @@ class TestCli:
         "flag, value, field",
         [
             ("--tol-dp", "nan", "dp_tol"),
-            ("--unfold-degree", "-1", "unfold_degree"),
             ("--bin-width", "inf", "bin_width"),
             ("--mem-budget-gib", "inf", "mem-budget-gib"),
             ("--mem-budget-gib", "-1", "mem_budget_bytes"),
@@ -406,7 +415,6 @@ class TestCli:
         ],
         ids=[
             "tol-dp-nan",
-            "unfold-degree-negative",
             "bin-width-inf",
             "mem-budget-gib-inf",
             "mem-budget-gib-negative",
@@ -431,6 +439,18 @@ class TestCli:
             "--mem-budget-gib", "0.001",
         )
         assert code == 3
+
+    def test_capacity_error_sizes_are_readable(self, capsys):
+        # a 1e-9 GiB budget rounds to 1 byte; the dim-28 sector is charged
+        # 3.5 x 8 x 28^2 = 21,952 bytes
+        code = self.run_cli(
+            "spectrum", "--n-atoms", "4", "--n-max", "10", "--gamma", "0.1",
+            "--mem-budget-gib", "1e-9",
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "dim-28 sector is charged 21.4 KiB (3.5 x its 6.1 KiB dense matrix" in err
+        assert err.rstrip().endswith("budget is 1 B")
 
     def test_solver_exit_code(self, monkeypatch):
         import scipy.linalg
@@ -538,9 +558,11 @@ class TestCli:
         assert self.run_cli("spectrum", "--n-atoms", "2", "--gamma", value) == 2
 
     @pytest.mark.parametrize(
-        "flag, value", [("--basis", "fock"), ("--workers", "2")], ids=["basis", "workers"]
+        "flag, value",
+        [("--basis", "fock"), ("--workers", "2"), ("--unfold-degree", "6")],
+        ids=["basis", "workers", "unfold-degree"],
     )
-    def test_removed_flag_is_rejected(self, capsys, flag, value):
+    def test_removed_flag_is_rejected(self, no_build, capsys, flag, value):
         with pytest.raises(SystemExit) as exc:
             self.run_cli("sweep", "--n-atoms", "2", "--gamma", "0.3", flag, value)
         assert exc.value.code == 2
@@ -552,9 +574,10 @@ class TestCli:
             (["n_max = 3"], "n_max"),
             (["basis = fock"], "basis"),
             (["workers = 2"], "workers"),
+            (["unfold-degree = 6"], "unfold-degree"),
             (["n-max-list = 3,4", "sector = both", "nmax = 3"], "n-max-list, nmax"),
         ],
-        ids=["typo", "basis", "workers", "other-command-flag"],
+        ids=["typo", "basis", "workers", "unfold-degree", "other-command-flag"],
     )
     def test_unknown_config_key_is_config_error(self, tmp_path, no_build, capsys, lines, unknown):
         ini = tmp_path / "run.ini"

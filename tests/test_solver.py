@@ -40,7 +40,7 @@ def sector_products(cfg, sector):
     res = pipeline.run_sector(cfg, sector)
     lattices = {
         op: [lat.operator_kind]
-        + [a.tobytes() for a in (lat.energy_over_j, lat.expectation, lat.parity, lat.delta_p)]
+        + [a.tobytes() for a in (lat.energy_over_j, lat.expectation, lat.delta_p)]
         for op, lat in res.lattices.items()
     }
     return {
