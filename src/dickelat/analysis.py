@@ -1,16 +1,12 @@
-"""Peres lattices and the quantitative spectral diagnostics built on them:
-density of states, slope-change (ESQPT) markers, unfolding and the mean
+"""Spectral diagnostics on plain arrays: density of states, the slope-change
+(ESQPT) markers of a Jz Peres lattice, unfolding and the mean
 consecutive-gap ratio."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientDataError, UnfoldError
-from .hamiltonian import ModelParams
-from .observables import ConvergenceReport
-from .solver import Spectrum
 
 DEFAULT_BIN_WIDTH = 0.05
 DEFAULT_UNFOLD_DEGREE = 6
@@ -29,29 +25,6 @@ _DEGENERATE_GAP = 1e-10
 
 
 @dataclass
-class PeresLattice:
-    """Per-eigenstate records (E/j, expectation, top-shell weight) for one
-    Peres operator of one parity sector, sorted by energy."""
-
-    operator_kind: str
-    energy_over_j: np.ndarray
-    expectation: np.ndarray
-    delta_p: np.ndarray
-
-    @property
-    def size(self):
-        return self.energy_over_j.size
-
-    def select(self, mask):
-        return PeresLattice(
-            self.operator_kind,
-            self.energy_over_j[mask],
-            self.expectation[mask],
-            self.delta_p[mask],
-        )
-
-
-@dataclass
 class EsqptMarkers:
     """E/j positions of the two slope changes of a binned Jz lattice: the
     lower (coupling-dependent) one and the upper (saturation) one."""
@@ -59,43 +32,6 @@ class EsqptMarkers:
     static_marker: float
     dynamic_marker: float
     bin_width: float
-
-
-def lattice(
-    spectrum: Spectrum,
-    expectations,
-    report: ConvergenceReport,
-    params: ModelParams,
-    operator_kind: str,
-) -> PeresLattice:
-    """Assemble the per-state lattice for one operator, energies normalized by j."""
-    e = np.asarray(spectrum.energies, dtype=float)
-    x = np.asarray(expectations, dtype=float)
-    dp = np.asarray(report.delta_p, dtype=float)
-    if not (e.size == x.size == dp.size):
-        raise ValueError("spectrum, expectations and report lengths differ")
-    if not np.isfinite(dp).all():
-        raise ValueError("every lattice point needs a finite delta_p")
-    _check_bounds(operator_kind, x, params)
-    return PeresLattice(operator_kind, e / params.j, x, dp)
-
-
-def _check_bounds(operator_kind, x, params, slack=1e-9):
-    j = params.j
-    if operator_kind == "Jz":
-        lo, hi = -j, j
-    elif operator_kind == "Jx2":
-        lo, hi = 0.0, j * j
-    elif operator_kind == "photon_n":
-        lo, hi = 0.0, math.inf
-    else:
-        return
-    tol = slack * max(1.0, abs(lo), 1.0 if hi == math.inf else abs(hi))
-    if x.size and (x.min() < lo - tol or x.max() > hi + tol):
-        raise ValueError(
-            f"{operator_kind} expectation outside [{lo}, {hi}]: "
-            f"range [{x.min()}, {x.max()}]"
-        )
 
 
 def _grid_bins(x, width):
@@ -120,9 +56,9 @@ def density_of_states(energies, j, bin_width):
     return edges, np.bincount(which, minlength=edges.size - 1)
 
 
-def esqpt_markers(lat: PeresLattice, bin_width=DEFAULT_BIN_WIDTH) -> EsqptMarkers:
-    """Locate the two slope changes of the bin-averaged Jz lattice inside
-    _MARKER_WINDOW.
+def esqpt_markers(energy_over_j, jz, bin_width=DEFAULT_BIN_WIDTH) -> EsqptMarkers:
+    """Locate the two slope changes of the bin-averaged Jz Peres lattice, the
+    points (energy_over_j[k], jz[k]), inside _MARKER_WINDOW.
 
     The points are binned at `bin_width`; the binned curve is averaged over a
     fixed energy scale _CURVATURE_SCALE (count-weighted, so scatter inside
@@ -134,12 +70,10 @@ def esqpt_markers(lat: PeresLattice, bin_width=DEFAULT_BIN_WIDTH) -> EsqptMarker
     markers stable when the bin width is halved.  The smaller position is the dynamic
     marker, the larger the static one.
     """
-    if lat.operator_kind != "Jz":
-        raise ValueError("slope-change markers are defined on the Jz lattice")
     lo, hi = _MARKER_WINDOW
-    inside = (lat.energy_over_j >= lo) & (lat.energy_over_j <= hi)
-    e = lat.energy_over_j[inside]
-    y = lat.expectation[inside]
+    inside = (energy_over_j >= lo) & (energy_over_j <= hi)
+    e = energy_over_j[inside]
+    y = jz[inside]
     if e.size == 0:
         raise InsufficientDataError("no lattice points inside the marker window")
     edges, which = _grid_bins(e, bin_width)

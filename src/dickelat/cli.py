@@ -165,6 +165,8 @@ _RUN_FIELDS = {
 
 
 def _resolve(merged, command):
+    """(RunConfig, couplings) of a command; a command other than sweep takes
+    exactly one coupling, which is also the config's."""
     omega = _get(merged, "omega", float, 1.0)
     omega0 = _get(merged, "omega0", float, 1.0)
     n_atoms = _get(merged, "n-atoms", int, 40)
@@ -185,6 +187,8 @@ def _resolve(merged, command):
         gammas = [f * gamma_c for f in _parse_float_list(merged["gamma-over-gc"])]
     else:
         raise ConfigError("a coupling is required: --gamma or --gamma-over-gc")
+    if not gammas:
+        raise ConfigError("the coupling list is empty")
     if command != "sweep" and len(gammas) != 1:
         raise ConfigError(f"{command} takes a single coupling; got {len(gammas)}")
     if not all(0 <= g < math.inf for g in gammas):
@@ -199,14 +203,10 @@ def _resolve(merged, command):
         given["ops"] = ()
     try:
         params = ModelParams(omega=omega, omega0=omega0, gamma=gammas[0], j=j)
-        cfg = pipeline.RunConfig(
-            params=params,
-            gammas=tuple(gammas) if command == "sweep" else (),
-            **given,
-        )
+        cfg = pipeline.RunConfig(params=params, **given)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
+    return cfg, gammas
 
 
 def _print_run(result):
@@ -240,8 +240,8 @@ def _cmd_single(cfg):
     return 0
 
 
-def _cmd_sweep(cfg):
-    results, rows = pipeline.sweep(cfg)
+def _cmd_sweep(cfg, gammas):
+    _, rows = pipeline.sweep(cfg, gammas)
     failed = 0
     for row in rows:
         print(
@@ -257,6 +257,8 @@ def _cmd_sweep(cfg):
 
 def _cmd_convergence(cfg, merged):
     n_list = _parse_int_list(merged.get("n-max-list", "50,100,150,200,250"))
+    if not n_list:
+        raise ConfigError("the n-max-list is empty")
     # every truncation is checked before the first one is solved
     points = [replace(cfg, n_max=n_max, ops=(), out_dir=None) for n_max in n_list]
     print("n_max  dim    converged  ground_dp      max_dp(E/j<=1)")
@@ -278,9 +280,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         merged = _merged(args, args.command)
-        cfg = _resolve(merged, args.command)
+        cfg, gammas = _resolve(merged, args.command)
         if args.command == "sweep":
-            return _cmd_sweep(cfg)
+            return _cmd_sweep(cfg, gammas)
         if args.command == "convergence":
             return _cmd_convergence(cfg, merged)
         return _cmd_single(cfg)

@@ -1,6 +1,8 @@
-"""Per-eigenstate Peres expectation values read from a sector's m-ladder and
-the top-shell truncation-error certificate."""
+"""Per-eigenstate Peres expectation values read from a sector's m-ladder,
+the bounds each operator's expectations obey, and the top-shell
+truncation-error certificate."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,6 +12,10 @@ from .hamiltonian import SectorLadder
 from .solver import Spectrum
 
 PERES_OPS = ("Jz", "Jx2", "photon_n")
+
+# Relative slack of check_bounds, on the scale of the larger finite bound
+# (at least 1), for the rounding of an expectation summed over the basis.
+_BOUNDS_SLACK = 1e-9
 
 
 @dataclass
@@ -52,6 +58,19 @@ def peres_expectation(op_kind: str, spectrum: Spectrum, ladder: SectorLadder) ->
         c, sl, signs = ladder.self_block
         out += c * np.einsum("ik,ik->k", v[sl], w @ (signs[:, None] * v[sl]))
     return out
+
+
+def check_bounds(op_kind: str, values: np.ndarray, j):
+    """Raise ValueError if an expectation of `op_kind` leaves the operator's
+    range at spin j: [-j, j] for Jz, [0, j^2] for Jx^2 and [0, inf) for
+    a^dag a."""
+    lo, hi = {"Jz": (-j, j), "Jx2": (0.0, j * j), "photon_n": (0.0, math.inf)}[op_kind]
+    tol = _BOUNDS_SLACK * max(1.0, abs(lo), 1.0 if hi == math.inf else abs(hi))
+    if values.size and (values.min() < lo - tol or values.max() > hi + tol):
+        raise ValueError(
+            f"{op_kind} expectation outside [{lo}, {hi}]: "
+            f"range [{values.min()}, {values.max()}]"
+        )
 
 
 def delta_p(spectrum: Spectrum, index: BasisIndex, tolerance=1e-12) -> ConvergenceReport:

@@ -44,8 +44,9 @@ STAT_WINDOWS = ((None, -1.0), (-1.0, 1.0))
 
 @dataclass
 class RunConfig:
-    """Everything needed to resolve one run (or a sweep) of the pipeline.
-    `ops` also decides the analysis products (see the module docstring)."""
+    """Everything needed to resolve one run of the pipeline; a sweep varies
+    params.gamma.  `ops` also decides the analysis products (see the module
+    docstring)."""
 
     params: ModelParams
     n_max: int = 250
@@ -55,7 +56,6 @@ class RunConfig:
     bin_width: float = analysis.DEFAULT_BIN_WIDTH
     out_dir: Path | None = None
     mem_budget_bytes: int = hamiltonian.MEMORY_BUDGET_BYTES
-    gammas: tuple = ()
 
     def __post_init__(self):
         if not self.sectors or any(s not in (1, -1) for s in self.sectors):
@@ -80,7 +80,7 @@ class SectorResult:
     dim: int
     energies: np.ndarray
     report: observables.ConvergenceReport
-    lattices: dict
+    expectations: dict
     dos: tuple | None
     markers: analysis.EsqptMarkers | None
     markers_error: str | None
@@ -126,9 +126,11 @@ def run_sector(cfg: RunConfig, sector):
     """Full pipeline for one sector; returns an in-memory SectorResult.
 
     timings_s holds the wall time of each consecutive stage (build, solve,
-    certificate, observables, analysis); they sum to wall_time_s.  A run
-    without Peres operators leaves lattices empty and dos, markers and stats
-    None.  When the Jz markers are not found, markers is None and
+    certificate, observables, analysis); they sum to wall_time_s.
+    expectations maps each Peres operator to its per-state values, each
+    within the operator's bounds; with energies / j they are its lattice.  A
+    run without Peres operators leaves expectations empty and dos, markers
+    and stats None.  When the Jz markers are not found, markers is None and
     markers_error says why."""
     marks = [(None, time.perf_counter())]
     ladder = hamiltonian.sector_ladder(cfg.params, cfg.n_max, sector, cfg.mem_budget_bytes)
@@ -142,24 +144,25 @@ def run_sector(cfg: RunConfig, sector):
     report = observables.delta_p(spectrum, ladder.index, tolerance=cfg.dp_tol)
     marks.append(("certificate", time.perf_counter()))
 
-    expectations = {op: observables.peres_expectation(op, spectrum, ladder) for op in cfg.ops}
+    expectations = {}
+    for op in cfg.ops:
+        expectations[op] = observables.peres_expectation(op, spectrum, ladder)
+        observables.check_bounds(op, expectations[op], cfg.params.j)
     marks.append(("observables", time.perf_counter()))
 
-    lattices, dos, markers, markers_error, stats = {}, None, None, None, None
+    dos, markers, markers_error, stats = None, None, None, None
     if cfg.ops:
-        lattices = {
-            op: analysis.lattice(spectrum, values, report, cfg.params, op)
-            for op, values in expectations.items()
-        }
         dos = analysis.density_of_states(spectrum.energies, cfg.params.j, cfg.bin_width)
         converged = report.delta_p < cfg.dp_tol
-        if "Jz" in lattices:
+        e_over_j = spectrum.energies[converged] / cfg.params.j
+        if "Jz" in expectations:
             try:
-                markers = analysis.esqpt_markers(lattices["Jz"].select(converged), cfg.bin_width)
+                markers = analysis.esqpt_markers(
+                    e_over_j, expectations["Jz"][converged], cfg.bin_width
+                )
             except DickelatError as exc:
                 markers_error = str(exc)
-        e_over_j = spectrum.energies / cfg.params.j
-        stats = _window_stats(e_over_j[converged])
+        stats = _window_stats(e_over_j)
 
     marks.append(("analysis", time.perf_counter()))
     timings = {name: t - t_prev for (_, t_prev), (name, t) in zip(marks, marks[1:])}
@@ -167,7 +170,7 @@ def run_sector(cfg: RunConfig, sector):
         dim=spectrum.dim,
         energies=spectrum.energies,
         report=report,
-        lattices=lattices,
+        expectations=expectations,
         dos=dos,
         markers=markers,
         markers_error=markers_error,
@@ -211,20 +214,21 @@ def _json_default(o):
 
 def write_sector_files(cfg, sector, result, sector_dir: Path):
     """Write the per-sector CSV/JSON products; returns {name: sha256}.  Every
-    `parity` cell holds the sector label, which all its states carry."""
+    `parity` cell holds the sector label, which all its states carry, and each
+    `lattice_<op>.csv` shares its E/j and delta_p columns with energies.csv."""
     sector_dir.mkdir(parents=True, exist_ok=True)
     files = {}
     e = result.energies
+    e_over_j = (e / cfg.params.j).tolist()
+    dp = result.report.delta_p.tolist()
     files["energies.csv"] = _write_csv(
         sector_dir / "energies.csv", "index,energy,energy_over_j,parity,delta_p",
-        f"{{}},{{:.17g}},{{:.17g}},{sector},{{:.17g}}", range(e.size), e.tolist(),
-        (e / cfg.params.j).tolist(), result.report.delta_p.tolist(),
+        f"{{}},{{:.17g}},{{:.17g}},{sector},{{:.17g}}", range(e.size), e.tolist(), e_over_j, dp,
     )
-    for op, lat in result.lattices.items():
+    for op, values in result.expectations.items():
         files[f"lattice_{op}.csv"] = _write_csv(
             sector_dir / f"lattice_{op}.csv", "E_over_j,expval,parity,delta_p",
-            f"{{:.17g}},{{:.17g}},{sector},{{:.17g}}", lat.energy_over_j.tolist(),
-            lat.expectation.tolist(), lat.delta_p.tolist(),
+            f"{{:.17g}},{{:.17g}},{sector},{{:.17g}}", e_over_j, values.tolist(), dp,
         )
     if result.dos is not None:
         edges, counts = result.dos
@@ -285,6 +289,7 @@ def _sector_manifest(cfg, gamma, sector, result=None, files=None, error=None):
         "files": files or {},
         # one process-wide count: the highest over the loaded OpenBLAS libraries
         "blas_threads": max(solver.blas_thread_counts().values(), default=None),
+        "versions": solver.library_versions(),
         "peak_rss_mib": _peak_rss_mib(),
     }
     if result is not None:
@@ -393,14 +398,16 @@ def _summary_row(cfg, gamma, result: RunResult | None, error=None):
     return row
 
 
-def sweep(cfg: RunConfig):
-    """One run per coupling in cfg.gammas, one after another; per-point
-    failures are isolated.  Returns (results, summary_rows) where a failed
-    point appears as (gamma, exception) in results."""
-    gammas = list(cfg.gammas) if cfg.gammas else [cfg.params.gamma]
+def sweep(cfg: RunConfig, gammas):
+    """One run of `cfg` per coupling in the non-empty `gammas`, one after
+    another; per-point failures are isolated.  Returns (results,
+    summary_rows) where a failed point appears as (gamma, exception) in
+    results."""
+    if not gammas:
+        raise ConfigError("a sweep needs at least one coupling")
     results, rows = [], []
     for g in gammas:
-        point_cfg = replace(cfg, params=replace(cfg.params, gamma=g), gammas=())
+        point_cfg = replace(cfg, params=replace(cfg.params, gamma=g))
         try:
             result = run(point_cfg)
         except Exception as exc:

@@ -7,7 +7,8 @@ one row chunk at a time over that chunk's nonzero column envelope, so banded
 matrices cost a fraction of a dense GEMM while every nonzero still counts.
 
 numpy and scipy may each load their own OpenBLAS; `blas_threads` sets the
-thread count of every loaded one for the duration of a block.
+thread count of every loaded one for the duration of a block, and
+`library_versions` names each one's build.
 """
 
 import ctypes
@@ -31,13 +32,10 @@ ORTHO_BOUND = 1e-10
 # product is still an efficient GEMM.
 _ROW_CHUNK = 64
 
-# (set, get) symbol pairs under which OpenBLAS builds export their thread
-# count: plain, scipy-openblas, and scipy-openblas with the ILP64 suffix.
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-)
+# (prefix, suffix) of the set_num_threads, get_num_threads and get_config
+# symbols that OpenBLAS builds export: plain, scipy-openblas, and
+# scipy-openblas with the ILP64 suffix.
+_OPENBLAS_SYMBOLS = (("openblas_", ""), ("scipy_openblas_", ""), ("scipy_openblas_", "64_"))
 
 
 @dataclass
@@ -157,9 +155,10 @@ def eigh(matrix: SymmetricMatrix) -> Spectrum:
 
 @functools.cache
 def _openblas_pools():
-    """(file name, set, get) for each OpenBLAS library mapped into this
-    process, found by path in /proc/self/maps; empty where there is none.
-    Found once: numpy's and scipy's are mapped once this module is imported."""
+    """(file name, set, get, build config string) for each OpenBLAS library
+    mapped into this process, found by path in /proc/self/maps; empty where
+    there is none.  Found once: numpy's and scipy's are mapped once this
+    module is imported."""
     try:
         with open("/proc/self/maps", "rb") as fh:
             lines = [line for line in fh if b"openblas" in line]
@@ -175,16 +174,34 @@ def _openblas_pools():
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
-            if hasattr(lib, set_name) and hasattr(lib, get_name):
-                pools.append((name, getattr(lib, set_name), getattr(lib, get_name)))
-                break
+        for prefix, suffix in _OPENBLAS_SYMBOLS:
+            try:
+                set_threads, get_threads, get_config = (
+                    getattr(lib, f"{prefix}{symbol}{suffix}")
+                    for symbol in ("set_num_threads", "get_num_threads", "get_config")
+                )
+            except AttributeError:
+                continue
+            get_config.restype = ctypes.c_char_p
+            config = get_config().decode(errors="replace").strip()
+            pools.append((name, set_threads, get_threads, config))
+            break
     return tuple(pools)
 
 
 def blas_thread_counts():
     """{library file name: thread count} of every loaded OpenBLAS."""
-    return {name: get() for name, _, get in _openblas_pools()}
+    return {name: get() for name, _, get, _ in _openblas_pools()}
+
+
+def library_versions():
+    """numpy's and scipy's versions and {library file name: build config} of
+    every loaded OpenBLAS."""
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "openblas": {name: config for name, _, _, config in _openblas_pools()},
+    }
 
 
 @contextmanager
@@ -195,7 +212,7 @@ def blas_threads(n):
 
     The count is process-wide: set it before starting threads that call BLAS,
     not from inside them."""
-    counts = [(set_threads, get()) for _, set_threads, get in _openblas_pools()]
+    counts = [(set_threads, get()) for _, set_threads, get, _ in _openblas_pools()]
     changed = [(set_threads, count) for set_threads, count in counts if count != n]
     for set_threads, _ in changed:
         set_threads(n)

@@ -130,9 +130,8 @@ def sweep_result():
         n_max=100,
         sectors=(1, -1),
         ops=(),
-        gammas=tuple(f * GC for f in (0.8, 1.0, 1.2, 1.5, 2.0)),
     )
-    results, rows = pipeline.sweep(cfg)
+    results, rows = pipeline.sweep(cfg, [f * GC for f in (0.8, 1.0, 1.2, 1.5, 2.0)])
     for res in results:
         assert not isinstance(res, tuple), f"sweep point failed: {res}"
         audit_manifests(f"sweep_g={res.gamma}", res.manifests)
@@ -292,8 +291,11 @@ def test_criterion_06_esqpt_markers(g15_sector, g20_sector):
     assert abs(m15.static_marker - m20.static_marker) < 0.05
     # stability invariant: halving the bin width moves markers by less than one bin
     for sec in (g15_sector, g20_sector):
-        lat = sec.lattices["Jz"].select(sec.report.delta_p < DP_TOL)
-        fine = analysis.esqpt_markers(lat, bin_width=0.025)
+        converged = sec.report.delta_p < DP_TOL
+        e_over_j = sec.energies[converged] / 20.0  # j of _superradiant_run
+        fine = analysis.esqpt_markers(
+            e_over_j, sec.expectations["Jz"][converged], bin_width=0.025
+        )
         coarse = sec.markers
         assert abs(fine.dynamic_marker - coarse.dynamic_marker) < 0.05
         assert abs(fine.static_marker - coarse.static_marker) < 0.05

@@ -6,7 +6,7 @@ from dickelat import hamiltonian as ham
 from dickelat import observables as obs
 from dickelat import solver
 from dickelat.errors import InsufficientDataError
-from oracles import POISSON_RATIO, build_tc_block
+from oracles import POISSON_RATIO
 
 
 def params(gamma, j, omega=1.0, omega0=1.0):
@@ -17,52 +17,45 @@ DP_TOL = 1e-12
 
 
 def small_lattice(gamma=0.4, j=2.0, n_max=25, op="Jz"):
-    """Lattice of the even parity sector, certified at DP_TOL."""
+    """Peres lattice (E/j, expectations) of the even parity sector with its
+    certificate at DP_TOL."""
     p = params(gamma, j)
     ladder = ham.sector_ladder(p, n_max, 1)
     s = solver.eigh(ham.build_sector(ladder))
     rep = obs.delta_p(s, ladder.index, tolerance=DP_TOL)
-    exps = obs.peres_expectation(op, s, ladder)
-    return analysis.lattice(s, exps, rep, p, op), s, rep
+    return s.energies / p.j, obs.peres_expectation(op, s, ladder), rep
 
 
 class TestLattice:
     def test_points_sorted_and_bounded(self):
-        lat, s, rep = small_lattice()
-        assert np.all(np.diff(lat.energy_over_j) >= 0)
-        assert lat.expectation.min() >= -2.0 - 1e-9
-        assert lat.expectation.max() <= 2.0 + 1e-9
-        assert np.isfinite(lat.delta_p).all()
-        assert lat.size == s.dim
+        e, x, rep = small_lattice()
+        assert np.all(np.diff(e) >= 0)
+        assert x.min() >= -2.0 - 1e-9
+        assert x.max() <= 2.0 + 1e-9
+        assert np.isfinite(rep.delta_p).all()
+        assert e.size == x.size == rep.delta_p.size
 
     def test_single_state_lattice(self):
-        p = params(0.3, 0.5)
-        h = build_tc_block(p, 0)
-        s = solver.eigh(h)
-        rep = obs.ConvergenceReport(np.zeros(1), 1)
-        lat = analysis.lattice(s, [0.0], rep, p, "photon_n")
-        assert lat.size == 1
-
-    def test_length_mismatch_rejected(self):
-        lat, s, rep = small_lattice()
-        with pytest.raises(ValueError):
-            analysis.lattice(s, lat.expectation[:-1], rep, params(0.4, 2.0), "Jz")
+        # j = 1/2 with no shell above the ground shell: one state per sector
+        e, x, rep = small_lattice(gamma=0.3, j=0.5, n_max=0, op="photon_n")
+        assert e.size == x.size == rep.delta_p.size == 1
+        obs.check_bounds("photon_n", x, 0.5)
 
     def test_converged_only_filter(self):
-        lat, s, rep = small_lattice()
-        full = lat.size
-        filt = lat.select(rep.delta_p < DP_TOL)
-        assert filt.size == rep.converged_count or filt.size == (rep.delta_p < DP_TOL).sum()
+        e, x, rep = small_lattice()
+        full = e.size
+        converged = rep.delta_p < DP_TOL
+        filt = x[converged]
+        assert filt.size == rep.converged_count or filt.size == converged.sum()
         assert filt.size < full
 
     def test_near_zero_coupling_lattice_is_regular(self):
         # degenerate columns: many distinct <Jz> values at the same (integer) energy
-        lat, s, rep = small_lattice(gamma=0.005, j=2.0, n_max=30)
-        conv = lat.select(lat.delta_p < 1e-12)
-        near_two = conv.select(np.abs(conv.energy_over_j - 1.0) < 0.01)
+        e, x, rep = small_lattice(gamma=0.005, j=2.0, n_max=30)
+        near_two = (rep.delta_p < 1e-12) & (np.abs(e - 1.0) < 0.01)
         # E = 2 = n + m has 5 realizations at j=2, all even: (-1)^(n + m + j) = +1
-        assert near_two.size == 5
-        assert len(np.unique(np.round(near_two.expectation, 6))) == 5
+        assert near_two.sum() == 5
+        assert len(np.unique(np.round(x[near_two], 6))) == 5
 
 
 class TestDensityOfStates:
@@ -103,29 +96,23 @@ class TestMarkers:
         rng = np.random.default_rng(seed)
         e = np.sort(rng.uniform(-2.0, 2.0, n))
         y = np.abs(e - kink)  # piecewise-linear kink
-        return analysis.PeresLattice("Jz", e, y - 2.0, np.zeros(n))
+        return e, y - 2.0
 
     def test_synthetic_kink_found(self):
-        lat = self.synthetic(kink=0.0)
-        markers = analysis.esqpt_markers(lat, bin_width=0.05)
+        e, jz = self.synthetic(kink=0.0)
+        markers = analysis.esqpt_markers(e, jz, bin_width=0.05)
         assert min(
             abs(markers.static_marker - 0.0), abs(markers.dynamic_marker - 0.0)
         ) <= 0.05
 
     def test_dynamic_below_static(self):
-        lat = self.synthetic()
-        markers = analysis.esqpt_markers(lat, bin_width=0.05)
+        e, jz = self.synthetic()
+        markers = analysis.esqpt_markers(e, jz, bin_width=0.05)
         assert markers.dynamic_marker < markers.static_marker
 
-    def test_wrong_operator_rejected(self):
-        lat, _, _ = small_lattice(op="Jx2")
-        with pytest.raises(ValueError):
-            analysis.esqpt_markers(lat)
-
     def test_insufficient_bins(self):
-        lat = analysis.PeresLattice("Jz", np.array([0.0, 0.01, 0.02]), np.zeros(3), np.zeros(3))
         with pytest.raises(InsufficientDataError):
-            analysis.esqpt_markers(lat, bin_width=0.05)
+            analysis.esqpt_markers(np.array([0.0, 0.01, 0.02]), np.zeros(3), bin_width=0.05)
 
 
 class TestUnfold:

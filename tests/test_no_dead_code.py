@@ -140,3 +140,26 @@ def test_every_public_field_is_reached():
     object's `.params` or `.config` is read."""
     dead = unreached("field")
     assert not dead, f"public class fields nothing in src/ reaches: {dead}"
+
+
+def test_analysis_imports_only_errors():
+    """analysis works on plain arrays: it needs no model, basis, solver or
+    observable type, so of the package it imports the errors alone."""
+    tree = ast.parse((SRC / "analysis.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "dickelat":
+                continue
+            module = module.removeprefix("dickelat").lstrip(".")
+            if module:
+                imported.add(module.split(".")[0])
+            else:
+                imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(
+                alias.name.split(".")[1] for alias in node.names
+                if alias.name.startswith("dickelat.")
+            )
+    assert imported == {"errors"}, f"analysis imports {sorted(imported)} from dickelat"

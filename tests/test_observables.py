@@ -170,6 +170,34 @@ class TestExpectation:
             assert nn.min() >= -eps
 
 
+class TestCheckBounds:
+    J = 2.0
+
+    @pytest.mark.parametrize(
+        "op_kind, values",
+        [("Jz", [0.0, 2.0 + 1e-6]), ("Jz", [-2.0 - 1e-6]), ("Jx2", [-1e-6, 1.0]),
+         ("photon_n", [3.0, -1e-6])],
+        ids=["Jz-above-j", "Jz-below-minus-j", "Jx2-below-0", "photon_n-below-0"],
+    )
+    def test_out_of_range_raises(self, op_kind, values):
+        with pytest.raises(ValueError, match=f"{op_kind} expectation outside"):
+            obs.check_bounds(op_kind, np.array(values), self.J)
+
+    @pytest.mark.parametrize(
+        "op_kind, values",
+        [("Jz", [-2.0 - 1e-9, 2.0 + 1e-9]), ("Jx2", [-1e-9, 4.0 + 3e-9]),
+         ("photon_n", [-1e-9, 1e6])],
+        ids=["Jz", "Jx2", "photon_n"],
+    )
+    def test_values_inside_the_slack_pass(self, op_kind, values):
+        # the slack is 1e-9 of the larger finite bound, at least 1: 2e-9 for
+        # Jz, 4e-9 for Jx2 (bound j^2 = 4) and 1e-9 for photon_n
+        obs.check_bounds(op_kind, np.array(values), self.J)
+
+    def test_empty_passes(self):
+        obs.check_bounds("Jz", np.array([]), self.J)
+
+
 class TestBlockExpectation:
     """The m-block expectations against the dense sector operators of the
     oracle, on each shape the ladder takes."""

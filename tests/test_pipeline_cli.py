@@ -9,8 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
-from dickelat import analysis, cli, hamiltonian, pipeline, solver
+from dickelat import analysis, cli, hamiltonian, observables, pipeline, solver
 from dickelat.basis import BasisSpec, basis_size, enumerate_basis
 from dickelat.cli import main
 from dickelat.errors import CapacityError, ConfigError
@@ -63,7 +64,7 @@ class TestPipelineRun:
         result = pipeline.run(small_config(tmp_path, sectors=(1,), ops=ops))
         assert sorted(result.manifests[0]["files"]) == products
         sector = result.sectors[0]
-        assert list(sector.lattices) == list(ops)
+        assert list(sector.expectations) == list(ops)
         assert sector.markers is None
         assert (sector.dos is None) == (sector.stats is None) == (not ops)
 
@@ -183,6 +184,36 @@ class TestPipelineRun:
             assert 0 < man["peak_rss_mib"] < 1e6
         assert result.manifests[0]["peak_rss_mib"] <= man["peak_rss_mib"]
 
+    def test_manifest_records_library_versions(self, tmp_path):
+        result = pipeline.run(small_config(tmp_path, n_max=8, sectors=(1,)))
+        man = json.loads((result.out_dir / "plus" / "manifest.json").read_text())
+        versions = man["versions"]
+        assert versions["numpy"] == np.__version__
+        assert versions["scipy"] == scipy.__version__
+        # keyed like the thread counts, one build string per loaded OpenBLAS
+        assert set(versions["openblas"]) == set(solver.blas_thread_counts())
+        assert all(v.startswith("OpenBLAS") for v in versions["openblas"].values())
+
+    def test_out_of_bounds_expectation_fails_the_sector(self, tmp_path, monkeypatch):
+        # at zero coupling the top state of sector + has <Jz> = j exactly; a Jz
+        # scaled by 1 + 1e-6 leaves [-j, j] by far more than the slack
+        peres_expectation = observables.peres_expectation
+
+        def scaled(op, spectrum, ladder):
+            values = peres_expectation(op, spectrum, ladder)
+            return values * (1.0 + 1e-6) if op == "Jz" else values
+
+        monkeypatch.setattr(observables, "peres_expectation", scaled)
+        cfg = small_config(
+            tmp_path, params=ModelParams(omega=1.0, omega0=1.0, gamma=0.0, j=2.0),
+            n_max=10, sectors=(1,),
+        )
+        with pytest.raises(ValueError, match="Jz expectation outside"):
+            pipeline.run(cfg)
+        man = json.loads((cfg.out_dir / "gamma=0" / "plus" / "manifest.json").read_text())
+        assert man["status"] == "failed"
+        assert "Jz expectation outside" in man["error"]
+
     def test_peak_rss_excludes_the_launcher(self, tmp_path):
         # a launcher holding 300 MiB (written, so resident) while the run lives
         # must not lend its peak to the run's manifest
@@ -229,21 +260,22 @@ class TestPipelineRun:
     def test_sweep_isolates_failures(self, tmp_path):
         cfg = small_config(
             tmp_path,
-            gammas=(0.2, 0.4),
             mem_budget_bytes=8 * (21 * 2 + 11) ** 2 + 10**6,
         )
-        results, rows = pipeline.sweep(cfg)
+        results, rows = pipeline.sweep(cfg, (0.2, 0.4))
         assert all(not isinstance(r, tuple) for r in results)
         assert [row["status"] for row in rows] == ["ok", "ok"]
         summary = (cfg.out_dir / "summary.csv").read_text().splitlines()
         assert summary[0].startswith("gamma,")
         assert len(summary) == 3
 
+    def test_sweep_without_couplings_is_config_error(self, tmp_path, no_build):
+        with pytest.raises(ConfigError, match="at least one coupling"):
+            pipeline.sweep(small_config(tmp_path), [])
+
     def test_sweep_concurrent_workers(self, tmp_path):
-        cfg = small_config(
-            tmp_path, n_max=12, ops=(), gammas=(0.2, 0.3, 0.4),
-        )
-        results, rows = pipeline.sweep(cfg)
+        cfg = small_config(tmp_path, n_max=12, ops=())
+        results, rows = pipeline.sweep(cfg, (0.2, 0.3, 0.4))
         assert [row["status"] for row in rows] == ["ok"] * 3
         # results and rows follow the order of the couplings
         grounds = [min(s.energies[0] for s in r.sectors) for r in results]
@@ -251,20 +283,14 @@ class TestPipelineRun:
 
     def test_concurrent_sweep_leaves_default_budget(self, tmp_path):
         default = hamiltonian.MEMORY_BUDGET_BYTES
-        cfg = small_config(
-            tmp_path, n_max=12, ops=(), gammas=(0.2, 0.3, 0.4, 0.5),
-            mem_budget_bytes=2**30,
-        )
-        _, rows = pipeline.sweep(cfg)
+        cfg = small_config(tmp_path, n_max=12, ops=(), mem_budget_bytes=2**30)
+        _, rows = pipeline.sweep(cfg, (0.2, 0.3, 0.4, 0.5))
         assert [row["status"] for row in rows] == ["ok"] * 4
         assert hamiltonian.MEMORY_BUDGET_BYTES == default
 
     def test_concurrent_sweep_budget_below_every_matrix(self, tmp_path):
-        cfg = small_config(
-            tmp_path, n_max=12, ops=(), gammas=(0.2, 0.3, 0.4, 0.5),
-            mem_budget_bytes=1000,
-        )
-        results, rows = pipeline.sweep(cfg)
+        cfg = small_config(tmp_path, n_max=12, ops=(), mem_budget_bytes=1000)
+        results, rows = pipeline.sweep(cfg, (0.2, 0.3, 0.4, 0.5))
         assert [row["status"] for row in rows] == ["failed"] * 4
         assert all(isinstance(r[1], CapacityError) for r in results)
 
@@ -274,10 +300,9 @@ class TestPipelineRun:
             params=ModelParams(omega=1.0, omega0=1.0, gamma=0.1, j=5.0),
             n_max=60,
             ops=(),
-            gammas=(0.25, 0.75),
             out_dir=None,
         )
-        results, rows = pipeline.sweep(cfg)
+        results, rows = pipeline.sweep(cfg, (0.25, 0.75))
         assert rows[0]["ground_e_over_j"] == pytest.approx(-1.0, abs=0.02)
         assert rows[1]["ground_e_over_j"] < -1.1
 
@@ -289,9 +314,9 @@ class TestPipelineRun:
             params=params,
             n_max=40,
             bin_width=analysis.DEFAULT_BIN_WIDTH,
-            gammas=tuple(params.gamma_c * (0.2 + k * 2.8 / 15) for k in range(16)),
         )
-        _, rows = pipeline.sweep(cfg)
+        gammas = [params.gamma_c * (0.2 + k * 2.8 / 15) for k in range(16)]
+        _, rows = pipeline.sweep(cfg, gammas)
         assert [row["status"] for row in rows] == ["ok"] * 16
         manifests = sorted(cfg.out_dir.glob("gamma=*/*/manifest.json"))
         assert len(manifests) == 32
@@ -521,12 +546,15 @@ class TestCli:
         assert len(lines) == 2
         assert "converged" in out or lines
 
-    def test_bad_n_max_list_is_config_error(self, capsys):
-        code = self.run_cli(
-            "convergence", "--n-atoms", "2", "--gamma", "0.4", "--n-max-list", "10,x"
-        )
-        assert code == 2
-        assert "not an integer" in capsys.readouterr().err
+    def test_bad_n_max_list_is_config_error(self, no_build, capsys):
+        for value, message in (("10,x", "not an integer"), ("", "the n-max-list is empty")):
+            code = self.run_cli(
+                "convergence", "--n-atoms", "2", "--gamma", "0.4", "--n-max-list", value
+            )
+            assert code == 2
+            captured = capsys.readouterr()
+            assert message in captured.err
+            assert captured.out == ""
 
     def test_negative_n_max_entry_is_config_error_before_build(self, no_build, capsys):
         code = self.run_cli(
@@ -545,8 +573,14 @@ class TestCli:
             ("--gamma", "0.1:0.3:x", "not an integer: 'x'"),
             ("--gamma-over-gc", "1,x", "not a number: 'x'"),
             ("--gamma", "0:1:y", "not an integer: 'y'"),
+            ("--gamma", ",", "the coupling list is empty"),
+            ("--gamma", "", "the coupling list is empty"),
+            ("--gamma-over-gc", "", "the coupling list is empty"),
         ],
-        ids=["gamma-abc", "gamma-range-hi-x", "gamma-over-gc-list-x", "gamma-range-n-y"],
+        ids=[
+            "gamma-abc", "gamma-range-hi-x", "gamma-over-gc-list-x", "gamma-range-n-y",
+            "gamma-comma", "gamma-empty", "gamma-over-gc-empty",
+        ],
     )
     def test_bad_coupling_is_config_error(self, no_build, capsys, flag, value, message):
         code = self.run_cli("sweep", "--n-atoms", "2", flag, value, "--n-max", "5")
@@ -599,12 +633,12 @@ class TestCli:
         assert sections.sections()
         for command in sections.sections():
             args = cli.build_parser().parse_args([command, "--config", str(path)])
-            cfg = cli._resolve(cli._merged(args, command), command)
+            cfg, _ = cli._resolve(cli._merged(args, command), command)
             assert cfg.n_max >= 250 and cfg.sectors == (1, -1)
             assert cfg.ops == ("Jz", "Jx2", "photon_n")
 
     def test_unset_options_take_run_config_defaults(self):
-        cfg = cli._resolve({"gamma": "0.3"}, "lattice")
+        cfg, _ = cli._resolve({"gamma": "0.3"}, "lattice")
         params = ModelParams(omega=1.0, omega0=1.0, gamma=0.3, j=20.0)
         assert cfg == pipeline.RunConfig(params=params)
 
@@ -665,7 +699,7 @@ class TestBlasThreadScope:
     def test_library_calls_run_one_thread(self, blas_pools, sector_thread_counts, tmp_path):
         with solver.blas_threads(2):
             pipeline.run(small_config(tmp_path, n_max=8))
-            pipeline.sweep(small_config(tmp_path, n_max=8, gammas=(0.2, 0.4)))
+            pipeline.sweep(small_config(tmp_path, n_max=8), (0.2, 0.4))
             assert set(solver.blas_thread_counts().values()) == {2}
         assert len(sector_thread_counts) == 2 + 2 * 2
         assert all(set(counts.values()) == {1} for counts in sector_thread_counts)

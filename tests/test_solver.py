@@ -38,16 +38,11 @@ def flip_every_third(vectors):
 def sector_products(cfg, sector):
     """Every product of one run_sector, as comparable values: arrays as bytes."""
     res = pipeline.run_sector(cfg, sector)
-    lattices = {
-        op: [lat.operator_kind]
-        + [a.tobytes() for a in (lat.energy_over_j, lat.expectation, lat.delta_p)]
-        for op, lat in res.lattices.items()
-    }
     return {
         "energies": res.energies.tobytes(),
         "delta_p": res.report.delta_p.tobytes(),
         "converged_count": res.report.converged_count,
-        "lattices": lattices,
+        "expectations": {op: x.tobytes() for op, x in res.expectations.items()},
         "dos": [a.tobytes() for a in res.dos],
         "markers": res.markers,
         "stats": res.stats,
@@ -60,7 +55,7 @@ def test_products_do_not_depend_on_eigenvector_signs(monkeypatch, j):
     # need no gauge: flipping the sign of every third vector changes no bit
     cfg = pipeline.RunConfig(ham.ModelParams(1.0, 1.0, 1.0, j), n_max=40, sectors=(1,))
     plain = sector_products(cfg, 1)
-    assert plain["markers"] is not None and len(plain["lattices"]) == 3
+    assert plain["markers"] is not None and len(plain["expectations"]) == 3
 
     eigh = solver.eigh
 
