@@ -8,7 +8,8 @@ import numpy as np
 
 from .errors import InsufficientDataError, UnfoldError
 
-DEFAULT_BIN_WIDTH = 0.05
+# E/j bin width of the DoS and the markers of every run.
+BIN_WIDTH = 0.05
 DEFAULT_UNFOLD_DEGREE = 6
 
 # A level this many bin widths or fewer below a grid edge is binned above it.
@@ -31,7 +32,6 @@ class EsqptMarkers:
 
     static_marker: float
     dynamic_marker: float
-    bin_width: float
 
 
 def _grid_bins(x, width):
@@ -56,7 +56,7 @@ def density_of_states(energies, j, bin_width):
     return edges, np.bincount(which, minlength=edges.size - 1)
 
 
-def esqpt_markers(energy_over_j, jz, bin_width=DEFAULT_BIN_WIDTH) -> EsqptMarkers:
+def esqpt_markers(energy_over_j, jz, bin_width=BIN_WIDTH) -> EsqptMarkers:
     """Locate the two slope changes of the bin-averaged Jz Peres lattice, the
     points (energy_over_j[k], jz[k]), inside _MARKER_WINDOW.
 
@@ -111,7 +111,7 @@ def esqpt_markers(energy_over_j, jz, bin_width=DEFAULT_BIN_WIDTH) -> EsqptMarker
     if second is None:
         raise InsufficientDataError("no second slope change beyond the separation limit")
     pos = sorted((centers[first], centers[second]))
-    return EsqptMarkers(static_marker=pos[1], dynamic_marker=pos[0], bin_width=bin_width)
+    return EsqptMarkers(static_marker=pos[1], dynamic_marker=pos[0])
 
 
 def unfold(energies, polynomial_degree=DEFAULT_UNFOLD_DEGREE):

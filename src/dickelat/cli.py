@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: spectrum, lattice, sweep, convergence.  Every flag can
-also come from an INI config file (one section per subcommand); a flag given
-on the command line wins over the file, and a key that names no flag of the
-subcommand is a config error.
+Subcommands: spectrum, lattice, sweep, convergence, each with only the flags
+it reads.  Every flag can also come from an INI config file (one section per
+subcommand); a flag given on the command line wins over the file, and a key
+that names no flag of the subcommand is a config error.
 
 Exit codes: 0 success, 2 config error, 3 capacity, 4 solver (no convergence
 or a failed residual audit), 5 sweep with failed points.
@@ -31,13 +31,8 @@ def build_parser():
     g.add_argument("--gamma", help="coupling; sweep accepts a comma list or lo:hi:n")
     g.add_argument("--gamma-over-gc", help="coupling in units of the critical coupling")
     g.add_argument("--n-atoms", type=int, help="number of two-level atoms (j = N/2)")
-    g.add_argument("--n-max", type=int, help="photon/shell truncation")
     g.add_argument("--sector", choices=sorted(_SECTOR_CHOICES), help="parity sector(s)")
-    g.add_argument("--ops", help="comma list of Peres operators (Jz,Jx2,photon_n)")
-    g.add_argument("--tol-dp", type=float, help="top-shell weight tolerance, in (0, 1)")
-    g.add_argument("--out", help="output directory")
     g.add_argument("--config", help="INI config file; flags override its values")
-    g.add_argument("--bin-width", type=float, help="E/j bin width for DoS and markers")
     g.add_argument("--mem-budget-gib", type=float, help="memory budget of one sector's solve")
 
     parser = argparse.ArgumentParser(
@@ -45,11 +40,22 @@ def build_parser():
         description="Dicke-model exact diagonalization, Peres lattices and chaos diagnostics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("spectrum", parents=[common], help="energies only")
-    sub.add_parser("lattice", parents=[common], help="full pipeline: lattices, DoS, markers, stats")
-    sub.add_parser("sweep", parents=[common], help="one run per coupling plus a summary table")
-    conv = sub.add_parser("convergence", parents=[common], help="top-shell weight profile vs n_max")
-    conv.add_argument("--n-max-list", help="comma list or lo:hi:step of truncations")
+    # flags are spelled out, like INI keys: convergence would read --n-max as --n-max-list
+    cmd = {
+        name: sub.add_parser(name, parents=[common], help=text, allow_abbrev=False)
+        for name, text in (
+            ("spectrum", "energies only"),
+            ("lattice", "full pipeline: lattices, DoS, markers, stats"),
+            ("sweep", "one run per coupling plus a summary table"),
+            ("convergence", "top-shell weight profile vs n_max"),
+        )
+    }
+    for name in ("spectrum", "lattice", "sweep"):
+        cmd[name].add_argument("--n-max", type=int, help="photon/shell truncation")
+        cmd[name].add_argument("--out", help="output directory")
+    for name in ("lattice", "sweep"):
+        cmd[name].add_argument("--ops", help="comma list of Peres operators (Jz,Jx2,photon_n)")
+    cmd["convergence"].add_argument("--n-max-list", help="comma list or lo:hi:step of truncations")
     return parser
 
 
@@ -157,8 +163,6 @@ _RUN_FIELDS = {
     "n-max": ("n_max", int),
     "sector": ("sectors", _sectors),
     "ops": ("ops", _ops),
-    "tol-dp": ("dp_tol", float),
-    "bin-width": ("bin_width", float),
     "out": ("out_dir", lambda text: Path(text) if text else None),
     "mem-budget-gib": ("mem_budget_bytes", lambda text: round(float(text) * 2**30)),
 }
@@ -199,7 +203,7 @@ def _resolve(merged, command):
         for flag, (field, cast) in _RUN_FIELDS.items()
         if flag in merged
     }
-    if command == "spectrum":
+    if command in ("spectrum", "convergence"):
         given["ops"] = ()
     try:
         params = ModelParams(omega=omega, omega0=omega0, gamma=gammas[0], j=j)
@@ -260,7 +264,7 @@ def _cmd_convergence(cfg, merged):
     if not n_list:
         raise ConfigError("the n-max-list is empty")
     # every truncation is checked before the first one is solved
-    points = [replace(cfg, n_max=n_max, ops=(), out_dir=None) for n_max in n_list]
+    points = [replace(cfg, n_max=n_max) for n_max in n_list]
     print("n_max  dim    converged  ground_dp      max_dp(E/j<=1)")
     for point in points:
         result = pipeline.run(point)
@@ -269,7 +273,7 @@ def _cmd_convergence(cfg, merged):
             low = sec.report.delta_p[e_over_j <= 1.0]
             max_low = low.max() if low.size else math.nan
             print(
-                f"{point.n_max:<6d} {sec.dim:<6d} {sec.report.converged_count:<10d} "
+                f"{point.n_max:<6d} {sec.energies.size:<6d} {sec.report.converged_count:<10d} "
                 f"{sec.report.delta_p[0]:<14.3e} {max_low:.3e}"
             )
     return 0

@@ -45,12 +45,12 @@ class ModelParams:
     j: float
 
     def __post_init__(self):
-        if not (self.omega > 0):
-            raise ValueError("omega must be > 0")
-        if self.omega0 < 0:
-            raise ValueError("omega0 must be >= 0")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        if not 0 < self.omega < math.inf:
+            raise ValueError("omega must be finite and > 0")
+        if not 0 <= self.omega0 < math.inf:
+            raise ValueError("omega0 must be finite and >= 0")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be finite and >= 0")
         twoj = 2.0 * self.j
         if twoj <= 0 or twoj != round(twoj):
             raise ValueError("j must be a positive (half-)integer")

@@ -13,6 +13,9 @@ from .solver import Spectrum
 
 PERES_OPS = ("Jz", "Jx2", "photon_n")
 
+# Top-shell weight below which a state is certified, in every run.
+DP_TOLERANCE = 1e-12
+
 # Relative slack of check_bounds, on the scale of the larger finite bound
 # (at least 1), for the rounding of an expectation summed over the basis.
 _BOUNDS_SLACK = 1e-9
@@ -73,7 +76,7 @@ def check_bounds(op_kind: str, values: np.ndarray, j):
         )
 
 
-def delta_p(spectrum: Spectrum, index: BasisIndex, tolerance=1e-12) -> ConvergenceReport:
+def delta_p(spectrum: Spectrum, index: BasisIndex, tolerance=DP_TOLERANCE) -> ConvergenceReport:
     """Truncation-error bound per eigenstate: total probability weight in the
     top retained shell of this run.
 

@@ -29,6 +29,10 @@ from .hamiltonian import ModelParams
 
 SECTOR_DIRS = {1: "plus", -1: "minus"}
 
+# The final name of every file a run writes to a sector directory.
+_SECTOR_FILES = ("manifest.json", "energies.csv", "dos.csv", "markers.json", "stats.json",
+                 *(f"lattice_{op}.csv" for op in observables.PERES_OPS))
+
 # Sectors below this dimension run BLAS on one thread.  numpy and scipy each
 # load their own OpenBLAS, and each leaves its threads spinning after a call,
 # so small sectors pay for two contending pools.  One full lattice run of one
@@ -52,8 +56,6 @@ class RunConfig:
     n_max: int = 250
     sectors: tuple = (1, -1)
     ops: tuple = ("Jz", "Jx2", "photon_n")
-    dp_tol: float = 1e-12
-    bin_width: float = analysis.DEFAULT_BIN_WIDTH
     out_dir: Path | None = None
     mem_budget_bytes: int = hamiltonian.MEMORY_BUDGET_BYTES
 
@@ -65,10 +67,6 @@ class RunConfig:
                 raise ConfigError(f"unknown Peres operator {op!r}")
         if self.n_max < 0:
             raise ConfigError("n_max must be >= 0")
-        if not 0 < self.dp_tol < 1:
-            raise ConfigError("dp_tol must be in (0, 1): it bounds a probability")
-        if not 0 < self.bin_width < math.inf:
-            raise ConfigError("bin_width must be finite and > 0")
         if not self.mem_budget_bytes > 0:
             raise ConfigError("mem_budget_bytes must be > 0")
         if self.out_dir is not None:
@@ -77,7 +75,6 @@ class RunConfig:
 
 @dataclass
 class SectorResult:
-    dim: int
     energies: np.ndarray
     report: observables.ConvergenceReport
     expectations: dict
@@ -86,7 +83,6 @@ class SectorResult:
     markers_error: str | None
     stats: list | None
     residual_report: solver.ResidualReport
-    wall_time_s: float
     timings_s: dict
 
 
@@ -126,7 +122,7 @@ def run_sector(cfg: RunConfig, sector):
     """Full pipeline for one sector; returns an in-memory SectorResult.
 
     timings_s holds the wall time of each consecutive stage (build, solve,
-    certificate, observables, analysis); they sum to wall_time_s.
+    certificate, observables, analysis); their sum is the sector's wall time.
     expectations maps each Peres operator to its per-state values, each
     within the operator's bounds; with energies / j they are its lattice.  A
     run without Peres operators leaves expectations empty and dos, markers
@@ -141,7 +137,7 @@ def run_sector(cfg: RunConfig, sector):
     del matrix
     marks.append(("solve", time.perf_counter()))
 
-    report = observables.delta_p(spectrum, ladder.index, tolerance=cfg.dp_tol)
+    report = observables.delta_p(spectrum, ladder.index)
     marks.append(("certificate", time.perf_counter()))
 
     expectations = {}
@@ -152,14 +148,12 @@ def run_sector(cfg: RunConfig, sector):
 
     dos, markers, markers_error, stats = None, None, None, None
     if cfg.ops:
-        dos = analysis.density_of_states(spectrum.energies, cfg.params.j, cfg.bin_width)
-        converged = report.delta_p < cfg.dp_tol
+        dos = analysis.density_of_states(spectrum.energies, cfg.params.j, analysis.BIN_WIDTH)
+        converged = report.delta_p < observables.DP_TOLERANCE
         e_over_j = spectrum.energies[converged] / cfg.params.j
         if "Jz" in expectations:
             try:
-                markers = analysis.esqpt_markers(
-                    e_over_j, expectations["Jz"][converged], cfg.bin_width
-                )
+                markers = analysis.esqpt_markers(e_over_j, expectations["Jz"][converged])
             except DickelatError as exc:
                 markers_error = str(exc)
         stats = _window_stats(e_over_j)
@@ -167,7 +161,6 @@ def run_sector(cfg: RunConfig, sector):
     marks.append(("analysis", time.perf_counter()))
     timings = {name: t - t_prev for (_, t_prev), (name, t) in zip(marks, marks[1:])}
     return SectorResult(
-        dim=spectrum.dim,
         energies=spectrum.energies,
         report=report,
         expectations=expectations,
@@ -176,7 +169,6 @@ def run_sector(cfg: RunConfig, sector):
         markers_error=markers_error,
         stats=stats,
         residual_report=residual,
-        wall_time_s=marks[-1][1] - marks[0][1],
         timings_s=timings,
     )
 
@@ -244,7 +236,7 @@ def write_sector_files(cfg, sector, result, sector_dir: Path):
                 {
                     "static_marker": result.markers.static_marker,
                     "dynamic_marker": result.markers.dynamic_marker,
-                    "bin_width": result.markers.bin_width,
+                    "bin_width": analysis.BIN_WIDTH,
                 },
                 sort_keys=True,
                 indent=1,
@@ -285,7 +277,7 @@ def _sector_manifest(cfg, gamma, sector, result=None, files=None, error=None):
         "n_atoms": cfg.params.n_atoms,
         "omega": cfg.params.omega,
         "omega0": cfg.params.omega0,
-        "dp_tolerance": cfg.dp_tol,
+        "dp_tolerance": observables.DP_TOLERANCE,
         "files": files or {},
         # one process-wide count: the highest over the loaded OpenBLAS libraries
         "blas_threads": max(solver.blas_thread_counts().values(), default=None),
@@ -294,14 +286,14 @@ def _sector_manifest(cfg, gamma, sector, result=None, files=None, error=None):
     }
     if result is not None:
         man.update(
-            dim=result.dim,
+            dim=result.energies.size,
             converged_count=result.report.converged_count,
             residual_report={
                 "max_residual": result.residual_report.max_residual,
                 "max_ortho_defect": result.residual_report.max_ortho_defect,
                 "h_frobenius": result.residual_report.h_frobenius,
             },
-            wall_time_s=result.wall_time_s,
+            wall_time_s=sum(result.timings_s.values()),
             timings_s=result.timings_s,
         )
         if result.markers_error is not None:
@@ -344,10 +336,11 @@ def _run(cfg):
         gamma_dir = cfg.out_dir / f"gamma={gamma:.12g}"
         sector_dirs = [gamma_dir / SECTOR_DIRS[sector] for sector in cfg.sectors]
         # no earlier run's "ok" manifest may outlive a rerun that dies midway,
-        # nor the temporary files of a run killed while writing
+        # nor a product the rerun does not write, nor the temporary files of a
+        # run killed while writing
         for sector_dir in sector_dirs:
-            for stale in [sector_dir / "manifest.json", *sector_dir.glob(".*.tmp")]:
-                stale.unlink(missing_ok=True)
+            for path in [*map(sector_dir.joinpath, _SECTOR_FILES), *sector_dir.glob(".*.tmp")]:
+                path.unlink(missing_ok=True)
     for sector, sector_dir in zip(cfg.sectors, sector_dirs):
         try:
             result = run_sector(cfg, sector)

@@ -107,40 +107,33 @@ def eigh(matrix: SymmetricMatrix) -> Spectrum:
     rather than over a transposed copy.  The vectors are then copied out and
     H is written back from its row envelopes, saved before the solve, so the
     input is left as it was, also when LAPACK raises.  Any other input (read
-    only, not C-contiguous or not float64) is solved in scipy's copy.
+    only, not C-contiguous or not float64) is first copied into a C-ordered
+    float64 buffer, and the solve runs in that.
 
     Raises SolverError if the LAPACK iteration fails to converge or the
     residual report breaks RESIDUAL_BOUND or ORTHO_BOUND.
     """
     data = matrix.data
-    in_place = (
-        data.dtype == np.float64 and data.flags.c_contiguous and data.flags.writeable
-    )
-    saved = []
-    if in_place:
-        # envelopes of the bit patterns, so a -0.0 is kept like any nonzero
-        saved = [
-            (rows, cols, data[rows, cols].copy())
-            for rows, cols in _row_envelopes(data.view(np.uint64))
-        ]
+    if not (data.dtype == np.float64 and data.flags.c_contiguous and data.flags.writeable):
+        data = np.array(data, dtype=np.float64, order="C")
+    # envelopes of the bit patterns, so a -0.0 is kept like any nonzero
+    saved = [
+        (rows, cols, data[rows, cols].copy())
+        for rows, cols in _row_envelopes(data.view(np.uint64))
+    ]
     try:
         energies, vectors = scipy.linalg.eigh(
-            data.T if in_place else data,
-            driver="evd",
-            check_finite=False,
-            overwrite_a=in_place,
+            data.T, driver="evd", check_finite=False, overwrite_a=True
         )
-        if in_place:
-            vectors = vectors.copy(order="F")
+        vectors = vectors.copy(order="F")
     except scipy.linalg.LinAlgError as exc:
         raise SolverError(
             f"dense eigensolver (evd, dim={matrix.dim}) did not converge: {exc}"
         ) from exc
     finally:
-        if in_place:
-            data.fill(0.0)
-            for rows, cols, block in saved:
-                data[rows, cols] = block
+        data.fill(0.0)
+        for rows, cols, block in saved:
+            data[rows, cols] = block
     del saved
     report = residual_report_for(data, energies, vectors)
     if not report.within_bounds():

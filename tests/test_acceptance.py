@@ -106,7 +106,6 @@ def _superradiant_run(gamma_over_gc):
         n_max=250,
         sectors=(1,),
         ops=("Jz",),
-        dp_tol=DP_TOL,
     )
     result = pipeline.run(cfg)
     audit_manifests(f"run_{gamma_over_gc}gc", result.manifests)

@@ -45,6 +45,13 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ham.ModelParams(omega=0.0, omega0=1.0, gamma=0.1, j=1.0)
 
+    @pytest.mark.parametrize("name", ["omega", "omega0", "gamma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameter_rejected(self, name, value):
+        kw = {"omega": 1.0, "omega0": 1.0, "gamma": 0.1, "j": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ham.ModelParams(**kw)
+
 
 class TestBuildFock:
     def test_zero_coupling_spectrum(self):
@@ -281,7 +288,7 @@ params = hamiltonian.ModelParams(omega=1.0, omega0=1.0, gamma=1.0, j=20.0)
 pipeline.run_sector(pipeline.RunConfig(params, n_max=20, sectors=(1,)), 1)
 baseline = maxrss()
 result = pipeline.run_sector(pipeline.RunConfig(params, n_max=int(sys.argv[1]), sectors=(1,)), 1)
-print(result.dim, maxrss() - baseline)
+print(result.energies.size, maxrss() - baseline)
 """
 
 # Linux starts a child's ru_maxrss at the peak RSS of the process it was
