@@ -6,10 +6,15 @@ operator writes a lattice per operator, the DoS and the gap-ratio statistics,
 plus the ESQPT markers when Jz is among them.  A run with none writes the
 energies only.
 
-A run whose sectors are all smaller than ONE_BLAS_THREAD_BELOW_DIM calls BLAS
-on one thread; larger ones keep the process's thread counts.  A sweep runs
-its couplings one after another, so it holds one sector at a time, as the
-per-sector memory budget assumes."""
+A run or sweep whose sectors are all smaller than ONE_BLAS_THREAD_BELOW_DIM
+calls BLAS on one thread; larger ones keep the process's thread counts.  A
+sector runs in two halves: ladder, build and solve, then certificate,
+observables, analysis and files.  Below the threshold, and when the memory
+budget covers two sectors at once, one worker thread solves each sector
+while the main thread finishes the one before it, in call order (the solve
+drops the GIL), so two sectors are alive at once.  Otherwise the sectors run
+one at a time, and the budget bounds one sector.  Either way the products are
+the same bytes."""
 
 import contextlib
 import hashlib
@@ -17,6 +22,7 @@ import json
 import math
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -118,25 +124,21 @@ def _window_stats(energies_over_j):
     return out
 
 
-def run_sector(cfg: RunConfig, sector):
-    """Full pipeline for one sector; returns an in-memory SectorResult.
-
-    timings_s holds the wall time of each consecutive stage (build, solve,
-    certificate, observables, analysis); their sum is the sector's wall time.
-    expectations maps each Peres operator to its per-state values, each
-    within the operator's bounds; with energies / j they are its lattice.  A
-    run without Peres operators leaves expectations empty and dos, markers
-    and stats None.  When the Jz markers are not found, markers is None and
-    markers_error says why."""
-    marks = [(None, time.perf_counter())]
+def _solve_sector(cfg, sector):
+    """run_sector's first half: the sector's m-ladder, its spectrum and the
+    build and solve times.  H is dropped on return."""
+    t0 = time.perf_counter()
     ladder = hamiltonian.sector_ladder(cfg.params, cfg.n_max, sector, cfg.mem_budget_bytes)
     matrix = hamiltonian.build_sector(ladder)
-    marks.append(("build", time.perf_counter()))
+    t1 = time.perf_counter()
     spectrum = solver.eigh(matrix)
-    residual = spectrum.residual_report
-    del matrix
-    marks.append(("solve", time.perf_counter()))
+    return ladder, spectrum, {"build": t1 - t0, "solve": time.perf_counter() - t1}
 
+
+def _finish_sector(cfg, solved):
+    """run_sector's second half, from _solve_sector's output."""
+    ladder, spectrum, timings = solved
+    marks = [(None, time.perf_counter())]
     report = observables.delta_p(spectrum, ladder.index)
     marks.append(("certificate", time.perf_counter()))
 
@@ -159,7 +161,7 @@ def run_sector(cfg: RunConfig, sector):
         stats = _window_stats(e_over_j)
 
     marks.append(("analysis", time.perf_counter()))
-    timings = {name: t - t_prev for (_, t_prev), (name, t) in zip(marks, marks[1:])}
+    timings.update((name, t - t_prev) for (_, t_prev), (name, t) in zip(marks, marks[1:]))
     return SectorResult(
         energies=spectrum.energies,
         report=report,
@@ -168,9 +170,52 @@ def run_sector(cfg: RunConfig, sector):
         markers=markers,
         markers_error=markers_error,
         stats=stats,
-        residual_report=residual,
+        residual_report=spectrum.residual_report,
         timings_s=timings,
     )
+
+
+def run_sector(cfg: RunConfig, sector):
+    """Full pipeline for one sector; returns an in-memory SectorResult.
+
+    timings_s holds the wall time of each consecutive stage (build, solve,
+    certificate, observables, analysis); their sum is the sector's wall time.
+    expectations maps each Peres operator to its per-state values, each
+    within the operator's bounds; with energies / j they are its lattice.  A
+    run without Peres operators leaves expectations empty and dos, markers
+    and stats None.  When the Jz markers are not found, markers is None and
+    markers_error says why."""
+    return _finish_sector(cfg, _solve_sector(cfg, sector))
+
+
+class _SolveAhead:
+    """Runs the sectors of `jobs`, the (RunConfig, sector) pairs of a run or
+    sweep in call order.  Each job's _solve_sector runs on the one worker of
+    `pool`, started when the job before it is handed to the caller, so it
+    overlaps that job's second half and files.  Jobs are taken in list
+    order; a job passed over (the later sectors of a failed point) has its
+    solve, if started, waited for and dropped.  So at most two sectors are
+    alive at once."""
+
+    def __init__(self, pool, jobs):
+        self._pool = pool
+        self._jobs = jobs
+        self._index = {(id(cfg), sector): k for k, (cfg, sector) in enumerate(jobs)}
+        self._pending = (None, None)  # (job index, future of its _solve_sector)
+
+    def run_sector(self, cfg, sector):
+        """run_sector(cfg, sector), its solve done on the worker."""
+        k = self._index[id(cfg), sector]
+        ahead, future = self._pending
+        self._pending = (None, None)
+        if ahead != k:
+            if future is not None:
+                future.exception()  # a passed-over job's solve: wait for it, drop it
+            future = self._pool.submit(_solve_sector, cfg, sector)
+        solved = future.result()
+        if k + 1 < len(self._jobs):
+            self._pending = (k + 1, self._pool.submit(_solve_sector, *self._jobs[k + 1]))
+        return _finish_sector(cfg, solved)
 
 
 # ---------------------------------------------------------------------------
@@ -310,24 +355,40 @@ def _write_manifest(sector_dir: Path, man):
     )
 
 
-def _blas_scope(cfg):
-    """One BLAS thread when every sector of `cfg` is below
-    ONE_BLAS_THREAD_BELOW_DIM.  The count then depends on the config alone."""
+@contextlib.contextmanager
+def _sector_runner(points):
+    """The function (cfg, sector) -> SectorResult that runs the sectors of
+    `points`, the configs of one run or of a sweep's couplings (they share j,
+    n_max, sectors and the budget).  When every sector is below
+    ONE_BLAS_THREAD_BELOW_DIM, BLAS runs on one thread for the whole block,
+    the count then depending on the config alone; when there are two sectors
+    or more and the budget covers two at once, each solve runs one ahead on
+    a worker thread (_SolveAhead), joined before the block ends.  Otherwise
+    it is run_sector."""
+    cfg = points[0]
     dim = max(basis_size(BasisSpec(cfg.params.j, cfg.n_max, s)) for s in cfg.sectors)
-    if dim < ONE_BLAS_THREAD_BELOW_DIM:
-        return solver.blas_threads(1)
-    return contextlib.nullcontext()
+    jobs = [(p, s) for p in points for s in p.sectors]
+    if dim >= ONE_BLAS_THREAD_BELOW_DIM:
+        yield run_sector
+        return
+    with solver.blas_threads(1):
+        if len(jobs) < 2 or 2 * hamiltonian.footprint_bytes(dim) > cfg.mem_budget_bytes:
+            yield run_sector
+            return
+        with ThreadPoolExecutor(1, thread_name_prefix="dickelat-solve") as pool:
+            yield _SolveAhead(pool, jobs).run_sector
 
 
 def run(cfg: RunConfig) -> RunResult:
     """Execute one run (all requested sectors) and persist products under
     out_dir/<gamma>/<sector>/.  Raises on failure after flushing a manifest
     with a failure marker."""
-    with _blas_scope(cfg):
-        return _run(cfg)
+    with _sector_runner([cfg]) as run_one:
+        return _run(cfg, run_one)
 
 
-def _run(cfg):
+def _run(cfg, run_one):
+    """run's body, with each sector's result from run_one(cfg, sector)."""
     gamma = cfg.params.gamma
     results, manifests = [], []
     gamma_dir = None
@@ -343,7 +404,7 @@ def _run(cfg):
                 path.unlink(missing_ok=True)
     for sector, sector_dir in zip(cfg.sectors, sector_dirs):
         try:
-            result = run_sector(cfg, sector)
+            result = run_one(cfg, sector)
             files = {}
             if sector_dir is not None:
                 files = write_sector_files(cfg, sector, result, sector_dir)
@@ -392,23 +453,24 @@ def _summary_row(cfg, gamma, result: RunResult | None, error=None):
 
 
 def sweep(cfg: RunConfig, gammas):
-    """One run of `cfg` per coupling in the non-empty `gammas`, one after
-    another; per-point failures are isolated.  Returns (results,
-    summary_rows) where a failed point appears as (gamma, exception) in
-    results."""
+    """One run of `cfg` per coupling in the non-empty `gammas`, in order and
+    in one _sector_runner; per-point failures are isolated.  Returns
+    (results, summary_rows) where a failed point appears as (gamma,
+    exception) in results."""
     if not gammas:
         raise ConfigError("a sweep needs at least one coupling")
+    points = [replace(cfg, params=replace(cfg.params, gamma=g)) for g in gammas]
     results, rows = [], []
-    for g in gammas:
-        point_cfg = replace(cfg, params=replace(cfg.params, gamma=g))
-        try:
-            result = run(point_cfg)
-        except Exception as exc:
-            rows.append(_summary_row(point_cfg, g, None, error=exc))
-            results.append((g, exc))
-        else:
-            rows.append(_summary_row(point_cfg, g, result))
-            results.append(result)
+    with _sector_runner(points) as run_one:
+        for g, point in zip(gammas, points):
+            try:
+                result = _run(point, run_one)
+            except Exception as exc:
+                rows.append(_summary_row(point, g, None, error=exc))
+                results.append((g, exc))
+            else:
+                rows.append(_summary_row(point, g, result))
+                results.append(result)
 
     if cfg.out_dir is not None:
         header = list(rows[0])

@@ -1,9 +1,11 @@
 """Full dense real-symmetric eigendecomposition with an auditable accuracy report.
 
-The heavy lifting is delegated to LAPACK through scipy; the contract here is
-the residual bound (max ||H v - E v|| <= 1e-10 ||H||_F) and the orthonormality
-defect (<= 1e-10), both recorded on every Spectrum.  The audit multiplies H
-one row chunk at a time over that chunk's nonzero column envelope, so banded
+The heavy lifting is LAPACK's dsyevd, called through the function pointer
+that scipy.linalg.cython_lapack publishes, so the solve drops the GIL and
+another thread can run beside it.  The contract here is the residual bound
+(max ||H v - E v|| <= 1e-10 ||H||_F) and the orthonormality defect
+(<= 1e-10), both recorded on every Spectrum.  The audit multiplies H one row
+chunk at a time over that chunk's nonzero column envelope, so banded
 matrices cost a fraction of a dense GEMM while every nonzero still counts.
 
 numpy and scipy may each load their own OpenBLAS; `blas_threads` sets the
@@ -18,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.cython_lapack
 
 from .basis import BasisSpec
 from .errors import SolverError
@@ -36,6 +38,27 @@ _ROW_CHUNK = 64
 # symbols that OpenBLAS builds export: plain, scipy-openblas, and
 # scipy-openblas with the ILP64 suffix.
 _OPENBLAS_SYMBOLS = (("openblas_", ""), ("scipy_openblas_", ""), ("scipy_openblas_", "64_"))
+
+
+def _cython_lapack(name, *argtypes):
+    """scipy's LAPACK routine `name` as a ctypes function of `argtypes`,
+    returning void: the pointer in the capsule that
+    scipy.linalg.cython_lapack publishes for it.  A ctypes call drops the GIL."""
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api)
+    )
+    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
+
+
+_INT = ctypes.POINTER(ctypes.c_int)
+# dsyevd(jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info)
+_DSYEVD = _cython_lapack(
+    "dsyevd", ctypes.c_char_p, ctypes.c_char_p, _INT, ctypes.c_void_p, _INT, ctypes.c_void_p,
+    ctypes.c_void_p, _INT, ctypes.c_void_p, _INT, _INT,
+)
 
 
 @dataclass
@@ -97,10 +120,40 @@ def residual_report_for(hmat: np.ndarray, energies, vectors) -> ResidualReport:
     return ResidualReport(max_resid, max_ortho, h_frob)
 
 
+def _dsyevd(a, w):
+    """LAPACK's dsyevd with jobz V and uplo L on the Fortran-ordered square
+    float64 `a`: the ascending eigenvalues into `w`, the eigenvectors over
+    `a`.  The workspace is what a workspace query returns, as in
+    scipy.linalg.eigh.  Returns LAPACK's info."""
+    n = a.shape[0]
+    if not (
+        a.shape == (n, n) and a.dtype == np.float64 and a.flags.f_contiguous
+        and a.flags.writeable and w.shape == (n,) and w.dtype == np.float64
+        and w.flags.c_contiguous and w.flags.writeable
+    ):
+        raise ValueError("dsyevd takes a writeable Fortran-ordered square float64 matrix "
+                         "and a writeable float64 vector of its order")
+    info = ctypes.c_int(0)
+
+    def call(work, lwork, iwork, liwork):
+        _DSYEVD(b"V", b"L", ctypes.c_int(n), a.ctypes.data, ctypes.c_int(max(1, n)),
+                w.ctypes.data, work.ctypes.data, ctypes.c_int(lwork), iwork.ctypes.data,
+                ctypes.c_int(liwork), info)
+        return info.value
+
+    work, iwork = np.zeros(1), np.zeros(1, dtype=np.intc)
+    if call(work, -1, iwork, -1):
+        return info.value
+    lwork, liwork = int(work[0]), int(iwork[0])
+    return call(np.empty(lwork), lwork, np.empty(liwork, dtype=np.intc), liwork)
+
+
 def eigh(matrix: SymmetricMatrix) -> Spectrum:
     """All eigenpairs of a SymmetricMatrix, ascending, from LAPACK's
-    divide-and-conquer driver (evd, the measured fastest).  Each vector's sign
-    is LAPACK's: every product is a quadratic form in one vector.
+    divide-and-conquer driver (evd, the measured fastest), bit for bit what
+    scipy.linalg.eigh(driver="evd") returns, but without holding the GIL.
+    Each vector's sign is LAPACK's: every product is a quadratic form in one
+    vector.
 
     The solve runs in the matrix's own buffer.  H is exactly symmetric, so
     data.T is H in Fortran order, and LAPACK writes the vectors over it
@@ -111,7 +164,8 @@ def eigh(matrix: SymmetricMatrix) -> Spectrum:
     float64 buffer, and the solve runs in that.
 
     Raises SolverError if the LAPACK iteration fails to converge or the
-    residual report breaks RESIDUAL_BOUND or ORTHO_BOUND.
+    residual report breaks RESIDUAL_BOUND or ORTHO_BOUND, and RuntimeError if
+    LAPACK rejects an argument.
     """
     data = matrix.data
     if not (data.dtype == np.float64 and data.flags.c_contiguous and data.flags.writeable):
@@ -122,14 +176,16 @@ def eigh(matrix: SymmetricMatrix) -> Spectrum:
         for rows, cols in _row_envelopes(data.view(np.uint64))
     ]
     try:
-        energies, vectors = scipy.linalg.eigh(
-            data.T, driver="evd", check_finite=False, overwrite_a=True
-        )
-        vectors = vectors.copy(order="F")
-    except scipy.linalg.LinAlgError as exc:
-        raise SolverError(
-            f"dense eigensolver (evd, dim={matrix.dim}) did not converge: {exc}"
-        ) from exc
+        energies = np.empty(matrix.dim)
+        info = _dsyevd(data.T, energies)
+        if info > 0:
+            raise SolverError(
+                f"dense eigensolver (evd, dim={matrix.dim}) did not converge: "
+                f"dsyevd info {info}"
+            )
+        if info < 0:
+            raise RuntimeError(f"dsyevd rejected argument {-info}")
+        vectors = data.T.copy(order="F")
     finally:
         data.fill(0.0)
         for rows, cols, block in saved:

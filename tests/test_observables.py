@@ -266,7 +266,7 @@ class TestParity:
         assert int(np.sum(pexp > 0)) == int(np.sum(wp <= e_cut))
         assert int(np.sum(pexp < 0)) == int(np.sum(wm <= e_cut))
 
-    def test_parity_labels_coherent_matches_fock(self):
+    def test_sector_labels_match_fock_parity(self):
         # state-by-state: the sector labels of the merged parity spectra agree
         # with the Fock-basis parity of the same levels
         p = params(0.45, 1.5)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import scipy
 from dickelat import cli, hamiltonian, observables, pipeline, solver
 from dickelat.basis import BasisSpec, basis_size, enumerate_basis
 from dickelat.cli import main
-from dickelat.errors import CapacityError, ConfigError
+from dickelat.errors import CapacityError, ConfigError, SolverError
 from dickelat.hamiltonian import ModelParams
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -246,10 +247,11 @@ class TestPipelineRun:
         orphan = gamma_dir / "plus" / ".energies.csv.123-456.tmp"
         orphan.write_text("index,energy\n0,")
 
-        def killed(cfg, sector):
+        def killed(*args):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(pipeline, "run_sector", killed)
+        # the first call of each sector, on whichever thread solves it
+        monkeypatch.setattr(hamiltonian, "sector_ladder", killed)
         with pytest.raises(KeyboardInterrupt):
             pipeline.run(small_config(tmp_path, n_max=12))
         # neither the sector that died nor the one never reached looks complete
@@ -294,7 +296,7 @@ class TestPipelineRun:
         with pytest.raises(ConfigError, match="at least one coupling"):
             pipeline.sweep(small_config(tmp_path), [])
 
-    def test_sweep_concurrent_workers(self, tmp_path):
+    def test_sweep_results_follow_coupling_order(self, tmp_path):
         cfg = small_config(tmp_path, n_max=12, ops=())
         results, rows = pipeline.sweep(cfg, (0.2, 0.3, 0.4))
         assert [row["status"] for row in rows] == ["ok"] * 3
@@ -302,14 +304,14 @@ class TestPipelineRun:
         grounds = [min(s.energies[0] for s in r.sectors) for r in results]
         assert grounds == sorted(grounds, reverse=True)
 
-    def test_concurrent_sweep_leaves_default_budget(self, tmp_path):
+    def test_sweep_leaves_default_budget(self, tmp_path):
         default = hamiltonian.MEMORY_BUDGET_BYTES
         cfg = small_config(tmp_path, n_max=12, ops=(), mem_budget_bytes=2**30)
         _, rows = pipeline.sweep(cfg, (0.2, 0.3, 0.4, 0.5))
         assert [row["status"] for row in rows] == ["ok"] * 4
         assert hamiltonian.MEMORY_BUDGET_BYTES == default
 
-    def test_concurrent_sweep_budget_below_every_matrix(self, tmp_path):
+    def test_sweep_budget_below_every_matrix_fails_each_point(self, tmp_path):
         cfg = small_config(tmp_path, n_max=12, ops=(), mem_budget_bytes=1000)
         results, rows = pipeline.sweep(cfg, (0.2, 0.3, 0.4, 0.5))
         assert [row["status"] for row in rows] == ["failed"] * 4
@@ -349,6 +351,106 @@ class TestPipelineRun:
                 missing += 1
                 assert man["markers_error"], path
         assert 0 < missing < 32
+
+
+class TestSolveAhead:
+    """A small sweep solves each sector on a worker thread one ahead of the
+    previous sector's products; a budget that admits one sector but not two
+    runs it one sector at a time.  The two must be indistinguishable."""
+
+    GAMMAS = (0.2, 0.4, 0.6, 0.8)
+
+    @staticmethod
+    def config(out_dir, budget=hamiltonian.MEMORY_BUDGET_BYTES):
+        params = ModelParams(omega=1.0, omega0=1.0, gamma=0.1, j=2.0)
+        return pipeline.RunConfig(params, n_max=12, out_dir=out_dir, mem_budget_bytes=budget)
+
+    @staticmethod
+    def one_sector_budget():
+        dim = max(basis_size(BasisSpec(2.0, 12, s)) for s in (1, -1))
+        return hamiltonian.footprint_bytes(dim)
+
+    @staticmethod
+    def recorded_sweep(cfg, monkeypatch, fail_call=None):
+        """sweep(cfg, GAMMAS) with every solver.eigh call recorded as perfbench
+        records it (the sector and a digest of H), plus whether it ran on the
+        main thread; call number `fail_call` raises SolverError instead."""
+        calls = []
+        eigh = solver.eigh
+
+        def recorder(matrix):
+            calls.append((
+                matrix.basis, hashlib.sha256(matrix.data.tobytes()).hexdigest(),
+                threading.current_thread() is threading.main_thread(),
+            ))
+            if len(calls) - 1 == fail_call:
+                raise SolverError("injected failure")
+            return eigh(matrix)
+
+        monkeypatch.setattr(solver, "eigh", recorder)
+        threads = threading.active_count()
+        _, rows = pipeline.sweep(cfg, TestSolveAhead.GAMMAS)
+        # the worker is joined before sweep returns
+        assert threading.active_count() == threads
+        monkeypatch.setattr(solver, "eigh", eigh)
+        out = cfg.out_dir
+        files = {
+            str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file() and p.name != "manifest.json"
+        }
+        manifests = {}
+        for path in sorted(out.rglob("manifest.json")):
+            man = json.loads(path.read_text())
+            manifests[str(path.relative_to(out))] = (man["status"], man["files"], man.get("error"))
+        statuses = [row["status"] for row in rows]
+        return files, manifests, statuses, calls
+
+    @pytest.mark.parametrize("fail_call", [None, 2], ids=["ok", "second-coupling-plus-fails"])
+    def test_matches_one_sector_at_a_time(self, tmp_path, monkeypatch, fail_call):
+        ahead = self.recorded_sweep(self.config(tmp_path / "ahead"), monkeypatch, fail_call)
+        serial = self.recorded_sweep(
+            self.config(tmp_path / "serial", self.one_sector_budget()), monkeypatch, fail_call
+        )
+        files, manifests, statuses, calls = ahead
+        assert "summary.csv" in files and len(manifests) == 8 - (fail_call is not None)
+        assert statuses == (["ok"] * 4 if fail_call is None else ["ok", "failed", "ok", "ok"])
+        # products, summary.csv, manifests and the solve sequence are the same
+        assert ahead[:3] == serial[:3]
+        assert [c[:2] for c in calls] == [c[:2] for c in serial[3]]
+        # every solve ran on the worker, or on the main thread under the budget
+        assert not any(main for *_, main in calls)
+        assert all(main for *_, main in serial[3])
+        if fail_call is not None:
+            man = manifests["gamma=0.4/plus/manifest.json"]
+            assert man[0] == "failed" and "injected failure" in man[2]
+            assert "gamma=0.4/minus/manifest.json" not in manifests
+
+    def test_failed_products_discard_the_solve_ahead(self, tmp_path, monkeypatch):
+        # the second coupling's + sector fails after its solve, while its -
+        # sector is already being solved: that solve is dropped, and the
+        # later couplings still get their own sectors
+        write_text = pipeline._write_text
+
+        def full_disk(path, text):
+            if path.parent.parent.name == "gamma=0.4" and path.name == "energies.csv":
+                raise OSError("disk full")
+            return write_text(path, text)
+
+        monkeypatch.setattr(pipeline, "_write_text", full_disk)
+        files, manifests, statuses, calls = self.recorded_sweep(
+            self.config(tmp_path / "ahead"), monkeypatch
+        )
+        serial = self.recorded_sweep(
+            self.config(tmp_path / "serial", self.one_sector_budget()), monkeypatch
+        )
+        assert statuses == ["ok", "failed", "ok", "ok"]
+        assert (files, manifests, statuses) == serial[:3]
+        assert "disk full" in manifests["gamma=0.4/plus/manifest.json"][2]
+        # the dropped solve is the one extra call
+        sectors = [(c[0].parity_sector, c[1]) for c in calls]
+        assert len(calls) == len(serial[3]) + 1
+        assert sectors[:3] + sectors[4:] == [(c[0].parity_sector, c[1]) for c in serial[3]]
+        assert sectors[3][0] == -1
 
 
 class TestConfigValidation:
@@ -476,12 +578,10 @@ class TestCli:
         assert err.rstrip().endswith("budget is 1 B")
 
     def test_solver_exit_code(self, monkeypatch):
-        import scipy.linalg
+        def boom(a, w):
+            return 3  # dsyevd's info > 0: the iteration failed to converge
 
-        def boom(*a, **k):
-            raise scipy.linalg.LinAlgError("iteration failed to converge")
-
-        monkeypatch.setattr(scipy.linalg, "eigh", boom)
+        monkeypatch.setattr(solver, "_dsyevd", boom)
         code = self.run_cli("spectrum", "--n-atoms", "2", "--gamma", "0.3", "--n-max", "8")
         assert code == 4
 
@@ -712,15 +812,16 @@ def blas_pools():
 
 @pytest.fixture
 def sector_thread_counts(monkeypatch):
-    """The BLAS thread counts each run_sector call starts with."""
+    """The BLAS thread counts each sector starts with: its sector_ladder call,
+    on whichever thread solves it."""
     seen = []
-    run_sector = pipeline.run_sector
+    sector_ladder = hamiltonian.sector_ladder
 
-    def spy(cfg, sector):
+    def spy(*args):
         seen.append(solver.blas_thread_counts())
-        return run_sector(cfg, sector)
+        return sector_ladder(*args)
 
-    monkeypatch.setattr(pipeline, "run_sector", spy)
+    monkeypatch.setattr(hamiltonian, "sector_ladder", spy)
     return seen
 
 

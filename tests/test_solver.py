@@ -1,3 +1,5 @@
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -361,11 +363,120 @@ class TestInPlaceSolve:
         m = self.production()
         before = m.data.tobytes()
 
-        def scribble_then_fail(a, **kwargs):
+        def scribble_then_fail(a, w):
             a[...] = np.nan
-            raise scipy.linalg.LinAlgError("iteration failed to converge")
+            return 7  # info > 0: the iteration failed to converge
 
-        monkeypatch.setattr(scipy.linalg, "eigh", scribble_then_fail)
+        monkeypatch.setattr(solver, "_dsyevd", scribble_then_fail)
         with pytest.raises(SolverError, match="did not converge"):
             solver.eigh(m)
         assert m.data.tobytes() == before
+
+
+def scipy_evd(mat):
+    """The reference solve: scipy.linalg.eigh with the evd driver."""
+    return scipy.linalg.eigh(mat, driver="evd", check_finite=False)
+
+
+class TestLapackCall:
+    """eigh calls dsyevd through scipy's cython_lapack pointer: the same
+    LAPACK as scipy.linalg.eigh, without the GIL."""
+
+    @staticmethod
+    def sector(j, n_max, gamma=1.0):
+        return ham.build_coherent_parity(ham.ModelParams(1.0, 1.0, gamma, j), n_max, 1)
+
+    @pytest.mark.parametrize(
+        "threads, make",
+        [
+            (1, lambda: wrap([[2.5]])),
+            (1, lambda: wrap([[0.0, 1.0], [1.0, 0.0]])),
+            (1, lambda: TestLapackCall.sector(10.0, 40)),
+            (1, lambda: TestLapackCall.sector(10.5, 40)),
+            (2, lambda: TestLapackCall.sector(20.0, 60)),
+        ],
+        ids=["dim-1", "dim-2", "integer-j", "half-integer-j", "above-1024"],
+    )
+    def test_bit_identical_to_scipy_evd(self, threads, make):
+        m = make()
+        if threads == 2:
+            assert m.dim > pipeline.ONE_BLAS_THREAD_BELOW_DIM
+        with solver.blas_threads(threads):
+            want_e, want_v = scipy_evd(m.data)
+            got = solver.eigh(m)
+        assert got.energies.tobytes() == want_e.tobytes()
+        assert got.vectors.tobytes() == want_v.tobytes()
+
+    def test_workspace_is_scipy_query(self, monkeypatch):
+        # the solve gets the workspace dsyevd_lwork reports, at sizes where it
+        # exceeds the 1 + 6n + 2n^2 floor (small n) and where it equals it
+        lwork = scipy.linalg.get_lapack_funcs("syevd_lwork", dtype=np.float64)
+        sizes = []
+        call = solver._DSYEVD
+
+        def spy(jobz, uplo, n, a, lda, w, work, lwork_arg, iwork, liwork, info):
+            sizes.append((lwork_arg.value, liwork.value))
+            call(jobz, uplo, n, a, lda, w, work, lwork_arg, iwork, liwork, info)
+
+        monkeypatch.setattr(solver, "_DSYEVD", spy)
+        for n in (2, 10, 431):
+            sizes.clear()
+            a = np.eye(n, order="F")
+            assert solver._dsyevd(a, np.empty(n)) == 0
+            want = lwork(n, compute_v=1, lower=1)
+            assert sizes == [(-1, -1), (int(want[0]), want[1])]
+        assert sizes[1] == (1 + 6 * 431 + 2 * 431**2, 3 + 5 * 431)
+
+    @pytest.mark.parametrize(
+        "a, w",
+        [
+            (np.eye(3, order="F"), np.empty(2)),
+            (np.eye(3, order="F"), np.empty(6)[::2]),
+            (np.eye(3, order="F", dtype=np.float32), np.empty(3)),
+            (np.eye(4, order="F")[:, ::2][:2], np.empty(2)),
+            (np.ones((3, 2), order="F"), np.empty(3)),
+        ],
+        ids=["short-w", "strided-w", "float32", "strided-a", "not-square"],
+    )
+    def test_bad_buffers_are_refused_before_lapack(self, monkeypatch, a, w):
+        def never(*args):
+            raise AssertionError("LAPACK called")
+
+        monkeypatch.setattr(solver, "_DSYEVD", never)
+        with pytest.raises(ValueError, match="dsyevd takes"):
+            solver._dsyevd(a, w)
+
+    def test_illegal_argument_raises_and_restores(self, monkeypatch):
+        m = TestInPlaceSolve.production()
+        before = m.data.tobytes()
+        monkeypatch.setattr(solver, "_dsyevd", lambda a, w: -4)
+        with pytest.raises(RuntimeError, match="rejected argument 4"):
+            solver.eigh(m)
+        assert m.data.tobytes() == before
+
+    def test_solve_releases_the_gil(self):
+        # while one thread is inside dsyevd, another keeps running Python
+        # code: no gap between its clock reads spans the solve (a call that
+        # held the GIL left one gap as long as the whole 0.45 s solve)
+        m = self.sector(20.0, 60)
+        ticks = []
+        done = threading.Event()
+
+        def count():
+            while not done.is_set():
+                ticks.append(time.perf_counter())
+
+        a = np.array(m.data.T, order="F")
+        with solver.blas_threads(1):
+            counter = threading.Thread(target=count)
+            counter.start()
+            try:
+                t0 = time.perf_counter()
+                solver._dsyevd(a, np.empty(m.dim))
+                t1 = time.perf_counter()
+            finally:
+                done.set()
+                counter.join(timeout=10)
+        assert not counter.is_alive()
+        reads = [t0, *(t for t in ticks if t0 < t < t1), t1]
+        assert max(b - a for a, b in zip(reads, reads[1:])) < (t1 - t0) / 4
