@@ -1,16 +1,15 @@
 """Spectral diagnostics on plain arrays: density of states, the slope-change
-(ESQPT) markers of a Jz Peres lattice, unfolding and the mean
-consecutive-gap ratio."""
+(ESQPT) markers of a Jz Peres lattice and the mean consecutive-gap ratio of
+raw levels, which needs no unfolding."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, UnfoldError
+from .errors import InsufficientDataError
 
 # E/j bin width of the DoS and the markers of every run.
 BIN_WIDTH = 0.05
-DEFAULT_UNFOLD_DEGREE = 6
 
 # A level this many bin widths or fewer below a grid edge is binned above it.
 # Degenerate levels on an edge then land together whatever their rounding.
@@ -114,39 +113,6 @@ def esqpt_markers(energy_over_j, jz, bin_width=BIN_WIDTH) -> EsqptMarkers:
     return EsqptMarkers(static_marker=pos[1], dynamic_marker=pos[0])
 
 
-def unfold(energies, polynomial_degree=DEFAULT_UNFOLD_DEGREE):
-    """Map a sorted spectrum to unit mean level spacing.
-
-    The cumulative level count is fit with a polynomial of the given degree
-    (on a scaled domain) and the energies are passed through the fit; an
-    affine rescale then pins the mean spacing to exactly one.  Raises
-    UnfoldError when the fit is rank-deficient or the mapping is not
-    monotone.
-    """
-    e = np.asarray(energies, dtype=float)
-    if e.size < 50:
-        raise ValueError("unfolding needs at least 50 levels")
-    if np.any(np.diff(e) < 0):
-        raise ValueError("energies must be sorted ascending")
-    counts = np.arange(e.size) + 0.5
-    series, diag = np.polynomial.Polynomial.fit(e, counts, polynomial_degree, full=True)
-    rank, sv = diag[1], diag[2]
-    if rank < polynomial_degree + 1:
-        raise UnfoldError(
-            f"rank-deficient staircase fit: rank {rank} < {polynomial_degree + 1}, "
-            f"singular values {sv}"
-        )
-    mapped = series(e)
-    if np.any(np.diff(mapped) < 0):
-        raise UnfoldError(
-            f"degree-{polynomial_degree} staircase fit is not monotone on the sample"
-        )
-    span = mapped[-1] - mapped[0]
-    if span <= 0:
-        raise UnfoldError("unfolded spectrum has zero span")
-    return (mapped - mapped[0]) * ((e.size - 1) / span)
-
-
 def drop_degenerate(energies):
     """Collapse runs of levels spaced at most _DEGENERATE_GAP apart to a
     single representative level.
@@ -164,8 +130,9 @@ def drop_degenerate(energies):
 def mean_gap_ratio(energies):
     """Mean consecutive-gap ratio <min(s_i, s_i+1) / max(s_i, s_i+1)> of
     sorted levels (~0.386 for uncorrelated levels, ~0.53 under level
-    repulsion).  The local level density cancels from each ratio, so it
-    can be taken with or without unfolding."""
+    repulsion).  The local level density cancels from each ratio, so raw
+    levels need no unfolding (Oganesyan and Huse, PRB 75, 155111 (2007);
+    Atas et al., PRL 110, 084101 (2013))."""
     s = np.diff(np.asarray(energies, dtype=float))
     if s.size < 2:
         raise ValueError("need at least three levels")

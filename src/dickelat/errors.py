@@ -17,9 +17,5 @@ class SolverError(DickelatError):
     """Dense eigensolver failed to converge."""
 
 
-class UnfoldError(DickelatError):
-    """Spectral unfolding fit is ill-conditioned or non-monotone."""
-
-
 class InsufficientDataError(DickelatError):
     """Too few data points for the requested analysis."""

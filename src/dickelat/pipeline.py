@@ -101,8 +101,8 @@ class RunResult:
 
 
 def _window_stats(energies_over_j):
-    """Mean gap ratio per STAT_WINDOWS window on a converged, single-sector
-    spectrum."""
+    """Mean gap ratio of the raw levels, degenerate ones dropped, per
+    STAT_WINDOWS window on a converged, single-sector spectrum."""
     out = []
     for lo, hi in STAT_WINDOWS:
         lo_v = -math.inf if lo is None else lo
@@ -113,13 +113,7 @@ def _window_stats(energies_over_j):
         if sel.size < 50:
             entry["skipped"] = "fewer than 50 levels"
         else:
-            try:
-                entry["mean_ratio"] = analysis.mean_gap_ratio(analysis.unfold(sel))
-                entry["unfolded"] = True
-            except DickelatError as exc:
-                entry["mean_ratio"] = analysis.mean_gap_ratio(sel)
-                entry["unfolded"] = False
-                entry["note"] = f"unfolding fell back to raw spacings: {exc}"
+            entry["mean_ratio"] = analysis.mean_gap_ratio(sel)
         out.append(entry)
     return out
 
@@ -456,7 +450,8 @@ def sweep(cfg: RunConfig, gammas):
     """One run of `cfg` per coupling in the non-empty `gammas`, in order and
     in one _sector_runner; per-point failures are isolated.  Returns
     (results, summary_rows) where a failed point appears as (gamma,
-    exception) in results."""
+    exception) in results.  The exception is stored without its traceback,
+    whose frames would keep the point's matrices alive."""
     if not gammas:
         raise ConfigError("a sweep needs at least one coupling")
     points = [replace(cfg, params=replace(cfg.params, gamma=g)) for g in gammas]
@@ -467,7 +462,7 @@ def sweep(cfg: RunConfig, gammas):
                 result = _run(point, run_one)
             except Exception as exc:
                 rows.append(_summary_row(point, g, None, error=exc))
-                results.append((g, exc))
+                results.append((g, exc.with_traceback(None)))
             else:
                 rows.append(_summary_row(point, g, result))
                 results.append(result)

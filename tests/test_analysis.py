@@ -115,35 +115,6 @@ class TestMarkers:
             analysis.esqpt_markers(np.array([0.0, 0.01, 0.02]), np.zeros(3), bin_width=0.05)
 
 
-class TestUnfold:
-    def test_equally_spaced_degree_one(self):
-        e = np.linspace(3.0, 14.0, 80)
-        out = analysis.unfold(e, polynomial_degree=1)
-        assert np.allclose(np.diff(out), 1.0, atol=1e-10)
-
-    def test_mean_spacing_exactly_one(self):
-        rng = np.random.default_rng(0)
-        e = np.sort(rng.uniform(0, 100, 400))
-        out = analysis.unfold(e, polynomial_degree=6)
-        assert np.mean(np.diff(out)) == pytest.approx(1.0, abs=1e-10)
-
-    def test_monotone_output(self):
-        rng = np.random.default_rng(2)
-        e = np.sort(rng.uniform(0, 50, 300))
-        out = analysis.unfold(e, polynomial_degree=6)
-        assert np.all(np.diff(out) >= 0)
-
-    def test_too_few_levels_rejected(self):
-        with pytest.raises(ValueError):
-            analysis.unfold(np.arange(10.0))
-
-    def test_unsorted_rejected(self):
-        e = np.linspace(0, 10, 60)
-        e[5], e[6] = e[6], e[5]
-        with pytest.raises(ValueError):
-            analysis.unfold(e)
-
-
 class TestSpacingStats:
     """The spacing statistic the pipeline reports: the mean gap ratio."""
 

@@ -1,18 +1,21 @@
 import configparser
+import csv
 import errno
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import threading
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
-from dickelat import cli, hamiltonian, observables, pipeline, solver
+from dickelat import analysis, cli, hamiltonian, observables, pipeline, solver
 from dickelat.basis import BasisSpec, basis_size, enumerate_basis
 from dickelat.cli import main
 from dickelat.errors import CapacityError, ConfigError, SolverError
@@ -31,6 +34,27 @@ def small_config(tmp_path, **kw):
     )
     defaults.update(kw)
     return pipeline.RunConfig(**defaults)
+
+
+def _reachable_arrays(root):
+    """Every ndarray reachable from `root` through objects, exceptions,
+    tracebacks and the locals of their frames; modules, classes, functions
+    and the callers of a frame are not followed."""
+    seen, todo, arrays = set(), [root], []
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(
+            obj, (type, types.ModuleType, types.FunctionType, types.CodeType)
+        ):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif isinstance(obj, types.FrameType):
+            todo.extend(obj.f_locals.values())
+        else:
+            todo.extend(gc.get_referents(obj))
+    return arrays
 
 
 class TestPipelineRun:
@@ -316,6 +340,61 @@ class TestPipelineRun:
         results, rows = pipeline.sweep(cfg, (0.2, 0.3, 0.4, 0.5))
         assert [row["status"] for row in rows] == ["failed"] * 4
         assert all(isinstance(r[1], CapacityError) for r in results)
+
+    def test_stats_are_raw_gap_ratios_of_certified_levels(self, tmp_path):
+        # j = 10 at gamma_c / 2: one level below E/j = -1, 115 between -1 and 1
+        params = ModelParams(omega=1.0, omega0=1.0, gamma=0.25, j=10.0)
+        cfg = small_config(tmp_path, params=params, n_max=40, ops=("Jz",))
+        _, rows = pipeline.sweep(cfg, (0.25,))
+        with open(cfg.out_dir / "summary.csv", newline="") as fh:
+            (summary,) = csv.DictReader(fh)
+        n_levels = {}
+        for sector in cfg.sectors:
+            sector_dir = cfg.out_dir / "gamma=0.25" / pipeline.SECTOR_DIRS[sector]
+            with open(sector_dir / "energies.csv", newline="") as fh:
+                table = list(csv.DictReader(fh))
+            e_over_j = np.array([float(r["energy_over_j"]) for r in table])
+            certified = np.array([float(r["delta_p"]) for r in table]) < observables.DP_TOLERANCE
+            stats = json.loads((sector_dir / "stats.json").read_text())
+            assert [entry["window"] for entry in stats] == [[None, -1.0], [-1.0, 1.0]]
+            for entry, column in zip(stats, ("ratio_low", "ratio_mid")):
+                lo, hi = (-np.inf if w is None else w for w in entry["window"])
+                sel = e_over_j[certified & (e_over_j > lo) & (e_over_j < hi)]
+                levels = analysis.drop_degenerate(sel)
+                assert entry["n_levels"] == levels.size
+                n_levels[sector, column] = levels.size
+                if levels.size < 50:
+                    assert entry == {"window": entry["window"], "n_levels": levels.size,
+                                     "skipped": "fewer than 50 levels"}
+                    ratio = np.nan
+                else:
+                    ratio = analysis.mean_gap_ratio(levels)
+                    assert set(entry) == {"window", "n_levels", "mean_ratio"}
+                    assert entry["mean_ratio"] == ratio
+                if sector == cfg.sectors[0]:
+                    np.testing.assert_array_equal(float(summary[column]), ratio)
+                    np.testing.assert_array_equal(rows[0][column], ratio)
+        # both kinds of window are exercised
+        assert n_levels[1, "ratio_low"] < 50 <= n_levels[1, "ratio_mid"]
+
+    @pytest.mark.parametrize("n_max", [100, 409], ids=["solve-ahead", "serial"])
+    def test_failed_points_hold_no_matrix(self, tmp_path, monkeypatch, n_max):
+        # n_max 409 gives dim 1025, just above ONE_BLAS_THREAD_BELOW_DIM, where
+        # the sectors run one at a time
+        def out_of_bounds(hmat, energies, vectors):
+            return solver.ResidualReport(1e-3, 0.0, 1.0)
+
+        monkeypatch.setattr(solver, "residual_report_for", out_of_bounds)
+        params = ModelParams(omega=1.0, omega0=1.0, gamma=0.3, j=2.0)
+        cfg = small_config(tmp_path, params=params, n_max=n_max, sectors=(1,))
+        dim = basis_size(BasisSpec(2.0, n_max, 1))
+        assert (dim >= pipeline.ONE_BLAS_THREAD_BELOW_DIM) == (n_max == 409)
+        results, rows = pipeline.sweep(cfg, (0.2, 0.4, 0.6))
+        assert [row["status"] for row in rows] == ["failed"] * 3
+        for _, exc in results:
+            assert type(exc) is SolverError and "solver audit failed" in str(exc)
+        held = [a.shape for a in _reachable_arrays(results) if a.size >= dim * dim]
+        assert held == []
 
     def test_sweep_ground_energy_drops_past_critical(self, tmp_path):
         cfg = small_config(
