@@ -26,14 +26,14 @@ _SECTOR_CHOICES = {"+": (1,), "-": (-1,), "both": (1, -1)}
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     g = common.add_argument_group("model and run options")
-    g.add_argument("--omega", type=float, help="field frequency (default 1.0)")
-    g.add_argument("--omega0", type=float, help="atomic level splitting (default 1.0)")
+    g.add_argument("--omega", help="field frequency (default 1.0)")
+    g.add_argument("--omega0", help="atomic level splitting (default 1.0)")
     g.add_argument("--gamma", help="coupling; sweep accepts a comma list or lo:hi:n")
     g.add_argument("--gamma-over-gc", help="coupling in units of the critical coupling")
-    g.add_argument("--n-atoms", type=int, help="number of two-level atoms (j = N/2)")
-    g.add_argument("--sector", choices=sorted(_SECTOR_CHOICES), help="parity sector(s)")
+    g.add_argument("--n-atoms", help="number of two-level atoms (j = N/2)")
+    g.add_argument("--sector", help="parity sector(s): +, - or both")
     g.add_argument("--config", help="INI config file; flags override its values")
-    g.add_argument("--mem-budget-gib", type=float, help="memory budget of one sector's solve")
+    g.add_argument("--mem-budget-gib", help="memory budget of one sector's solve")
 
     parser = argparse.ArgumentParser(
         prog="dickelat",
@@ -51,7 +51,7 @@ def build_parser():
         )
     }
     for name in ("spectrum", "lattice", "sweep"):
-        cmd[name].add_argument("--n-max", type=int, help="photon/shell truncation")
+        cmd[name].add_argument("--n-max", help="photon/shell truncation")
         cmd[name].add_argument("--out", help="output directory")
     for name in ("lattice", "sweep"):
         cmd[name].add_argument("--ops", help="comma list of Peres operators (Jz,Jx2,photon_n)")
@@ -59,48 +59,35 @@ def build_parser():
     return parser
 
 
-def _parse_float_list(text):
-    """'a,b,c' or 'lo:hi:n' (n evenly spaced points, endpoints included)."""
-    text = str(text).strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"range spec needs lo:hi:n, got {text!r}")
-        lo, hi, n = _float(parts[0]), _float(parts[1]), _int(parts[2])
-        if n < 1:
-            raise ConfigError("range spec needs n >= 1")
-        if n == 1:
-            return [lo]
-        step = (hi - lo) / (n - 1)
-        return [lo + k * step for k in range(n)]
-    return [_float(v) for v in text.split(",") if v.strip()]
-
-
-def _parse_int_list(text):
-    text = str(text).strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"range spec needs lo:hi:step, got {text!r}")
-        lo, hi, step = (_int(p) for p in parts)
-        if step <= 0:
+def _parse_list(text, cast):
+    """'a,b,c' of `cast` values, or a range: 'lo:hi:n' of floats (n evenly
+    spaced points, endpoints included), 'lo:hi:step' of ints (hi included
+    when a step lands on it)."""
+    text = text.strip()
+    if ":" not in text:
+        return [_cast(cast, v) for v in text.split(",") if v.strip()]
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ConfigError(f"a range spec has three fields lo:hi:n or lo:hi:step, got {text!r}")
+    lo, hi, k = _cast(cast, parts[0]), _cast(cast, parts[1]), _cast(int, parts[2])
+    if cast is int:
+        if k <= 0:
             raise ConfigError("range spec needs step > 0")
-        return list(range(lo, hi + 1, step))
-    return [_int(v) for v in text.split(",") if v.strip()]
+        return list(range(lo, hi + 1, k))
+    if k < 1:
+        raise ConfigError("range spec needs n >= 1")
+    if k == 1:
+        return [lo]
+    step = (hi - lo) / (k - 1)
+    return [lo + i * step for i in range(k)]
 
 
-def _int(text):
+def _cast(cast, text):
     try:
-        return int(text)
+        return cast(text)
     except ValueError as exc:
-        raise ConfigError(f"not an integer: {text!r}") from exc
-
-
-def _float(text):
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"not a number: {text!r}") from exc
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"not {kind}: {text!r}") from exc
 
 
 def _load_config_section(path, section):
@@ -171,33 +158,15 @@ _RUN_FIELDS = {
 def _resolve(merged, command):
     """(RunConfig, couplings) of a command; a command other than sweep takes
     exactly one coupling, which is also the config's."""
-    omega = _get(merged, "omega", float, 1.0)
-    omega0 = _get(merged, "omega0", float, 1.0)
     n_atoms = _get(merged, "n-atoms", int, 40)
     if n_atoms < 1:
         raise ConfigError("n-atoms must be >= 1")
-    j = n_atoms / 2.0
-    gamma_c = math.sqrt(omega0 * omega) / 2.0
-
     has_g = "gamma" in merged
     has_gg = "gamma-over-gc" in merged
     if has_g and has_gg:
         raise ConfigError("give either gamma or gamma-over-gc, not both")
-    if has_gg and gamma_c == 0:
-        raise ConfigError("gamma-over-gc needs omega0 > 0")
-    if has_g:
-        gammas = _parse_float_list(merged["gamma"])
-    elif has_gg:
-        gammas = [f * gamma_c for f in _parse_float_list(merged["gamma-over-gc"])]
-    else:
+    if not (has_g or has_gg):
         raise ConfigError("a coupling is required: --gamma or --gamma-over-gc")
-    if not gammas:
-        raise ConfigError("the coupling list is empty")
-    if command != "sweep" and len(gammas) != 1:
-        raise ConfigError(f"{command} takes a single coupling; got {len(gammas)}")
-    if not all(0 <= g < math.inf for g in gammas):
-        raise ConfigError("couplings must be finite and >= 0")
-
     given = {
         field: _get(merged, flag, cast)
         for flag, (field, cast) in _RUN_FIELDS.items()
@@ -206,8 +175,24 @@ def _resolve(merged, command):
     if command in ("spectrum", "convergence"):
         given["ops"] = ()
     try:
-        params = ModelParams(omega=omega, omega0=omega0, gamma=gammas[0], j=j)
-        cfg = pipeline.RunConfig(params=params, **given)
+        base = ModelParams(
+            omega=_get(merged, "omega", float, 1.0),
+            omega0=_get(merged, "omega0", float, 1.0),
+            gamma=0.0,
+            j=n_atoms / 2.0,
+        )
+        if has_gg and base.gamma_c == 0:
+            raise ConfigError("gamma-over-gc needs omega0 > 0")
+        if has_g:
+            gammas = _parse_list(merged["gamma"], float)
+        else:
+            gammas = [f * base.gamma_c for f in _parse_list(merged["gamma-over-gc"], float)]
+        if not gammas:
+            raise ConfigError("the coupling list is empty")
+        if command != "sweep" and len(gammas) != 1:
+            raise ConfigError(f"{command} takes a single coupling; got {len(gammas)}")
+        params = [replace(base, gamma=g) for g in gammas]  # checks every coupling
+        cfg = pipeline.RunConfig(params=params[0], **given)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg, gammas
@@ -260,7 +245,7 @@ def _cmd_sweep(cfg, gammas):
 
 
 def _cmd_convergence(cfg, merged):
-    n_list = _parse_int_list(merged.get("n-max-list", "50,100,150,200,250"))
+    n_list = _parse_list(merged.get("n-max-list", "50,100,150,200,250"), int)
     if not n_list:
         raise ConfigError("the n-max-list is empty")
     # every truncation is checked before the first one is solved

@@ -68,6 +68,8 @@ class RunConfig:
     def __post_init__(self):
         if not self.sectors or any(s not in (1, -1) for s in self.sectors):
             raise ConfigError("sectors must be drawn from {+1, -1}")
+        if len(set(self.sectors)) < len(self.sectors):
+            raise ConfigError("sectors must be distinct")
         for op in self.ops:
             if op not in observables.PERES_OPS:
                 raise ConfigError(f"unknown Peres operator {op!r}")
@@ -102,7 +104,8 @@ class RunResult:
 
 def _window_stats(energies_over_j):
     """Mean gap ratio of the raw levels, degenerate ones dropped, per
-    STAT_WINDOWS window on a converged, single-sector spectrum."""
+    STAT_WINDOWS window of one sector's leading certified levels: no ratio
+    may span a level that is missing from the list."""
     out = []
     for lo, hi in STAT_WINDOWS:
         lo_v = -math.inf if lo is None else lo
@@ -152,7 +155,7 @@ def _finish_sector(cfg, solved):
                 markers = analysis.esqpt_markers(e_over_j, expectations["Jz"][converged])
             except DickelatError as exc:
                 markers_error = str(exc)
-        stats = _window_stats(e_over_j)
+        stats = _window_stats(spectrum.energies[: report.converged_count] / cfg.params.j)
 
     marks.append(("analysis", time.perf_counter()))
     timings.update((name, t - t_prev) for (_, t_prev), (name, t) in zip(marks, marks[1:]))

@@ -394,3 +394,12 @@ def build_tc_block(params: ModelParams, lam: int) -> SymmetricMatrix:
             mat[k + 1, k] = val
             mat[k, k + 1] = val
     return SymmetricMatrix(mat, None)
+
+
+def leading_agreement(energies, reference, tol):
+    """How many leading entries of the ascending `energies` lie within `tol`
+    of the same entries of the ascending `reference`, up to the first that
+    does not (or the shorter list's end)."""
+    n = min(energies.size, reference.size)
+    off = np.abs(energies[:n] - reference[:n]) > tol
+    return int(off.argmax()) if off.any() else n

@@ -57,6 +57,16 @@ def _reachable_arrays(root):
     return arrays
 
 
+def _certified_levels(sector_dir):
+    """(E/j, certified, leading) of a sector's states, read from
+    energies.csv; the leading ones are those before the first uncertified one."""
+    with open(sector_dir / "energies.csv", newline="") as fh:
+        table = list(csv.DictReader(fh))
+    e_over_j = np.array([float(r["energy_over_j"]) for r in table])
+    certified = np.array([float(r["delta_p"]) for r in table]) < observables.DP_TOLERANCE
+    return e_over_j, certified, np.logical_and.accumulate(certified)
+
+
 class TestPipelineRun:
     def test_products_and_manifest(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -351,16 +361,13 @@ class TestPipelineRun:
         n_levels = {}
         for sector in cfg.sectors:
             sector_dir = cfg.out_dir / "gamma=0.25" / pipeline.SECTOR_DIRS[sector]
-            with open(sector_dir / "energies.csv", newline="") as fh:
-                table = list(csv.DictReader(fh))
-            e_over_j = np.array([float(r["energy_over_j"]) for r in table])
-            certified = np.array([float(r["delta_p"]) for r in table]) < observables.DP_TOLERANCE
+            e_over_j, _, leading = _certified_levels(sector_dir)
+            e_over_j = e_over_j[leading]
             stats = json.loads((sector_dir / "stats.json").read_text())
             assert [entry["window"] for entry in stats] == [[None, -1.0], [-1.0, 1.0]]
             for entry, column in zip(stats, ("ratio_low", "ratio_mid")):
                 lo, hi = (-np.inf if w is None else w for w in entry["window"])
-                sel = e_over_j[certified & (e_over_j > lo) & (e_over_j < hi)]
-                levels = analysis.drop_degenerate(sel)
+                levels = analysis.drop_degenerate(e_over_j[(e_over_j > lo) & (e_over_j < hi)])
                 assert entry["n_levels"] == levels.size
                 n_levels[sector, column] = levels.size
                 if levels.size < 50:
@@ -376,6 +383,26 @@ class TestPipelineRun:
                     np.testing.assert_array_equal(rows[0][column], ratio)
         # both kinds of window are exercised
         assert n_levels[1, "ratio_low"] < 50 <= n_levels[1, "ratio_mid"]
+
+    def test_gap_ratios_skip_levels_past_an_uncertified_one(self, tmp_path):
+        # j = 10, n_max 40 at 1.5 gamma_c, sector -: state 71 (E/j = 0.115) is
+        # the first uncertified one, and 6 of the 70 certified levels in
+        # (-1, 1) lie above it; a ratio across that hole would span a level
+        # that is missing from the list
+        params = ModelParams(omega=1.0, omega0=1.0, gamma=0.75, j=10.0)
+        cfg = small_config(tmp_path, params=params, n_max=40, sectors=(-1,), ops=("Jz",))
+        pipeline.run(cfg)
+        sector_dir = cfg.out_dir / "gamma=0.75" / "minus"
+        e_over_j, certified, leading = _certified_levels(sector_dir)
+        in_window = (e_over_j > -1.0) & (e_over_j < 1.0)
+        every_certified = analysis.drop_degenerate(e_over_j[certified & in_window])
+        consecutive = analysis.drop_degenerate(e_over_j[leading & in_window])
+        assert consecutive.size >= 50 and every_certified.size > consecutive.size
+        stats = json.loads((sector_dir / "stats.json").read_text())
+        assert stats[1] == {"window": [-1.0, 1.0], "n_levels": consecutive.size,
+                            "mean_ratio": analysis.mean_gap_ratio(consecutive)}
+        manifest = json.loads((sector_dir / "manifest.json").read_text())
+        assert manifest["converged_count"] == leading.sum()
 
     @pytest.mark.parametrize("n_max", [100, 409], ids=["solve-ahead", "serial"])
     def test_failed_points_hold_no_matrix(self, tmp_path, monkeypatch, n_max):
@@ -540,6 +567,10 @@ class TestConfigValidation:
     def test_bad_op(self, tmp_path):
         with pytest.raises(ConfigError):
             small_config(tmp_path, ops=("Jx",))
+
+    def test_duplicate_sectors(self, tmp_path):
+        with pytest.raises(ConfigError, match="sectors must be distinct"):
+            small_config(tmp_path, sectors=(1, 1))
 
     @pytest.mark.parametrize("budget", [0, -(2**30)])
     def test_bad_mem_budget(self, tmp_path, budget):
@@ -781,6 +812,74 @@ class TestCli:
         assert code == 2
         assert f"{flag[2:]} must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["--omega", "-1", "--gamma", "0.3"], "omega"),
+            (["--omega0", "-1", "--gamma", "0.3"], "omega0"),
+            (["--omega0", "nan", "--gamma-over-gc", "2"], "omega0"),
+        ],
+        ids=["omega-negative", "omega0-negative", "omega0-nan-gamma-over-gc"],
+    )
+    def test_bad_frequency_is_config_error(self, no_build, capsys, argv, name):
+        assert self.run_cli("spectrum", "--n-atoms", "2", "--n-max", "4", *argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {name} must be finite")
+
+    # (subcommand, flag, a bad value, a valid one); --out takes any path
+    FLAG_VALUES = [
+        ("spectrum", "--omega", "x", "1.5"),
+        ("spectrum", "--omega0", "x", "0.5"),
+        ("sweep", "--gamma", "abc", "0.1:0.3:3"),
+        ("sweep", "--gamma-over-gc", "1,x", "0.5,1.5"),
+        ("spectrum", "--n-atoms", "2.5", "3"),
+        ("spectrum", "--sector", "x", "-"),
+        ("spectrum", "--mem-budget-gib", "nan", "0.5"),
+        ("spectrum", "--n-max", "x", "12"),
+        ("lattice", "--ops", "Jx", "Jz,photon_n"),
+        ("convergence", "--n-max-list", "10,x", "10:30:10"),
+    ]
+
+    @staticmethod
+    def flag_and_config(tmp_path, command, flag, value):
+        """Two argv of `command`: one gives `flag value` on the command line,
+        the other under the command's section of an INI file.  Both give the
+        other settings the command needs as flags."""
+        others = {"--n-atoms": "2", "--gamma": "0.3"}
+        others.pop("--gamma" if flag == "--gamma-over-gc" else flag, None)
+        argv = [command, *(arg for item in others.items() for arg in item)]
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[{command}]\n{flag[2:]} = {value}\n")
+        return [*argv, flag, value], [*argv, "--config", str(ini)]
+
+    @pytest.mark.parametrize(
+        "command, flag, bad", [case[:3] for case in FLAG_VALUES],
+        ids=[case[1][2:] for case in FLAG_VALUES],
+    )
+    def test_bad_value_is_one_config_error_from_flag_or_config(
+        self, tmp_path, no_build, capsys, command, flag, bad
+    ):
+        errors = []
+        for argv in self.flag_and_config(tmp_path, command, flag, bad):
+            assert self.run_cli(*argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("config error: ") and errors[0].count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, flag, good",
+        [(c, f, good) for c, f, _, good in FLAG_VALUES] + [("lattice", "--out", "runs/o")],
+        ids=[case[1][2:] for case in FLAG_VALUES] + ["out"],
+    )
+    def test_valid_value_resolves_alike_from_flag_or_config(self, tmp_path, command, flag, good):
+        resolved = []
+        for argv in self.flag_and_config(tmp_path, command, flag, good):
+            merged = cli._merged(cli.build_parser().parse_args(argv), command)
+            resolved.append((cli._resolve(merged, command), merged))
+        assert resolved[0] == resolved[1]
+        assert resolved[0][1][flag[2:]] == good
 
     @pytest.mark.parametrize(
         "argv",
