@@ -43,15 +43,13 @@ def _grid_bins(x, width):
     return edges, k - first
 
 
-def density_of_states(energies, j, bin_width):
-    """Histogram of E/j on a grid anchored at multiples of bin_width.
+def density_of_states(energies, j):
+    """Histogram of E/j on a grid anchored at multiples of BIN_WIDTH.
     Returns (edges, counts); empty input gives empty arrays."""
-    if bin_width <= 0:
-        raise ValueError("bin_width must be > 0")
     e = np.asarray(energies, dtype=float) / j
     if e.size == 0:
         return np.array([]), np.array([], dtype=int)
-    edges, which = _grid_bins(e, bin_width)
+    edges, which = _grid_bins(e, BIN_WIDTH)
     return edges, np.bincount(which, minlength=edges.size - 1)
 
 

@@ -2,8 +2,10 @@
 
 Subcommands: spectrum, lattice, sweep, convergence, each with only the flags
 it reads.  Every flag can also come from an INI config file (one section per
-subcommand); a flag given on the command line wins over the file, and a key
-that names no flag of the subcommand is a config error.
+subcommand); a flag given on the command line wins over the file, a coupling
+flag over both of the file's coupling keys, and a file without the
+subcommand's section, or with a key that names no flag of the subcommand, is
+a config error.
 
 Exit codes: 0 success, 2 config error, 3 capacity, 4 solver (no convergence
 or a failed residual audit), 5 sweep with failed points.
@@ -21,6 +23,9 @@ from .errors import CapacityError, ConfigError, SolverError
 from .hamiltonian import ModelParams
 
 _SECTOR_CHOICES = {"+": (1,), "-": (-1,), "both": (1, -1)}
+
+# The two ways to give the coupling: a run takes exactly one.
+_COUPLING_KEYS = ("gamma", "gamma-over-gc")
 
 
 def build_parser():
@@ -96,32 +101,38 @@ def _load_config_section(path, section):
     if not read:
         raise ConfigError(f"config file {path} not found or unreadable")
     if not cp.has_section(section):
-        return {}
+        raise ConfigError(
+            f"config file {path} has no [{section}] section; it has "
+            + (", ".join(f"[{name}]" for name in cp.sections()) or "none")
+        )
     return dict(cp.items(section))
 
 
 def _merged(args, command):
-    """Flag > config-file > default, keyed by the flag name with dashes.
+    """Flag > config-file > default, keyed by the flag name with dashes.  A
+    coupling flag drops both of the file's coupling keys.
 
     Raises ConfigError naming every config-file key that is not a flag of
     `command` (`config` itself included): such a key would otherwise be
     dropped without a word."""
     flags = {
-        key: value for key, value in vars(args).items() if key not in ("command", "config")
+        key.replace("_", "-"): value
+        for key, value in vars(args).items() if key not in ("command", "config")
     }
     merged = {}
     if args.config:
         section = _load_config_section(args.config, command)
-        unknown = sorted(set(section) - {key.replace("_", "-") for key in flags})
+        unknown = sorted(set(section) - set(flags))
         if unknown:
             raise ConfigError(
                 f"[{command}] in {args.config} has keys that are not {command} flags: "
                 + ", ".join(unknown)
             )
+        if any(flags[key] is not None for key in _COUPLING_KEYS):
+            for key in _COUPLING_KEYS:
+                section.pop(key, None)
         merged.update(section)
-    for key, value in flags.items():
-        if value is not None:
-            merged[key.replace("_", "-")] = value
+    merged.update((key, value) for key, value in flags.items() if value is not None)
     return merged
 
 

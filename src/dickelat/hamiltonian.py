@@ -203,8 +203,6 @@ def build_sector(ladder: SectorLadder) -> SymmetricMatrix:
     return SymmetricMatrix(mat, index.spec)
 
 
-def build_coherent_parity(
-    params: ModelParams, n_max: int, sector: int, mem_budget_bytes=MEMORY_BUDGET_BYTES
-) -> SymmetricMatrix:
-    """build_sector of the sector's ladder in one call."""
-    return build_sector(sector_ladder(params, n_max, sector, mem_budget_bytes))
+def build_coherent_parity(params: ModelParams, n_max: int, sector: int) -> SymmetricMatrix:
+    """build_sector of the sector's ladder in one call, at the default budget."""
+    return build_sector(sector_ladder(params, n_max, sector))

@@ -11,6 +11,8 @@ from .basis import BasisIndex
 from .hamiltonian import SectorLadder
 from .solver import Spectrum
 
+# Jx is not among them: it connects states of different parity, so every
+# state of one sector has <Jx> = 0.
 PERES_OPS = ("Jz", "Jx2", "photon_n")
 
 # Top-shell weight below which a state is certified, in every run.
@@ -24,7 +26,7 @@ _BOUNDS_SLACK = 1e-9
 @dataclass
 class ConvergenceReport:
     """Per-state top-shell probability weight and the count of leading states
-    below the tolerance delta_p was given."""
+    below DP_TOLERANCE."""
 
     delta_p: np.ndarray
     converged_count: int
@@ -36,8 +38,6 @@ def peres_expectation(op_kind: str, spectrum: Spectrum, ladder: SectorLadder) ->
     per pair plus the m = 1/2 self block, Jx^2 the diagonal m^2, and
     a^dag a = (A - G Jx)^dag (A - G Jx) the diagonal N + G^2 m^2 plus the
     same-m ladder -G m sqrt(N + 1) between shells N and N + 1."""
-    if op_kind == "Jx":
-        raise ValueError("Jx connects states of different parity; not a usable Peres operator")
     if op_kind not in PERES_OPS:
         raise ValueError(f"unknown Peres operator {op_kind!r}")
     index = ladder.index
@@ -76,19 +76,19 @@ def check_bounds(op_kind: str, values: np.ndarray, j):
         )
 
 
-def delta_p(spectrum: Spectrum, index: BasisIndex, tolerance=DP_TOLERANCE) -> ConvergenceReport:
+def delta_p(spectrum: Spectrum, index: BasisIndex) -> ConvergenceReport:
     """Truncation-error bound per eigenstate: total probability weight in the
     top retained shell of this run.
 
     A run truncated at n_max certifies its states as if the production
     truncation were n_max - 1, so one diagonalization yields both spectrum
     and certificate.  converged_count is the largest K with states 0..K-1
-    all below `tolerance`.
+    all below DP_TOLERANCE.
     """
     if index.size != spectrum.dim:
         raise ValueError("basis and spectrum dimensions differ")
     rows = index.rows_with_excitation(index.spec.n_max)
     dp = (spectrum.vectors[rows, :] ** 2).sum(axis=0)
-    above = dp >= tolerance
+    above = dp >= DP_TOLERANCE
     converged = int(above.argmax()) if above.any() else spectrum.dim
     return ConvergenceReport(dp, converged)

@@ -147,7 +147,7 @@ def _finish_sector(cfg, solved):
 
     dos, markers, markers_error, stats = None, None, None, None
     if cfg.ops:
-        dos = analysis.density_of_states(spectrum.energies, cfg.params.j, analysis.BIN_WIDTH)
+        dos = analysis.density_of_states(spectrum.energies, cfg.params.j)
         converged = report.delta_p < observables.DP_TOLERANCE
         e_over_j = spectrum.energies[converged] / cfg.params.j
         if "Jz" in expectations:
@@ -240,10 +240,9 @@ def _write_csv(path: Path, header, row_format, *columns):
     return _write_text(path, "\n".join([header, *map(row_format.format, *columns)]) + "\n")
 
 
-def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    raise TypeError(f"not JSON serializable: {type(o)}")
+def _write_json(path: Path, obj):
+    """_write_text of `obj` as sorted, indented JSON."""
+    return _write_text(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
 def write_sector_files(cfg, sector, result, sector_dir: Path):
@@ -272,26 +271,13 @@ def write_sector_files(cfg, sector, result, sector_dir: Path):
         )
 
     if result.markers is not None:
-        files["markers.json"] = _write_text(
-            sector_dir / "markers.json",
-            json.dumps(
-                {
-                    "static_marker": result.markers.static_marker,
-                    "dynamic_marker": result.markers.dynamic_marker,
-                    "bin_width": analysis.BIN_WIDTH,
-                },
-                sort_keys=True,
-                indent=1,
-                default=_json_default,
-            )
-            + "\n",
-        )
-
+        files["markers.json"] = _write_json(sector_dir / "markers.json", {
+            "static_marker": result.markers.static_marker,
+            "dynamic_marker": result.markers.dynamic_marker,
+            "bin_width": analysis.BIN_WIDTH,
+        })
     if result.stats is not None:
-        files["stats.json"] = _write_text(
-            sector_dir / "stats.json",
-            json.dumps(result.stats, sort_keys=True, indent=1, default=_json_default) + "\n",
-        )
+        files["stats.json"] = _write_json(sector_dir / "stats.json", result.stats)
     return files
 
 
@@ -309,7 +295,8 @@ def _peak_rss_mib():
     return None
 
 
-def _sector_manifest(cfg, gamma, sector, result=None, files=None, error=None):
+def _sector_manifest(cfg, sector, result=None, files=None, error=None):
+    gamma = cfg.params.gamma
     man = {
         "status": "ok" if error is None else "failed",
         "gamma": gamma,
@@ -343,13 +330,6 @@ def _sector_manifest(cfg, gamma, sector, result=None, files=None, error=None):
     if error is not None:
         man["error"] = str(error)
     return man
-
-
-def _write_manifest(sector_dir: Path, man):
-    _write_text(
-        sector_dir / "manifest.json",
-        json.dumps(man, sort_keys=True, indent=1, default=_json_default) + "\n",
-    )
 
 
 @contextlib.contextmanager
@@ -408,21 +388,24 @@ def _run(cfg, run_one):
         except Exception as exc:
             if sector_dir is not None:
                 sector_dir.mkdir(parents=True, exist_ok=True)
-                _write_manifest(sector_dir, _sector_manifest(cfg, gamma, sector, error=exc))
+                _write_json(sector_dir / "manifest.json", _sector_manifest(cfg, sector, error=exc))
             raise
-        man = _sector_manifest(cfg, gamma, sector, result=result, files=files)
+        man = _sector_manifest(cfg, sector, result=result, files=files)
         if sector_dir is not None:
-            _write_manifest(sector_dir, man)
+            _write_json(sector_dir / "manifest.json", man)
         results.append(result)
         manifests.append(man)
     return RunResult(gamma, results, manifests, gamma_dir)
 
 
-def _summary_row(cfg, gamma, result: RunResult | None, error=None):
+def _summary_row(cfg, result: RunResult | None):
+    """One summary.csv row of the sweep point `cfg`; a failed point has no
+    result."""
+    gamma = cfg.params.gamma
     row = {
         "gamma": gamma,
         "gamma_over_gc": gamma / cfg.params.gamma_c if cfg.params.gamma_c > 0 else math.nan,
-        "status": "ok" if error is None else "failed",
+        "status": "ok" if result is not None else "failed",
         "ground_energy": math.nan,
         "ground_e_over_j": math.nan,
         "converged_count": 0,
@@ -464,10 +447,10 @@ def sweep(cfg: RunConfig, gammas):
             try:
                 result = _run(point, run_one)
             except Exception as exc:
-                rows.append(_summary_row(point, g, None, error=exc))
+                rows.append(_summary_row(point, None))
                 results.append((g, exc.with_traceback(None)))
             else:
-                rows.append(_summary_row(point, g, result))
+                rows.append(_summary_row(point, result))
                 results.append(result)
 
     if cfg.out_dir is not None:

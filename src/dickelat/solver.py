@@ -159,17 +159,19 @@ def eigh(matrix: SymmetricMatrix) -> Spectrum:
     data.T is H in Fortran order, and LAPACK writes the vectors over it
     rather than over a transposed copy.  The vectors are then copied out and
     H is written back from its row envelopes, saved before the solve, so the
-    input is left as it was, also when LAPACK raises.  Any other input (read
-    only, not C-contiguous or not float64) is first copied into a C-ordered
-    float64 buffer, and the solve runs in that.
+    input is left as it was, also when LAPACK raises.
 
-    Raises SolverError if the LAPACK iteration fails to converge or the
-    residual report breaks RESIDUAL_BOUND or ORTHO_BOUND, and RuntimeError if
-    LAPACK rejects an argument.
+    Raises ValueError, before anything is saved or solved, if the data is not
+    a writeable C-contiguous float64 array (build_sector's always is: a copy
+    would hold a dense matrix the memory budget does not charge).  Raises
+    SolverError if the LAPACK iteration fails to converge or the residual
+    report breaks RESIDUAL_BOUND or ORTHO_BOUND, and RuntimeError if LAPACK
+    rejects an argument.
     """
     data = matrix.data
     if not (data.dtype == np.float64 and data.flags.c_contiguous and data.flags.writeable):
-        data = np.array(data, dtype=np.float64, order="C")
+        raise ValueError("eigh solves in the matrix's buffer: it takes a writeable "
+                         "C-contiguous float64 matrix")
     # envelopes of the bit patterns, so a -0.0 is kept like any nonzero
     saved = [
         (rows, cols, data[rows, cols].copy())

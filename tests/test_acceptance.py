@@ -354,10 +354,12 @@ def test_criterion_10_determinism(crit1_run, out_root):
 
 # Criterion 14, j = 10 at 2 gamma_c.  Measured against an n_max 200 run: the
 # leading certified states of an n_max 120 run (665 in sector +, 661 in -)
-# agree to 7.2e-11 and 7.6e-11; at equal dim 1701 (n_max 80, both sectors
-# merged), 764 leading states of the displaced basis agree to 1e-8, against 48
-# of the Fock basis.  Each bound below carries its margin.
+# agree to 7.2e-11 and 7.6e-11 in energy and to 1.74e-10 and 3.19e-10 in
+# <Jz>/j; at equal dim 1701 (n_max 80, both sectors merged), 764 leading
+# states of the displaced basis agree to 1e-8, against 48 of the Fock basis.
+# Each bound below carries its margin.
 C14_SOUND_BOUND = 3e-10  # 4x the worst measured 7.6e-11
+C14_JZ_BOUND = 1.3e-9  # on <Jz>/j: 4x the worst measured 3.19e-10
 C14_MIN_CERTIFIED = 600  # per sector at n_max 120: 10% under the measured 661
 C14_AGREE_TOL = 1e-8
 C14_MIN_FOCK = 24  # half the measured 48
@@ -374,15 +376,19 @@ def _merged_sectors(sectors):
 def test_criterion_14_certificate_soundness_and_basis_claim():
     p = ham.ModelParams(omega=1.0, omega0=1.0, gamma=2.0 * GC, j=10.0)
     runs = {
-        n_max: pipeline.run(pipeline.RunConfig(params=p, n_max=n_max, ops=())).sectors
-        for n_max in (80, 120, 200)
+        n_max: pipeline.run(pipeline.RunConfig(params=p, n_max=n_max, ops=ops)).sectors
+        for n_max, ops in ((80, ()), (120, ("Jz",)), (200, ("Jz",)))
     }
     # soundness: the certificate tests itself at two truncations, not the model
+    # or the operator
     for sector, run, ref in zip((1, -1), runs[120], runs[200]):
         k = run.report.converged_count
         assert C14_MIN_CERTIFIED <= k <= ref.report.converged_count, f"sector {sector}: {k}"
         worst = np.abs(run.energies[:k] - ref.energies[:k]).max()
         assert worst <= C14_SOUND_BOUND, f"sector {sector}: |dE| = {worst:.3e}"
+        jz, jz_ref = run.expectations["Jz"][:k], ref.expectations["Jz"][:k]
+        worst_jz = np.abs(jz - jz_ref).max() / p.j
+        assert worst_jz <= C14_JZ_BOUND, f"sector {sector}: |d<Jz>|/j = {worst_jz:.3e}"
     # the basis claim, against the independent Fock oracle at the same dim
     ref_energies, ref_dp = _merged_sectors(runs[200])
     reference = ref_energies[: np.logical_and.accumulate(ref_dp < DP_TOL).sum()]

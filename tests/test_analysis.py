@@ -13,7 +13,7 @@ def params(gamma, j, omega=1.0, omega0=1.0):
     return ham.ModelParams(omega=omega, omega0=omega0, gamma=gamma, j=j)
 
 
-DP_TOL = 1e-12
+DP_TOL = obs.DP_TOLERANCE
 
 
 def small_lattice(gamma=0.4, j=2.0, n_max=25, op="Jz"):
@@ -22,7 +22,7 @@ def small_lattice(gamma=0.4, j=2.0, n_max=25, op="Jz"):
     p = params(gamma, j)
     ladder = ham.sector_ladder(p, n_max, 1)
     s = solver.eigh(ham.build_sector(ladder))
-    rep = obs.delta_p(s, ladder.index, tolerance=DP_TOL)
+    rep = obs.delta_p(s, ladder.index)
     return s.energies / p.j, obs.peres_expectation(op, s, ladder), rep
 
 
@@ -67,28 +67,29 @@ class TestDensityOfStates:
             solver.eigh(ham.build_coherent_parity(p, 30, sector)).energies
             for sector in (1, -1)
         ]))
-        edges, counts = analysis.density_of_states(energies, p.j, 0.5)
-        # integer E are 0.5 apart in E/j at j=2, one cluster per bin:
-        # degeneracies 1,2,3,4 then saturation at 2j+1 = 5
-        assert list(counts[:8]) == [1, 2, 3, 4, 5, 5, 5, 5]
+        edges, counts = analysis.density_of_states(energies, p.j)
+        # integer E are 0.5 apart in E/j at j=2, one cluster per filled bin
+        # at its left edge: degeneracies 1,2,3,4 then saturation at 2j+1 = 5
+        filled = np.flatnonzero(counts)[:8]
+        assert list(counts[filled]) == [1, 2, 3, 4, 5, 5, 5, 5]
+        assert np.allclose(edges[filled], -1.0 + 0.5 * np.arange(8), rtol=0, atol=1e-12)
         assert edges[0] == -1.0
 
     def test_level_just_below_an_edge_joins_the_bin_above(self):
         below = 1.0 - 1e-12
-        edges, counts = analysis.density_of_states([0.3, below, 1.0, 1.2], 1.0, 0.5)
-        assert list(edges) == [0.0, 0.5, 1.0, 1.5]
-        assert list(counts) == [1, 0, 3]
+        edges, counts = analysis.density_of_states([0.3, below, 1.0, 1.2], 1.0)
+        filled = np.flatnonzero(counts)
+        assert np.allclose(edges[filled], [0.3, 1.0, 1.2], rtol=0, atol=1e-12)
+        assert list(counts[filled]) == [1, 2, 1]
         # a level further below the edge than the tolerance stays below it
-        _, counts = analysis.density_of_states([0.3, 1.0 - 1e-6, 1.2], 1.0, 0.5)
-        assert list(counts) == [1, 1, 1]
+        edges, counts = analysis.density_of_states([0.3, 1.0 - 1e-6, 1.2], 1.0)
+        filled = np.flatnonzero(counts)
+        assert np.allclose(edges[filled], [0.3, 1.0 - analysis.BIN_WIDTH, 1.2], rtol=0, atol=1e-12)
+        assert list(counts[filled]) == [1, 1, 1]
 
     def test_empty_input(self):
-        edges, counts = analysis.density_of_states([], 2.0, 0.1)
+        edges, counts = analysis.density_of_states([], 2.0)
         assert edges.size == 0 and counts.size == 0
-
-    def test_rejects_bad_bin_width(self):
-        with pytest.raises(ValueError):
-            analysis.density_of_states([1.0], 2.0, 0.0)
 
 
 class TestMarkers:

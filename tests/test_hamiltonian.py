@@ -88,7 +88,7 @@ class TestBuildFock:
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
-            ham.build_coherent_parity(params(0.1, 2.0), 40, 1, mem_budget_bytes=10_000)
+            ham.sector_ladder(params(0.1, 2.0), 40, 1, mem_budget_bytes=10_000)
 
 
 class TestBuildCoherent:
@@ -319,7 +319,7 @@ class TestMemoryBudget:
         # size in the largest binary unit it holds at least one of
         assert enumerate_basis(BasisSpec(2.0, 40, 1)).size == 103
         with pytest.raises(CapacityError) as err:
-            ham.build_coherent_parity(params(0.1, 2.0), 40, 1, mem_budget_bytes=10_000)
+            ham.sector_ladder(params(0.1, 2.0), 40, 1, mem_budget_bytes=10_000)
         message = str(err.value)
         assert "dim-103 sector is charged 290.1 KiB" in message
         assert f"{ham.FOOTPRINT_MATRICES:g} x its 82.9 KiB dense matrix" in message

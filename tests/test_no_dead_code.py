@@ -8,10 +8,17 @@ oracles, not kept.
 References are matched by name, so a method counts as reached when anything
 in src/ reads an attribute of that name, and a field only when anything reads
 an attribute of that name (a local variable or argument of the same name does
-not count)."""
+not count).
+
+Likewise every defaulted parameter of a public function or method must be
+passed by some call that a run makes or that a paper's claim needs: one in
+src/, in perfbench/, or in the acceptance criteria.  A parameter that only
+unit tests set is one value in use, and becomes a constant."""
 
 import ast
+import math
 import re
+from collections import defaultdict
 from pathlib import Path
 
 import dickelat
@@ -112,6 +119,87 @@ def unreached(*kinds):
             ):
                 dead.append(".".join((mod, *path) if path else (mod, name)))
     return dead
+
+
+# The code whose calls may keep a defaulted parameter: the package, the
+# benchmark harness (which this suite only reads) and the acceptance
+# criteria, which test the paper's claims.
+CALLERS = (
+    *sorted(SRC.glob("*.py")),
+    *sorted((ROOT / "perfbench").glob("*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+)
+
+
+def _calls():
+    """{callee name: [(positional argument count, keyword names)]} of every
+    call in CALLERS whose callee is a name or an attribute.  A starred
+    argument counts as every position, and a **mapping shows as the keyword
+    None."""
+    out = defaultdict(list)
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                name = func.id
+            elif isinstance(func, ast.Attribute):
+                name = func.attr
+            else:
+                continue
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            out[name].append(
+                (math.inf if starred else len(node.args), {k.arg for k in node.keywords})
+            )
+    return out
+
+
+def _defaulted_parameters(tree):
+    """(dotted path, function name, position, parameter name) of every
+    defaulted parameter of the module's public functions and of the public
+    methods of its public classes.  position counts the arguments a call
+    passes (a method's self excluded); it is None for a keyword-only one."""
+    functions = [((), node) for node in tree.body if isinstance(node, FUNCTIONS)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+            functions += [((cls.name,), node) for node in cls.body if isinstance(node, FUNCTIONS)]
+    out = []
+    for owner, fn in functions:
+        if fn.name.startswith("_"):
+            continue
+        static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+        offset = 0 if static or not owner else 1
+        positional = [*fn.args.posonlyargs, *fn.args.args]
+        first = len(positional) - len(fn.args.defaults)
+        path = ".".join((*owner, fn.name))
+        out += [
+            (path, fn.name, i - offset, positional[i].arg) for i in range(first, len(positional))
+        ]
+        out += [
+            (path, fn.name, None, arg.arg)
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+            if default is not None
+        ]
+    return out
+
+
+def test_every_defaulted_parameter_is_passed():
+    """A defaulted parameter that no call in CALLERS passes, by position or
+    by keyword, has one value in every run: it goes, and the value becomes a
+    module constant."""
+    calls = _calls()
+    unpassed = [
+        f"{mod}.{path}({param})"
+        for mod, tree in _trees().items()
+        for path, name, position, param in _defaulted_parameters(tree)
+        if not any(
+            (position is not None and n_positional > position)
+            or param in keywords or None in keywords
+            for n_positional, keywords in calls[name]
+        )
+    ]
+    assert not unpassed, f"defaulted parameters only tests pass: {unpassed}"
 
 
 def test_every_public_function_is_reached():

@@ -631,17 +631,46 @@ class TestCli:
         assert (tmp_path / "o" / "gamma=0.5" / "plus" / "energies.csv").exists()
         assert not (tmp_path / "o" / "gamma=0.25").exists()
 
+    @pytest.mark.parametrize(
+        "file_key, flag, value, gamma",
+        [("gamma-over-gc", "--gamma", "0.5", 0.5), ("gamma", "--gamma-over-gc", "0.8", 0.4)],
+        ids=["gamma-over-file-gamma-over-gc", "gamma-over-gc-over-file-gamma"],
+    )
+    def test_coupling_flag_replaces_the_files_coupling(
+        self, tmp_path, no_build, file_key, flag, value, gamma
+    ):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[lattice]\nn-atoms = 2\n{file_key} = 2.0\n")
+        argv = ["lattice", "--config", str(ini), flag, value]
+        merged = cli._merged(cli.build_parser().parse_args(argv), "lattice")
+        assert file_key not in merged
+        cfg, gammas = cli._resolve(merged, "lattice")
+        assert gammas == [gamma] and cfg.params.gamma == gamma
+
+    def test_config_file_without_the_commands_section_is_config_error(
+        self, tmp_path, no_build, capsys
+    ):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[lattice]\nn-max = 12\n[sweep]\nn-max = 12\n")
+        code = self.run_cli(
+            "spectrum", "--config", str(ini), "--n-atoms", "2", "--gamma", "0.1",
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config file {ini} has no [spectrum] section; it has [lattice], [sweep]" in err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_gamma_is_config_error(self):
         assert self.run_cli("spectrum", "--n-atoms", "2") == 2
 
-    def test_both_couplings_is_config_error(self):
-        assert (
-            self.run_cli(
-                "spectrum", "--n-atoms", "2", "--gamma", "0.1",
-                "--gamma-over-gc", "0.2",
-            )
-            == 2
-        )
+    def test_both_couplings_is_config_error(self, tmp_path):
+        argv = ["spectrum", "--n-atoms", "2", "--gamma", "0.1", "--gamma-over-gc", "0.2"]
+        assert self.run_cli(*argv) == 2
+        # the coupling flags replace the file's coupling, not each other
+        ini = tmp_path / "run.ini"
+        ini.write_text("[spectrum]\ngamma = 0.3\n")
+        assert self.run_cli(*argv, "--config", str(ini)) == 2
 
     @pytest.mark.parametrize(
         "flag, value, field",

@@ -160,6 +160,12 @@ def banded_with_far_corner(dim, seed, band=3):
     return a
 
 
+def no_envelopes(mat):
+    """Stand-in for solver._row_envelopes where eigh must refuse its input
+    before it saves anything."""
+    raise AssertionError("envelopes saved before the input was checked")
+
+
 def envelope_product(mat, vectors):
     out = np.empty((mat.shape[0], vectors.shape[1]))
     for rows, cols in solver._row_envelopes(mat):
@@ -323,27 +329,27 @@ class TestInPlaceSolve:
         assert first.vectors.tobytes() == second.vectors.tobytes()
         assert first.residual_report == second.residual_report
 
-    def test_read_only_input_solved_in_a_copy_gives_the_same_bytes(self):
+    def test_read_only_input_is_refused_unchanged(self, monkeypatch):
+        # a copy would hold a second dense matrix the budget does not charge
         m = self.production()
-        in_place = solver.eigh(m)
         m.data.setflags(write=False)
         before = m.data.tobytes()
-        copied = solver.eigh(m)
+        monkeypatch.setattr(solver, "_row_envelopes", no_envelopes)
+        with pytest.raises(ValueError, match="writeable C-contiguous float64"):
+            solver.eigh(m)
         assert m.data.tobytes() == before
-        assert copied.energies.tobytes() == in_place.energies.tobytes()
-        assert copied.vectors.tobytes() == in_place.vectors.tobytes()
-        assert copied.residual_report == in_place.residual_report
 
-    def test_non_contiguous_input(self):
+    def test_non_contiguous_input(self, monkeypatch):
         a = banded_with_far_corner(80, seed=21)
         big = np.zeros((160, 160))
         big[::2, ::2] = a
         view = big[::2, ::2]
         assert not view.flags.c_contiguous
         before = big.tobytes()
-        s = solver.eigh(wrap(view))
+        monkeypatch.setattr(solver, "_row_envelopes", no_envelopes)
+        with pytest.raises(ValueError, match="writeable C-contiguous float64"):
+            solver.eigh(wrap(view))
         assert big.tobytes() == before
-        assert np.allclose(s.energies, np.linalg.eigvalsh(a), rtol=0, atol=1e-12)
 
     def test_band_with_far_corner_restored_exactly(self):
         a = banded_with_far_corner(200, seed=4)
