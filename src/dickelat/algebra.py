@@ -1,5 +1,5 @@
-"""Pseudo-spin projections and ladder coefficients, and the displaced-oscillator
-overlap matrix.
+"""Pseudo-spin ladder coefficients and the displaced-oscillator overlap
+matrix.
 
 Everything here is a pure function of its arguments; all matrix elements are
 real.  Factorial ratios are evaluated in log space so photon cutoffs of a few
@@ -15,12 +15,6 @@ from scipy.special import gammaln
 # upward recurrence stays finite for arbitrary degree/order.
 _RESCALE_LIMIT = 1e250
 _LOG_RESCALE = math.log(_RESCALE_LIMIT)
-
-
-def m_values(j):
-    """All projections -j..j in ascending order (exact half-integer floats)."""
-    twoj = round(2 * j)
-    return np.array([(-twoj + 2 * k) / 2.0 for k in range(twoj + 1)])
 
 
 def ladder_coeff(j, m, direction):

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import m_values
-
 
 def sector_twist(j):
     """Sign relating a parity sector label to the (-1)^N rule for m = 0 / m-pairing.
@@ -68,33 +66,29 @@ class BasisIndex:
         return out
 
 
+def _blocks(spec: BasisSpec):
+    """(m, shells) for each m >= 0 block in index order, shells the range of
+    its excitations N: all of 0..n_max for m > 0; for m = 0 (integer j only)
+    the N whose (-1)^N is the sector label times sector_twist(j), where a
+    label coincides with its own parity partner."""
+    twoj = round(2 * spec.j)
+    shells = range(spec.n_max + 1)
+    blocks = [(k / 2.0, shells) for k in range(2 - twoj % 2, twoj + 1, 2)]
+    if twoj % 2 == 0:
+        target = spec.parity_sector * sector_twist(spec.j)  # (-1)^N of its labels
+        blocks.insert(0, (0.0, shells[0 if target == 1 else 1::2]))
+    return blocks
+
+
 def basis_size(spec: BasisSpec) -> int:
     """Number of labels enumerate_basis(spec) yields, counted without them."""
-    shells = spec.n_max + 1
-    twoj = round(2 * spec.j)
-    size = (twoj + 1) // 2 * shells  # the m > 0 labels
-    if twoj % 2 == 0:  # m = 0 keeps the shells whose (-1)^N matches the sector
-        even = spec.parity_sector * sector_twist(spec.j) == 1
-        size += (shells + 1) // 2 if even else shells // 2
-    return size
+    return sum(len(shells) for _, shells in _blocks(spec))
 
 
 def enumerate_basis(spec: BasisSpec) -> BasisIndex:
-    """Enumerate the basis labels for `spec` in deterministic (m, n) ascending order.
-
-    Only m >= 0 labels appear; an m = 0 label (integer j only) is kept only
-    when (-1)^N matches s * (-1)^(2j) for sector s, where it coincides with
-    its own parity partner.
-    """
-    j, n_max = spec.j, spec.n_max
-    target = spec.parity_sector * sector_twist(j)
-    ns, ms = [], []
-    for m in m_values(j):
-        if m < 0:
-            continue
-        for n in range(n_max + 1):
-            if m == 0.0 and (1 if n % 2 == 0 else -1) != target:
-                continue
-            ns.append(n)
-            ms.append(m)
-    return BasisIndex(spec, ns, ms)
+    """The basis labels of `spec` in (m, N) ascending order, one _blocks
+    block after another."""
+    blocks = _blocks(spec)
+    n_exc = np.concatenate([np.arange(s.start, s.stop, s.step) for _, s in blocks])
+    m_vals = np.repeat([m for m, _ in blocks], [len(s) for _, s in blocks])
+    return BasisIndex(spec, n_exc, m_vals)

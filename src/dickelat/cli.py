@@ -96,8 +96,14 @@ def _cast(cast, text):
 
 
 def _load_config_section(path, section):
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
+    """The `section` of the UTF-8 INI file `path`, its values taken as
+    written: a `%` is literal text, as it is in a flag."""
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        read = cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        reason = " ".join(str(exc).split())
+        raise ConfigError(f"config file {path} is malformed: {reason}") from exc
     if not read:
         raise ConfigError(f"config file {path} not found or unreadable")
     if not cp.has_section(section):

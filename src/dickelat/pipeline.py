@@ -23,7 +23,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,9 +47,9 @@ _SECTOR_FILES = ("manifest.json", "energies.csv", "dos.csv", "markers.json", "st
 # 1.10x at 1148 and 1.32x at 1661.
 ONE_BLAS_THREAD_BELOW_DIM = 1024
 
-# E/j windows of the gap-ratio statistics: below the dynamic ESQPT, and
-# between it and the static one.  None is an open end.
-STAT_WINDOWS = ((None, -1.0), (-1.0, 1.0))
+# E/j windows of the gap-ratio statistics, by their summary.csv column: below
+# the dynamic ESQPT, and between it and the static one.  None is an open end.
+STAT_WINDOWS = {"ratio_low": (None, -1.0), "ratio_mid": (-1.0, 1.0)}
 
 
 @dataclass
@@ -107,7 +107,7 @@ def _window_stats(energies_over_j):
     STAT_WINDOWS window of one sector's leading certified levels: no ratio
     may span a level that is missing from the list."""
     out = []
-    for lo, hi in STAT_WINDOWS:
+    for lo, hi in STAT_WINDOWS.values():
         lo_v = -math.inf if lo is None else lo
         hi_v = math.inf if hi is None else hi
         sel = energies_over_j[(energies_over_j > lo_v) & (energies_over_j < hi_v)]
@@ -317,11 +317,7 @@ def _sector_manifest(cfg, sector, result=None, files=None, error=None):
         man.update(
             dim=result.energies.size,
             converged_count=result.report.converged_count,
-            residual_report={
-                "max_residual": result.residual_report.max_residual,
-                "max_ortho_defect": result.residual_report.max_ortho_defect,
-                "h_frobenius": result.residual_report.h_frobenius,
-            },
+            residual_report=asdict(result.residual_report),
             wall_time_s=sum(result.timings_s.values()),
             timings_s=result.timings_s,
         )
@@ -411,8 +407,7 @@ def _summary_row(cfg, result: RunResult | None):
         "converged_count": 0,
         "dynamic_marker": math.nan,
         "static_marker": math.nan,
-        "ratio_low": math.nan,
-        "ratio_mid": math.nan,
+        **dict.fromkeys(STAT_WINDOWS, math.nan),
     }
     if result is None:
         return row
@@ -425,8 +420,7 @@ def _summary_row(cfg, result: RunResult | None):
         row["dynamic_marker"] = first.markers.dynamic_marker
         row["static_marker"] = first.markers.static_marker
     if first.stats is not None:
-        for entry in first.stats:
-            key = "ratio_mid" if entry["window"][0] is not None else "ratio_low"
+        for key, entry in zip(STAT_WINDOWS, first.stats):
             if "mean_ratio" in entry:
                 row[key] = entry["mean_ratio"]
     return row

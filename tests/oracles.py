@@ -22,12 +22,35 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 
 from dickelat import algebra
-from dickelat.algebra import m_values
 from dickelat.basis import BasisIndex, sector_twist
 from dickelat.hamiltonian import ModelParams, SymmetricMatrix
 
 # mean consecutive-gap ratio of uncorrelated (Poisson) levels
 POISSON_RATIO = 2.0 * math.log(2.0) - 1.0  # ~0.38629
+
+
+def m_values(j):
+    """All projections -j..j in ascending order (exact half-integer floats)."""
+    twoj = round(2 * j)
+    return np.array([(-twoj + 2 * k) / 2.0 for k in range(twoj + 1)])
+
+
+def enumerate_labels(spec):
+    """(n_exc, m_vals) of a parity sector's labels, listed one by one: every
+    m >= 0 in ascending order and, per m, N = 0..n_max ascending, an m = 0
+    label kept only when (-1)^N is the sector label times sector_twist(j).
+    The arrays take the dtypes BasisIndex gives them."""
+    target = spec.parity_sector * sector_twist(spec.j)
+    ns, ms = [], []
+    for m in m_values(spec.j):
+        if m < 0:
+            continue
+        for n in range(spec.n_max + 1):
+            if m == 0.0 and (1 if n % 2 == 0 else -1) != target:
+                continue
+            ns.append(n)
+            ms.append(m)
+    return np.asarray(ns, dtype=int), np.asarray(ms, dtype=float)
 
 
 def label_of(index: BasisIndex, i):

@@ -10,7 +10,8 @@ from dickelat import algebra
 from dickelat.basis import BasisSpec
 from dickelat.hamiltonian import ModelParams
 from oracles import (
-    displacement_by_diagonal, displacement_expm, jx_matrix, jx_squared, laguerre_rational
+    displacement_by_diagonal, displacement_expm, jx_matrix, jx_squared, laguerre_rational,
+    m_values,
 )
 
 HALF_SPINS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.5]
@@ -39,7 +40,7 @@ def laguerre_from_w(n, alpha, x):
 class TestSpinElements:
     def test_z_diagonal(self):
         # Jz is diagonal in the m-ascending basis with entries m_values(j)
-        assert list(algebra.m_values(0.5)) == [-0.5, 0.5]
+        assert list(m_values(0.5)) == [-0.5, 0.5]
 
     def test_ladder_raise(self):
         val = algebra.ladder_coeff(1.0, 0.0, +1)
@@ -71,7 +72,7 @@ class TestSpinElements:
 
     @pytest.mark.parametrize("j", HALF_SPINS)
     def test_ladder_symmetry(self, j):
-        ms = algebra.m_values(j)
+        ms = m_values(j)
         for m in ms[:-1]:
             up = algebra.ladder_coeff(j, m, +1)
             down = algebra.ladder_coeff(j, m + 1, -1)
@@ -85,7 +86,7 @@ class TestSpinElements:
     def test_casimir_sum_rule(self, j):
         # Jx^2 + Jy^2 + Jz^2 = j(j+1) I; with Jy^2 = Jz^2-axis analog built
         # from the same ladders: Jy = (J+ - J-)/(2i) -> Jy^2 real symmetric
-        ms = algebra.m_values(j)
+        ms = m_values(j)
         dim = ms.size
         jp = np.zeros((dim, dim))
         for k in range(dim - 1):

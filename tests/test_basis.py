@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dickelat.basis import BasisSpec, basis_size, enumerate_basis, sector_twist
-from oracles import index_of, label_of
+from oracles import enumerate_labels, index_of, label_of
 
 half_js = st.integers(1, 8).map(lambda t: t / 2.0)
 
@@ -53,6 +54,19 @@ def test_invalid_specs_rejected():
         BasisSpec(1.0, 3, None)
     with pytest.raises(TypeError):
         BasisSpec(1.0, 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(twoj=st.integers(0, 21), n_max=st.integers(0, 60), sector=st.sampled_from((1, -1)))
+def test_labels_match_the_label_loop(twoj, n_max, sector):
+    # the block rule lists, label by label and with the same dtypes, what a
+    # loop over every (m, N) with the m = 0 parity test keeps, and counts it
+    spec = BasisSpec(twoj / 2.0, n_max, sector)
+    idx = enumerate_basis(spec)
+    n_exc, m_vals = enumerate_labels(spec)
+    assert idx.n_exc.dtype == n_exc.dtype and idx.m_vals.dtype == m_vals.dtype
+    assert np.array_equal(idx.n_exc, n_exc) and np.array_equal(idx.m_vals, m_vals)
+    assert basis_size(spec) == idx.size == n_exc.size
 
 
 @settings(max_examples=60, deadline=None)

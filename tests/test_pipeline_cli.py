@@ -314,6 +314,20 @@ class TestPipelineRun:
         assert json.loads((sector_dir / "markers.json").read_text())["bin_width"] == 0.05
         assert man["dim"] == result.sectors[0].energies.size
 
+    def test_a_sector_writes_exactly_the_names_a_rerun_clears(self, tmp_path):
+        # all three operators, and markers found: every product a sector can write
+        params = ModelParams(omega=1.0, omega0=1.0, gamma=1.0, j=10.0)
+        cfg = small_config(tmp_path, params=params, n_max=40, sectors=(1,))
+        (result,), _ = pipeline.sweep(cfg, (1.0,))
+        assert result.sectors[0].markers is not None
+        sector_dir = result.out_dir / "plus"
+        names = [*result.manifests[0]["files"], "manifest.json"]
+        assert sorted(names) == sorted(pipeline._SECTOR_FILES)
+        assert sorted(p.name for p in sector_dir.iterdir()) == sorted(pipeline._SECTOR_FILES)
+        with open(cfg.out_dir / "summary.csv", newline="") as fh:
+            header = next(csv.reader(fh))
+        assert [c for c in header if c.startswith("ratio_")] == list(pipeline.STAT_WINDOWS)
+
     def test_sweep_isolates_failures(self, tmp_path):
         cfg = small_config(
             tmp_path,
@@ -660,6 +674,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"config file {ini} has no [spectrum] section; it has [lattice], [sweep]" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b"n-atoms = 2\ngamma = 0.3\n", "is malformed: File contains no section headers."),
+            (b"[spectrum]\nn-atoms = 2\ngamma = 0.3\nsector = +%x\n",
+             "bad value for sector: '+%x'"),
+            (b"[spectrum]\nn-atoms = 2\n[spectrum]\ngamma = 0.3\n",
+             ": section 'spectrum' already exists"),
+            (b"[spectrum]\nn-atoms = 2\nn-atoms = 3\ngamma = 0.3\n",
+             "option 'n-atoms' in section 'spectrum' already exists"),
+            (b"[spectrum]\nn-atoms = 2\ngamma = 0.3\nout = \xff\n",
+             "is malformed: 'utf-8' codec can't decode byte 0xff"),
+        ],
+        ids=["no-section-header", "percent-is-literal", "repeated-section", "repeated-key",
+             "not-utf-8"],
+    )
+    def test_malformed_config_file_is_one_config_error(
+        self, tmp_path, no_build, capsys, content, reason
+    ):
+        ini = tmp_path / "run.ini"
+        ini.write_bytes(content)
+        assert self.run_cli("spectrum", "--config", str(ini), "--n-max", "3") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert reason in err
+        if "malformed" in reason:
+            assert f"config file {ini} is malformed: " in err
 
     def test_missing_gamma_is_config_error(self):
         assert self.run_cli("spectrum", "--n-atoms", "2") == 2
