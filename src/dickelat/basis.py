@@ -9,6 +9,7 @@ Labels are ordered m-major, excitation-minor.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -51,44 +52,33 @@ class BasisIndex:
         self.m_vals = np.asarray(m_vals, dtype=float)
         self.size = self.n_exc.size
 
-    def rows_with_excitation(self, n):
-        """Indices of all labels in excitation shell n."""
-        return np.nonzero(self.n_exc == n)[0]
 
-    def block_slices(self):
-        """(m, slice) for each contiguous m block, ascending in m."""
-        out = []
-        start = 0
-        for i in range(1, self.size + 1):
-            if i == self.size or self.m_vals[i] != self.m_vals[start]:
-                out.append((float(self.m_vals[start]), slice(start, i)))
-                start = i
-        return out
-
-
-def _blocks(spec: BasisSpec):
-    """(m, shells) for each m >= 0 block in index order, shells the range of
-    its excitations N: all of 0..n_max for m > 0; for m = 0 (integer j only)
-    the N whose (-1)^N is the sector label times sector_twist(j), where a
-    label coincides with its own parity partner."""
+def blocks(spec: BasisSpec):
+    """(m, rows, shells) for each m >= 0 block in index order: rows the slice
+    of the index its labels fill, shells the range of their excitations N.
+    That range is all of 0..n_max for m > 0; for m = 0 (integer j only) the
+    N whose (-1)^N is the sector label times sector_twist(j), where a label
+    coincides with its own parity partner, so at n_max = 0 one sector's
+    m = 0 block is empty."""
     twoj = round(2 * spec.j)
     shells = range(spec.n_max + 1)
-    blocks = [(k / 2.0, shells) for k in range(2 - twoj % 2, twoj + 1, 2)]
+    out = [(k / 2.0, shells) for k in range(2 - twoj % 2, twoj + 1, 2)]
     if twoj % 2 == 0:
         target = spec.parity_sector * sector_twist(spec.j)  # (-1)^N of its labels
-        blocks.insert(0, (0.0, shells[0 if target == 1 else 1::2]))
-    return blocks
+        out.insert(0, (0.0, shells[0 if target == 1 else 1::2]))
+    stops = accumulate(len(s) for _, s in out)
+    return [(m, slice(stop - len(s), stop), s) for (m, s), stop in zip(out, stops)]
 
 
 def basis_size(spec: BasisSpec) -> int:
     """Number of labels enumerate_basis(spec) yields, counted without them."""
-    return sum(len(shells) for _, shells in _blocks(spec))
+    return blocks(spec)[-1][1].stop
 
 
 def enumerate_basis(spec: BasisSpec) -> BasisIndex:
-    """The basis labels of `spec` in (m, N) ascending order, one _blocks
-    block after another."""
-    blocks = _blocks(spec)
-    n_exc = np.concatenate([np.arange(s.start, s.stop, s.step) for _, s in blocks])
-    m_vals = np.repeat([m for m, _ in blocks], [len(s) for _, s in blocks])
+    """The basis labels of `spec` in (m, N) ascending order, one block of
+    `blocks` after another."""
+    layout = blocks(spec)
+    n_exc = np.concatenate([np.arange(s.start, s.stop, s.step) for _, _, s in layout])
+    m_vals = np.repeat([m for m, _, _ in layout], [len(s) for _, _, s in layout])
     return BasisIndex(spec, n_exc, m_vals)

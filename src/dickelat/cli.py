@@ -19,8 +19,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import pipeline
+from .basis import BasisSpec
 from .errors import CapacityError, ConfigError, SolverError
-from .hamiltonian import ModelParams
+from .hamiltonian import ModelParams, check_capacity
 
 _SECTOR_CHOICES = {"+": (1,), "-": (-1,), "both": (1, -1)}
 
@@ -267,6 +268,9 @@ def _cmd_convergence(cfg, merged):
         raise ConfigError("the n-max-list is empty")
     # every truncation is checked before the first one is solved
     points = [replace(cfg, n_max=n_max) for n_max in n_list]
+    for point in points:
+        for sector in point.sectors:
+            check_capacity(BasisSpec(point.params.j, point.n_max, sector), point.mem_budget_bytes)
     print("n_max  dim    converged  ground_dp      max_dp(E/j<=1)")
     for point in points:
         result = pipeline.run(point)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .basis import BasisIndex, BasisSpec, basis_size, enumerate_basis, sector_twist
+from .basis import BasisIndex, BasisSpec, basis_size, blocks, enumerate_basis, sector_twist
 from .errors import CapacityError
 
 # Default memory budget (bytes) of one sector: the builder refuses a sector
@@ -121,7 +121,10 @@ def _size_text(n_bytes):
             return f"{n_bytes:.1f} {unit}"
 
 
-def _check_capacity(dim, budget):
+def check_capacity(spec: BasisSpec, budget):
+    """Raise CapacityError if the sector of `spec` would be charged more than
+    `budget` bytes; its dimension is counted without enumerating a label."""
+    dim = basis_size(spec)
     need = footprint_bytes(dim)
     if need > budget:
         raise CapacityError(
@@ -137,22 +140,16 @@ def _check_capacity(dim, budget):
 @dataclass(frozen=True)
 class SectorLadder:
     """One sector's labels, the displacement matrix W over its shells and the
-    pieces of Jz: each pair (c, lo, hi, shells_lo, shells_hi) of adjacent m
-    blocks holds c * W[shells_hi, shells_lo].T at rows lo, columns hi; at
-    half-integer j, self_block (c, sl, signs) is c * W * signs[None, :] at
-    the m = 1/2 block.  A full block's shells are slice(None): W is not copied."""
+    pieces of Jz: each pair (c, lo, hi, block) of adjacent m blocks holds
+    c * block at rows lo, columns hi, block being the view of W that couples
+    their shells; at half-integer j, self_block (c, sl, signs) is
+    c * W * signs[None, :] at the m = 1/2 block."""
 
     params: ModelParams
     index: BasisIndex
     w: np.ndarray
     pairs: tuple
     self_block: tuple | None
-
-
-def _shells(index, sl):
-    """Selector of W's rows or columns for the shells of block `sl`."""
-    n = index.n_exc[sl]
-    return slice(None) if n.size == index.spec.n_max + 1 else n
 
 
 def sector_ladder(
@@ -162,23 +159,23 @@ def sector_ladder(
     label is enumerated, if the sector's footprint_bytes would exceed
     `mem_budget_bytes`."""
     spec = BasisSpec(params.j, n_max, sector)
-    _check_capacity(basis_size(spec), mem_budget_bytes)
+    check_capacity(spec, mem_budget_bytes)
     index = enumerate_basis(spec)
     j = params.j
     w = algebra.displacement_matrix(n_max, params.g_disp)
-    blocks = index.block_slices()
+    layout = [(m, rows, slice(s.start, s.stop, s.step)) for m, rows, s in blocks(spec)]
     pairs = []
-    for (m, lo), (_, hi) in zip(blocks, blocks[1:]):
+    for (m, lo, shells_lo), (_, hi, shells_hi) in zip(layout, layout[1:]):
         c = 0.5 * algebra.ladder_coeff(j, m, +1)
         if m == 0.0:
             c *= math.sqrt(2.0)  # self-paired m=0 against the sqrt(2)-normalized pair
-        pairs.append((c, lo, hi, _shells(index, lo), _shells(index, hi)))
+        # rows: lower-m block, cols: upper: <N1|D(-G)|N2> = W[N2, N1]
+        pairs.append((c, lo, hi, w[shells_hi, shells_lo].T))
     self_block = None
-    if blocks and blocks[0][0] == 0.5:
+    if layout[0][0] == 0.5:
         # half-integer j: the m=1/2 pair couples to itself through its mirror
-        sl = blocks[0][1]
-        signs = np.where(index.n_exc[sl] % 2 == 0, 1.0, -1.0) * sector * sector_twist(j)
-        self_block = (0.5 * math.sqrt(j * (j + 1) + 0.25), sl, signs)
+        signs = np.where(np.arange(n_max + 1) % 2 == 0, 1.0, -1.0) * sector * sector_twist(j)
+        self_block = (0.5 * math.sqrt(j * (j + 1) + 0.25), layout[0][1], signs)
     return SectorLadder(params, index, w, tuple(pairs), self_block)
 
 
@@ -190,9 +187,8 @@ def build_sector(ladder: SectorLadder) -> SymmetricMatrix:
     two sectors' spectra together are the full displaced-basis spectrum."""
     params, index, w = ladder.params, ladder.index, ladder.w
     mat = np.zeros((index.size, index.size))
-    for c, lo, hi, shells_lo, shells_hi in ladder.pairs:
-        # rows: lower-m block, cols: upper: <N1|D(-G)|N2> = W[N2, N1]
-        blk = params.omega0 * (c * w[shells_hi][:, shells_lo].T)
+    for c, lo, hi, block in ladder.pairs:
+        blk = params.omega0 * (c * block)
         mat[lo, hi] = blk
         mat[hi, lo] = blk.T
     if ladder.self_block is not None:

@@ -34,10 +34,10 @@ class ConvergenceReport:
 
 def peres_expectation(op_kind: str, spectrum: Spectrum, ladder: SectorLadder) -> np.ndarray:
     """<v_k| op |v_k> for every eigenstate k from the sector's m-ladder, with
-    no operator matrix: Jz is 2 c <v[lo]| W[shells_hi, shells_lo].T |v[hi]>
-    per pair plus the m = 1/2 self block, Jx^2 the diagonal m^2, and
-    a^dag a = (A - G Jx)^dag (A - G Jx) the diagonal N + G^2 m^2 plus the
-    same-m ladder -G m sqrt(N + 1) between shells N and N + 1."""
+    no operator matrix: Jz is 2 c <v[lo]| block |v[hi]> per pair plus the
+    m = 1/2 self block, Jx^2 the diagonal m^2, and a^dag a =
+    (A - G Jx)^dag (A - G Jx) the diagonal N + G^2 m^2 plus the same-m
+    ladder -G m sqrt(N + 1) between shells N and N + 1."""
     if op_kind not in PERES_OPS:
         raise ValueError(f"unknown Peres operator {op_kind!r}")
     index = ladder.index
@@ -53,13 +53,12 @@ def peres_expectation(op_kind: str, spectrum: Spectrum, ladder: SectorLadder) ->
         step[np.diff(index.n_exc) != 1] = 0.0
         out = np.einsum("i,ik,ik->k", index.n_exc + (g * index.m_vals) ** 2, v, v)
         return out + 2.0 * np.einsum("i,ik,ik->k", step, v[:-1], v[1:])
-    w = ladder.w
     out = np.zeros(spectrum.dim)
-    for c, lo, hi, shells_lo, shells_hi in ladder.pairs:
-        out += 2.0 * c * np.einsum("ik,ik->k", v[lo], w[shells_hi][:, shells_lo].T @ v[hi])
+    for c, lo, hi, block in ladder.pairs:
+        out += 2.0 * c * np.einsum("ik,ik->k", v[lo], block @ v[hi])
     if ladder.self_block is not None:
         c, sl, signs = ladder.self_block
-        out += c * np.einsum("ik,ik->k", v[sl], w @ (signs[:, None] * v[sl]))
+        out += c * np.einsum("ik,ik->k", v[sl], ladder.w @ (signs[:, None] * v[sl]))
     return out
 
 
@@ -87,8 +86,7 @@ def delta_p(spectrum: Spectrum, index: BasisIndex) -> ConvergenceReport:
     """
     if index.size != spectrum.dim:
         raise ValueError("basis and spectrum dimensions differ")
-    rows = index.rows_with_excitation(index.spec.n_max)
-    dp = (spectrum.vectors[rows, :] ** 2).sum(axis=0)
+    dp = (spectrum.vectors[index.n_exc == index.spec.n_max, :] ** 2).sum(axis=0)
     above = dp >= DP_TOLERANCE
     converged = int(above.argmax()) if above.any() else spectrum.dim
     return ConvergenceReport(dp, converged)

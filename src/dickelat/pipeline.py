@@ -435,6 +435,10 @@ def sweep(cfg: RunConfig, gammas):
     if not gammas:
         raise ConfigError("a sweep needs at least one coupling")
     points = [replace(cfg, params=replace(cfg.params, gamma=g)) for g in gammas]
+    if cfg.out_dir is not None:
+        # no earlier sweep's table may outlive a rerun that dies midway
+        for path in [cfg.out_dir / "summary.csv", *cfg.out_dir.glob(".summary.csv.*.tmp")]:
+            path.unlink(missing_ok=True)
     results, rows = [], []
     with _sector_runner(points) as run_one:
         for g, point in zip(gammas, points):

@@ -273,6 +273,18 @@ def full_index(basis: FullBasis) -> BasisIndex:
     return BasisIndex(basis, ns, ms)
 
 
+def block_slices(index: BasisIndex):
+    """(m, slice) for each contiguous run of one m in the index, ascending in
+    m, found by scanning the labels one by one."""
+    out = []
+    start = 0
+    for i in range(1, index.size + 1):
+        if i == index.size or index.m_vals[i] != index.m_vals[start]:
+            out.append((float(index.m_vals[start]), slice(start, i)))
+            start = i
+    return out
+
+
 def build_fock(params: ModelParams, n_max: int) -> SymmetricMatrix:
     """Dicke Hamiltonian over |n> x |j,m>: diagonal omega n + omega0 m with the
     (2 gamma / sqrt(N_atoms)) (a + a^dag) Jx coupling linking (n, m) to (n+1, m+-1)."""
@@ -286,7 +298,7 @@ def build_fock(params: ModelParams, n_max: int) -> SymmetricMatrix:
     field[idx + 1, idx] = np.sqrt(idx + 1.0)
     field[idx, idx + 1] = np.sqrt(idx + 1.0)
     mat = np.zeros((index.size, index.size))
-    blocks = index.block_slices()
+    blocks = block_slices(index)
     for b, (m, sl) in enumerate(blocks):
         mat[sl, sl] = np.diag(params.omega * ns + params.omega0 * m)
         if b + 1 < len(blocks):
@@ -303,7 +315,7 @@ def coherent_jz(index: BasisIndex, params: ModelParams) -> np.ndarray:
     j = index.spec.j
     w = algebra.displacement_matrix(index.spec.n_max, params.g_disp)
     mat = np.zeros((index.size, index.size))
-    blocks = index.block_slices()
+    blocks = block_slices(index)
     for b in range(len(blocks) - 1):
         m, sl = blocks[b]
         _, sl_up = blocks[b + 1]
@@ -329,7 +341,7 @@ def op_photon(index: BasisIndex, params: ModelParams) -> np.ndarray:
     the diagonal N + G^2 m^2 with a same-m ladder in N."""
     g = params.g_disp
     mat = np.diag(index.n_exc + (g * index.m_vals) ** 2)
-    for _, sl in index.block_slices():
+    for _, sl in block_slices(index):
         n_list = index.n_exc[sl]
         m = index.m_vals[sl.start]
         base = sl.start

@@ -6,11 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dickelat import hamiltonian as ham
 from dickelat.basis import BasisSpec, enumerate_basis
 from dickelat.errors import CapacityError
 from oracles import (
+    block_slices,
     build_coherent,
     build_fock,
     build_tc_block,
@@ -140,6 +143,30 @@ class TestBuildCoherent:
         idx = full_index(h.basis)
         expect = idx.n_exc - (4 * 0.8**2 / (1.0 * 3)) * idx.m_vals**2
         assert np.allclose(np.diag(h.data), expect, atol=1e-15)
+
+
+@settings(max_examples=80, deadline=None)
+@given(twoj=st.integers(1, 21), n_max=st.integers(0, 60), sector=st.sampled_from((1, -1)))
+@example(twoj=4, n_max=0, sector=-1)  # its m = 0 block holds no label
+def test_ladder_layout(twoj, n_max, sector):
+    # the ladder's row slices tile the index in order, the non-empty ones
+    # being the index's m runs; each pair's block is a view of W, oriented as
+    # block[a, b] = W[N of hi row b, N of lo row a]
+    ladder = ham.sector_ladder(params(0.3, twoj / 2.0), n_max, sector)
+    idx, w = ladder.index, ladder.w
+    if ladder.pairs:
+        rows = [ladder.pairs[0][1], *(hi for _, _, hi, _ in ladder.pairs)]
+        assert all(p[2] == q[1] for p, q in zip(ladder.pairs, ladder.pairs[1:]))
+    else:
+        rows = [ladder.self_block[1]]
+    assert [sl.step for sl in rows] == [None] * len(rows)
+    assert [sl.start for sl in rows] == [0, *(sl.stop for sl in rows[:-1])]
+    assert rows[-1].stop == idx.size
+    want = [sl for _, sl in block_slices(enumerate_basis(idx.spec))]
+    assert [sl for sl in rows if sl.stop > sl.start] == want
+    for _, lo, hi, block in ladder.pairs:
+        assert np.array_equal(block, w[np.ix_(idx.n_exc[hi], idx.n_exc[lo])].T)
+        assert block.size == 0 or np.shares_memory(block, w)
 
 
 class TestBuildCoherentParity:

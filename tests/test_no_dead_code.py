@@ -230,6 +230,41 @@ def test_every_public_field_is_reached():
     assert not dead, f"public class fields nothing in src/ reaches: {dead}"
 
 
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_reads_another_modules_private_names():
+    """What one module of the package takes from another is public: no module
+    imports another's _name or reads it off the module it imported, so a name
+    two modules share (basis.blocks, hamiltonian.check_capacity) says so."""
+    reads = []
+    for mod, tree in _trees().items():
+        modules = {}  # local name -> the package module bound to it
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "dickelat"
+            ):
+                source = (node.module or "").removeprefix("dickelat").lstrip(".")
+                for alias in node.names:
+                    if _private(alias.name):
+                        reads.append(f"{mod} imports {source or 'dickelat'}.{alias.name}")
+                    elif not source:
+                        modules[alias.asname or alias.name] = alias.name
+            elif isinstance(node, ast.Import):
+                modules.update(
+                    (alias.asname, alias.name.split(".", 1)[1]) for alias in node.names
+                    if alias.asname and alias.name.startswith("dickelat.")
+                )
+        reads += [
+            f"{mod} reads {modules[node.value.id]}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and _private(node.attr)
+        ]
+    assert not reads, f"private names read across modules: {reads}"
+
+
 def test_analysis_imports_only_errors():
     """analysis works on plain arrays: it needs no model, basis, solver or
     observable type, so of the package it imports the errors alone."""

@@ -290,9 +290,9 @@ class TestDeltaP:
         s, ladder = sector_solve(p, 6, 1)
         idx = ladder.index
         rep = obs.delta_p(s, idx)
-        rows = idx.rows_with_excitation(6)
+        rows = idx.n_exc == 6
         low_states = np.abs(s.vectors[rows, :]).max(axis=0) == 0.0
-        assert low_states.sum() == s.dim - rows.size
+        assert low_states.sum() == s.dim - rows.sum()
         assert np.all(rep.delta_p[low_states] == 0.0)
 
     def test_probability_sum_rule(self):
@@ -302,7 +302,7 @@ class TestDeltaP:
         # the shells partition the basis: per-state shell weights sum to one,
         # and the top shell's weight is the delta_p certificate
         probs = np.array(
-            [(s.vectors[idx.rows_with_excitation(n), :] ** 2).sum(axis=0) for n in range(26)]
+            [(s.vectors[idx.n_exc == n, :] ** 2).sum(axis=0) for n in range(26)]
         )
         assert np.abs(probs.sum(axis=0) - 1.0).max() < 1e-12
         assert np.array_equal(probs[-1], obs.delta_p(s, idx).delta_p)

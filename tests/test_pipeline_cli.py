@@ -293,6 +293,29 @@ class TestPipelineRun:
         assert not (gamma_dir / "minus" / "manifest.json").exists()
         assert not orphan.exists()
 
+    def test_killed_sweep_rerun_leaves_no_summary(self, tmp_path, monkeypatch):
+        first = small_config(tmp_path, n_max=8, ops=())
+        pipeline.sweep(first, (0.1, 0.2))
+        summary = first.out_dir / "summary.csv"
+        assert summary.exists()
+        # what a sweep killed while writing its table leaves behind
+        orphan = first.out_dir / ".summary.csv.123-456.tmp"
+        orphan.write_text("gamma,")
+        ladder, calls = hamiltonian.sector_ladder, []
+
+        def killed_in_second_sector(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return ladder(*args)
+
+        monkeypatch.setattr(hamiltonian, "sector_ladder", killed_in_second_sector)
+        with pytest.raises(KeyboardInterrupt):
+            pipeline.sweep(small_config(tmp_path, n_max=10, ops=()), (0.1, 0.2))
+        # the first sweep's table would list both points as ok at n_max 8
+        assert not summary.exists()
+        assert not orphan.exists()
+
     def test_rerun_clears_products_it_does_not_write(self, tmp_path):
         first = small_config(tmp_path, sectors=(1,))
         pipeline.run(first)
@@ -824,6 +847,20 @@ class TestCli:
         lines = [l for l in out.splitlines() if l and not l.startswith("n_max")]
         assert len(lines) == 2
         assert "converged" in out or lines
+
+    def test_convergence_checks_every_truncation_before_solving(self, monkeypatch, capsys):
+        # n_max 4000 is a dim-10003 sector, charged 2.6 GiB against 0.5 GiB
+        eigh, calls = solver.eigh, []
+        monkeypatch.setattr(solver, "eigh", lambda matrix: calls.append(matrix.dim) or eigh(matrix))
+        code = self.run_cli(
+            "convergence", "--n-atoms", "4", "--gamma-over-gc", "2", "--sector", "+",
+            "--n-max-list", "20,40,4000", "--mem-budget-gib", "0.5",
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "dim-10003 sector" in captured.err
+        assert captured.out == ""
+        assert calls == []
 
     def test_bad_n_max_list_is_config_error(self, no_build, capsys):
         for value, message in (("10,x", "not an integer"), ("", "the n-max-list is empty")):
