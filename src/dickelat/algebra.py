@@ -4,17 +4,58 @@ matrix.
 Everything here is a pure function of its arguments; all matrix elements are
 real.  Factorial ratios are evaluated in log space so photon cutoffs of a few
 hundred never overflow.
+
+log k! is Cephes' `lgam` (Moshier's Cephes library, the routine behind
+SciPy's `gammaln`) at x = k + 1, ported with its constants and operation
+order, so every log-factorial, and so W, keeps `gammaln`'s bits while a run
+imports no SciPy special functions.  It takes `math.log`, the C library's log
+that `lgam` calls, and not `np.log`, whose own log differs from it in the last
+bit at some arguments.
 """
 
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 # Laguerre recurrence values are renormalized past this magnitude so the
 # upward recurrence stays finite for arbitrary degree/order.
 _RESCALE_LIMIT = 1e250
 _LOG_RESCALE = math.log(_RESCALE_LIMIT)
+
+# Cephes lgam: Stirling-series coefficients in 1/x^2 and log(sqrt(2 pi)).
+_LGAM_SERIES = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LOG_SQRT_2PI = 0.91893853320467274178
+
+
+def _log_factorial(k):
+    """log k! for k >= 0, bit for bit SciPy's gammaln(k + 1.0): Cephes' lgam
+    at x = k + 1 in its own operation order."""
+    x = k + 1.0
+    if x < 13.0:
+        # (x - 1)! as an exact product, then one log
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        return math.log(z)
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    s = _LGAM_SERIES[0]
+    for c in _LGAM_SERIES[1:]:  # Horner, as Cephes' polevl
+        s = s * p + c
+    return q + s / x
 
 
 def ladder_coeff(j, m, direction):
@@ -62,7 +103,7 @@ def displacement_matrix(n_top, delta):
     # entries (row, col) = (k + a, k) of the lower triangle
     k, a = np.nonzero(np.add.outer(alphas, alphas) <= n_top)
     rows = k + a
-    lg = gammaln(alphas + 1.0)  # lg[k] = log k!
+    lg = np.array([_log_factorial(k) for k in range(size)])  # lg[k] = log k!
     lpref = 0.5 * (lg[k] - lg[rows]) + a * math.log(abs(delta)) - 0.5 * x
     l_ka = lvals[k, a]
     abs_l = np.abs(l_ka)

@@ -30,8 +30,9 @@ MEMORY_BUDGET_BYTES = 4 * 2**30
 # operators, 2 BLAS threads) peaked at 3.33x at dim 2481 and 3.31x at 3301.
 FOOTPRINT_MATRICES = 3.5
 
-# Side of the square tiles in which the exact symmetry check compares H with
-# its transpose: a tile pair stays in cache, and no dim x dim temporary forms.
+# Side of the square tiles in which H is compared with its transpose and
+# checked for finite entries: a tile pair stays in cache, and no dim x dim
+# temporary forms.
 _SYMMETRY_TILE = 256
 
 
@@ -81,27 +82,30 @@ class SymmetricMatrix:
         d = self.data
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("matrix must be square")
-        if not _exactly_symmetric(d):
-            raise ValueError("matrix entries are not exactly symmetric")
-        if not np.isfinite(d).all():
-            raise ValueError("matrix contains non-finite entries")
+        _check_entries(d)
 
     @property
     def dim(self):
         return self.data.shape[0]
 
 
-def _exactly_symmetric(d):
-    """np.array_equal(d, d.T), compared one tile pair d[I, J], d[J, I].T at
-    a time over the upper triangle; stops at the first tile that differs."""
+def _check_entries(d):
+    """Raise ValueError unless np.array_equal(d, d.T) and every entry is
+    finite, in one pass over the tile pairs d[I, J], d[J, I].T of the upper
+    triangle; a NaN fails as not symmetric.  Once the pairs agree, the upper
+    tiles hold every value, so they alone are checked for ±inf."""
     dim = d.shape[0]
+    finite = True
     for start in range(0, dim, _SYMMETRY_TILE):
         rows = slice(start, start + _SYMMETRY_TILE)
         for col_start in range(start, dim, _SYMMETRY_TILE):
             cols = slice(col_start, col_start + _SYMMETRY_TILE)
-            if not np.array_equal(d[rows, cols], d[cols, rows].T):
-                return False
-    return True
+            upper = d[rows, cols]
+            if not np.array_equal(upper, d[cols, rows].T):
+                raise ValueError("matrix entries are not exactly symmetric")
+            finite = finite and np.isfinite(upper).all()
+    if not finite:
+        raise ValueError("matrix contains non-finite entries")
 
 
 def footprint_bytes(dim):

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from dickelat import algebra
 from dickelat.basis import BasisSpec
@@ -157,6 +162,41 @@ class TestDisplacedOverlap:
             assert np.isfinite(w).all()
             assert np.abs(w).max() <= 1.0 + 1e-12
             assert (w[:, n_top // 2] ** 2).sum() == pytest.approx(1.0, abs=1e-10)
+
+
+class TestLogFactorial:
+    """algebra's log k! against SciPy's gammaln(k + 1), compared bit for bit,
+    since W's and so H's bits depend on every one of them."""
+
+    @staticmethod
+    def assert_bits_match(ks):
+        ks = np.asarray(ks, dtype=float)
+        got = np.array([algebra._log_factorial(k) for k in ks])
+        want = gammaln(ks + 1.0)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_bits_match_gammaln_up_to_200000(self):
+        self.assert_bits_match(np.arange(200_001))
+
+    @pytest.mark.parametrize("x", [12.0, 13.0, 999.0, 1000.0, 1e8, 1e8 + 1.0])
+    def test_bits_match_gammaln_at_each_branch_edge(self, x):
+        # x = k + 1: the exact product below 13, the 5-term series below 1000,
+        # the 3-term series up to 1e8 and the bare Stirling sum above it
+        self.assert_bits_match([x - 2.0, x - 1.0, x])
+
+    def test_a_run_imports_no_scipy_special(self):
+        # a fresh interpreter: this one has imported scipy.special for the
+        # oracles; scipy.linalg shows that the check sees SciPy's modules
+        src = str(Path(algebra.__file__).resolve().parents[1])
+        script = (
+            "import sys, dickelat.cli; "
+            "print('scipy.linalg' in sys.modules, 'scipy.special' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert proc.stdout.split() == ["True", "False"]
 
 
 class TestLaguerre:

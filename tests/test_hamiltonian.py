@@ -304,6 +304,36 @@ class TestExactSymmetryCheck:
                 ham.SymmetricMatrix(d, None)
 
 
+def _inf_at(d, value, *pairs):
+    for i, j in pairs:
+        d[i, j] = d[j, i] = value
+    return d
+
+
+class TestFiniteEntries:
+    """An exactly symmetric matrix holding ±inf fails as non-finite, in any
+    tile; one that is also asymmetric elsewhere fails as not symmetric."""
+
+    CASES = {
+        "inf-pair": lambda: _inf_at(_symmetric(600), np.inf, (5, 580)),
+        "minus-inf-on-diagonal": lambda: _inf_at(_symmetric(600), -np.inf, (7, 7)),
+        "inf-in-partial-corner-tile": lambda: _inf_at(_symmetric(600), np.inf, (598, 595)),
+        "dim-1": lambda: np.array([[np.inf]]),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_symmetric_with_inf_is_non_finite(self, case):
+        d = self.CASES[case]()
+        assert np.array_equal(d, d.T) and not np.isfinite(d).all()
+        with pytest.raises(ValueError, match="non-finite entries"):
+            ham.SymmetricMatrix(d, None)
+
+    def test_asymmetry_after_an_inf_tile_is_not_symmetric(self):
+        d = _nudge(_inf_at(_symmetric(600), np.inf, (0, 1)), 599, 590)
+        with pytest.raises(ValueError, match="not exactly symmetric"):
+            ham.SymmetricMatrix(d, None)
+
+
 _PEAK_SCRIPT = """
 import resource, sys
 from dickelat import hamiltonian, pipeline

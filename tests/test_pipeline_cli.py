@@ -843,10 +843,14 @@ class TestCli:
             "--n-max-list", "10,20",
         )
         assert code == 0
-        out = capsys.readouterr().out
-        lines = [l for l in out.splitlines() if l and not l.startswith("n_max")]
-        assert len(lines) == 2
-        assert "converged" in out or lines
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.split() == ["n_max", "dim", "converged", "ground_dp", "max_dp(E/j<=1)"]
+        assert [int(row.split()[0]) for row in rows] == [10, 20]
+        for row in rows:
+            assert len(row.split()) == 5
+            n_max, dim, converged = map(int, row.split()[:3])
+            assert dim == basis_size(BasisSpec(1.0, n_max, 1))
+            assert 0 <= converged <= dim
 
     def test_convergence_checks_every_truncation_before_solving(self, monkeypatch, capsys):
         # n_max 4000 is a dim-10003 sector, charged 2.6 GiB against 0.5 GiB
