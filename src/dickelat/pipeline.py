@@ -7,7 +7,7 @@ plus the ESQPT markers when Jz is among them.  A run with none writes the
 energies only.
 
 A run or sweep whose sectors are all smaller than ONE_BLAS_THREAD_BELOW_DIM
-calls BLAS on one thread; larger ones keep the process's thread counts.  A
+calls BLAS on one thread; larger ones keep the process's thread count.  A
 sector runs in two halves: ladder, build and solve, then certificate,
 observables, analysis and files.  Below the threshold, and when the memory
 budget covers two sectors at once, one worker thread solves each sector
@@ -39,12 +39,12 @@ SECTOR_DIRS = {1: "plus", -1: "minus"}
 _SECTOR_FILES = ("manifest.json", "energies.csv", "dos.csv", "markers.json", "stats.json",
                  *(f"lattice_{op}.csv" for op in observables.PERES_OPS))
 
-# Sectors below this dimension run BLAS on one thread.  numpy and scipy each
-# load their own OpenBLAS, and each leaves its threads spinning after a call,
-# so small sectors pay for two contending pools.  One full lattice run of one
-# sector (3 Peres operators, analysis, files; N = 40, 2 cores) took, on 1
-# thread against 2: 0.74-0.80x at dim 841, 0.83x at 923, 0.90-1.01x at 1005,
-# 1.10x at 1148 and 1.32x at 1661.
+# Sectors below this dimension run BLAS on one thread.  One full lattice run
+# of one sector (3 Peres operators, analysis, files; N = 40, 2 cores) took, on
+# 1 thread against 2: 0.74-0.80x at dim 841, 0.83x at 923, 0.90-1.01x at
+# 1005, 1.10x at 1148 and 1.32x at 1661.  That crossover was measured while
+# numpy and scipy each loaded an OpenBLAS whose threads spun beside the
+# other's; it has not been measured again with numpy's library alone.
 ONE_BLAS_THREAD_BELOW_DIM = 1024
 
 # E/j windows of the gap-ratio statistics, by their summary.csv column: below
@@ -308,8 +308,7 @@ def _sector_manifest(cfg, sector, result=None, files=None, error=None):
         "omega0": cfg.params.omega0,
         "dp_tolerance": observables.DP_TOLERANCE,
         "files": files or {},
-        # one process-wide count: the highest over the loaded OpenBLAS libraries
-        "blas_threads": max(solver.blas_thread_counts().values(), default=None),
+        "blas_threads": solver.blas_thread_count(),
         "versions": solver.library_versions(),
         "peak_rss_mib": _peak_rss_mib(),
     }
@@ -352,6 +351,11 @@ def _sector_runner(points):
             yield _SolveAhead(pool, jobs).run_sector
 
 
+def _gamma_dir_name(gamma):
+    """The name of a coupling's directory under out_dir."""
+    return f"gamma={gamma:.12g}"
+
+
 def run(cfg: RunConfig) -> RunResult:
     """Execute one run (all requested sectors) and persist products under
     out_dir/<gamma>/<sector>/.  Raises on failure after flushing a manifest
@@ -367,7 +371,7 @@ def _run(cfg, run_one):
     gamma_dir = None
     sector_dirs = [None] * len(cfg.sectors)
     if cfg.out_dir is not None:
-        gamma_dir = cfg.out_dir / f"gamma={gamma:.12g}"
+        gamma_dir = cfg.out_dir / _gamma_dir_name(gamma)
         sector_dirs = [gamma_dir / SECTOR_DIRS[sector] for sector in cfg.sectors]
         # no earlier run's "ok" manifest may outlive a rerun that dies midway,
         # nor a product the rerun does not write, nor the temporary files of a
@@ -431,11 +435,20 @@ def sweep(cfg: RunConfig, gammas):
     in one _sector_runner; per-point failures are isolated.  Returns
     (results, summary_rows) where a failed point appears as (gamma,
     exception) in results.  The exception is stored without its traceback,
-    whose frames would keep the point's matrices alive."""
+    whose frames would keep the point's matrices alive.  Two couplings whose
+    directories under out_dir would have one name are a ConfigError, raised
+    before anything is solved or deleted."""
     if not gammas:
         raise ConfigError("a sweep needs at least one coupling")
     points = [replace(cfg, params=replace(cfg.params, gamma=g)) for g in gammas]
     if cfg.out_dir is not None:
+        names = [_gamma_dir_name(g) for g in gammas]
+        shared = sorted({name for name in names if names.count(name) > 1})
+        if shared:
+            raise ConfigError(
+                f"couplings share an output directory ({', '.join(shared)}): "
+                "each sweep point needs its own"
+            )
         # no earlier sweep's table may outlive a rerun that dies midway
         for path in [cfg.out_dir / "summary.csv", *cfg.out_dir.glob(".summary.csv.*.tmp")]:
             path.unlink(missing_ok=True)

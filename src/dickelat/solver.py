@@ -1,26 +1,23 @@
 """Full dense real-symmetric eigendecomposition with an auditable accuracy report.
 
-The heavy lifting is LAPACK's dsyevd, called through the function pointer
-that scipy.linalg.cython_lapack publishes, so the solve drops the GIL and
-another thread can run beside it.  The contract here is the residual bound
+The heavy lifting is LAPACK's dsyevd from the OpenBLAS that numpy's linalg
+extension links, the one np.linalg.eigh runs, called by ctypes so the solve
+drops the GIL and another thread can run beside it.  That OpenBLAS is the
+only BLAS a run loads.  The contract here is the residual bound
 (max ||H v - E v|| <= 1e-10 ||H||_F) and the orthonormality defect
 (<= 1e-10), both recorded on every Spectrum.  The audit multiplies H one row
 chunk at a time over that chunk's nonzero column envelope, so banded
 matrices cost a fraction of a dense GEMM while every nonzero still counts.
 
-numpy and scipy may each load their own OpenBLAS; `blas_threads` sets the
-thread count of every loaded one for the duration of a block, and
-`library_versions` names each one's build.
+`blas_threads` sets the library's thread count for the duration of a block,
+`blas_thread_count` reads it, and `library_versions` names its build.
 """
 
 import ctypes
-import functools
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg.cython_lapack
 
 from .basis import BasisSpec
 from .errors import SolverError
@@ -34,31 +31,52 @@ ORTHO_BOUND = 1e-10
 # product is still an efficient GEMM.
 _ROW_CHUNK = 64
 
-# (prefix, suffix) of the set_num_threads, get_num_threads and get_config
-# symbols that OpenBLAS builds export: plain, scipy-openblas, and
-# scipy-openblas with the ILP64 suffix.
-_OPENBLAS_SYMBOLS = (("openblas_", ""), ("scipy_openblas_", ""), ("scipy_openblas_", "64_"))
-
-
-def _cython_lapack(name, *argtypes):
-    """scipy's LAPACK routine `name` as a ctypes function of `argtypes`,
-    returning void: the pointer in the capsule that
-    scipy.linalg.cython_lapack publishes for it.  A ctypes call drops the GIL."""
-    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
-    api = ctypes.pythonapi
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", api)
-    )
-    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
-
-
-_INT = ctypes.POINTER(ctypes.c_int)
-# dsyevd(jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info)
-_DSYEVD = _cython_lapack(
-    "dsyevd", ctypes.c_char_p, ctypes.c_char_p, _INT, ctypes.c_void_p, _INT, ctypes.c_void_p,
-    ctypes.c_void_p, _INT, ctypes.c_void_p, _INT, _INT,
+# The symbols of the OpenBLAS builds numpy links: (prefix, suffix) of their
+# set_num_threads, get_num_threads and get_config, and their dsyevd.  Plain,
+# scipy-openblas, and scipy-openblas with the ILP64 suffix.
+_OPENBLAS_SYMBOLS = (
+    ("openblas_", "", "dsyevd_"),
+    ("scipy_openblas_", "", "scipy_dsyevd_"),
+    ("scipy_openblas_", "64_", "scipy_dsyevd_64_"),
 )
+
+
+def _openblas():
+    """(dsyevd, set_num_threads, get_num_threads, build config, LAPACK
+    integer type) of the OpenBLAS that numpy's linalg extension links:
+    dlsym on the extension's handle searches the libraries it depends on.
+    Raises ImportError when none of _OPENBLAS_SYMBOLS is there."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for prefix, suffix, dsyevd_name in _OPENBLAS_SYMBOLS:
+        try:
+            dsyevd, set_threads, get_threads, get_config = (
+                getattr(lib, name) for name in (
+                    dsyevd_name, f"{prefix}set_num_threads{suffix}",
+                    f"{prefix}get_num_threads{suffix}", f"{prefix}get_config{suffix}",
+                )
+            )
+        except AttributeError:
+            continue
+        set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+        get_threads.argtypes, get_threads.restype = (), ctypes.c_int
+        get_config.argtypes, get_config.restype = (), ctypes.c_char_p
+        config = get_config().decode(errors="replace").strip()
+        lapack_int = ctypes.c_int64 if "USE64BITINT" in config.split() else ctypes.c_int
+        ref = ctypes.POINTER(lapack_int)
+        # dsyevd(jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info)
+        dsyevd.argtypes = (
+            ctypes.c_char_p, ctypes.c_char_p, ref, ctypes.c_void_p, ref, ctypes.c_void_p,
+            ctypes.c_void_p, ref, ctypes.c_void_p, ref, ref,
+        )
+        dsyevd.restype = None
+        return dsyevd, set_threads, get_threads, config, lapack_int
+    raise ImportError(
+        "numpy's linalg extension links no OpenBLAS this module can call: looked for "
+        + ", ".join(f"{d} with {p}get_config{s}" for p, s, d in _OPENBLAS_SYMBOLS)
+    )
+
+
+_DSYEVD, _SET_THREADS, _GET_THREADS, _OPENBLAS_CONFIG, _LAPACK_INT = _openblas()
 
 
 @dataclass
@@ -124,7 +142,7 @@ def _dsyevd(a, w):
     """LAPACK's dsyevd with jobz V and uplo L on the Fortran-ordered square
     float64 `a`: the ascending eigenvalues into `w`, the eigenvectors over
     `a`.  The workspace is what a workspace query returns, as in
-    scipy.linalg.eigh.  Returns LAPACK's info."""
+    np.linalg.eigh.  Returns LAPACK's info."""
     n = a.shape[0]
     if not (
         a.shape == (n, n) and a.dtype == np.float64 and a.flags.f_contiguous
@@ -133,25 +151,26 @@ def _dsyevd(a, w):
     ):
         raise ValueError("dsyevd takes a writeable Fortran-ordered square float64 matrix "
                          "and a writeable float64 vector of its order")
-    info = ctypes.c_int(0)
+    info = _LAPACK_INT(0)
 
     def call(work, lwork, iwork, liwork):
-        _DSYEVD(b"V", b"L", ctypes.c_int(n), a.ctypes.data, ctypes.c_int(max(1, n)),
-                w.ctypes.data, work.ctypes.data, ctypes.c_int(lwork), iwork.ctypes.data,
-                ctypes.c_int(liwork), info)
+        _DSYEVD(b"V", b"L", _LAPACK_INT(n), a.ctypes.data, _LAPACK_INT(max(1, n)),
+                w.ctypes.data, work.ctypes.data, _LAPACK_INT(lwork), iwork.ctypes.data,
+                _LAPACK_INT(liwork), info)
         return info.value
 
-    work, iwork = np.zeros(1), np.zeros(1, dtype=np.intc)
+    work, iwork = np.zeros(1), np.zeros(1, dtype=_LAPACK_INT)
     if call(work, -1, iwork, -1):
         return info.value
     lwork, liwork = int(work[0]), int(iwork[0])
-    return call(np.empty(lwork), lwork, np.empty(liwork, dtype=np.intc), liwork)
+    return call(np.empty(lwork), lwork, np.empty(liwork, dtype=_LAPACK_INT), liwork)
 
 
 def eigh(matrix: SymmetricMatrix) -> Spectrum:
     """All eigenpairs of a SymmetricMatrix, ascending, from LAPACK's
     divide-and-conquer driver (evd, the measured fastest), bit for bit what
-    scipy.linalg.eigh(driver="evd") returns, but without holding the GIL.
+    np.linalg.eigh returns at the same thread count, but without holding the
+    GIL.
     Each vector's sign is LAPACK's: every product is a quadratic form in one
     vector.
 
@@ -204,71 +223,29 @@ def eigh(matrix: SymmetricMatrix) -> Spectrum:
     return Spectrum(energies, vectors, matrix.basis, report)
 
 
-@functools.cache
-def _openblas_pools():
-    """(file name, set, get, build config string) for each OpenBLAS library
-    mapped into this process, found by path in /proc/self/maps; empty where
-    there is none.  Found once: numpy's and scipy's are mapped once this
-    module is imported."""
-    try:
-        with open("/proc/self/maps", "rb") as fh:
-            lines = [line for line in fh if b"openblas" in line]
-    except OSError:
-        return ()
-    paths = {os.fsdecode(line.split(maxsplit=5)[5].strip()) for line in lines}
-    pools = []
-    for path in sorted(paths):
-        name = os.path.basename(path)
-        if "openblas" not in name:
-            continue
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in _OPENBLAS_SYMBOLS:
-            try:
-                set_threads, get_threads, get_config = (
-                    getattr(lib, f"{prefix}{symbol}{suffix}")
-                    for symbol in ("set_num_threads", "get_num_threads", "get_config")
-                )
-            except AttributeError:
-                continue
-            get_config.restype = ctypes.c_char_p
-            config = get_config().decode(errors="replace").strip()
-            pools.append((name, set_threads, get_threads, config))
-            break
-    return tuple(pools)
-
-
-def blas_thread_counts():
-    """{library file name: thread count} of every loaded OpenBLAS."""
-    return {name: get() for name, _, get, _ in _openblas_pools()}
+def blas_thread_count():
+    """The OpenBLAS thread count, process-wide."""
+    return _GET_THREADS()
 
 
 def library_versions():
-    """numpy's and scipy's versions and {library file name: build config} of
-    every loaded OpenBLAS."""
-    return {
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "openblas": {name: config for name, _, _, config in _openblas_pools()},
-    }
+    """numpy's version and the OpenBLAS build config."""
+    return {"numpy": np.__version__, "openblas": _OPENBLAS_CONFIG}
 
 
 @contextmanager
 def blas_threads(n):
-    """Run the block with every loaded OpenBLAS on `n` threads, then give each
-    library it changed back its previous count.  Libraries already on `n`
-    threads, or none at all, are left alone.
+    """Run the block with OpenBLAS on `n` threads, then give it back its
+    previous count.  A count already at `n` is left alone.
 
     The count is process-wide: set it before starting threads that call BLAS,
     not from inside them."""
-    counts = [(set_threads, get()) for _, set_threads, get, _ in _openblas_pools()]
-    changed = [(set_threads, count) for set_threads, count in counts if count != n]
-    for set_threads, _ in changed:
-        set_threads(n)
+    before = _GET_THREADS()
+    if before == n:
+        yield
+        return
+    _SET_THREADS(n)
     try:
         yield
     finally:
-        for set_threads, count in changed:
-            set_threads(count)
+        _SET_THREADS(before)

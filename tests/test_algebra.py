@@ -1,9 +1,5 @@
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,20 +179,6 @@ class TestLogFactorial:
         # x = k + 1: the exact product below 13, the 5-term series below 1000,
         # the 3-term series up to 1e8 and the bare Stirling sum above it
         self.assert_bits_match([x - 2.0, x - 1.0, x])
-
-    def test_a_run_imports_no_scipy_special(self):
-        # a fresh interpreter: this one has imported scipy.special for the
-        # oracles; scipy.linalg shows that the check sees SciPy's modules
-        src = str(Path(algebra.__file__).resolve().parents[1])
-        script = (
-            "import sys, dickelat.cli; "
-            "print('scipy.linalg' in sys.modules, 'scipy.special' in sys.modules)"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True, text=True, check=True, timeout=120,
-        )
-        assert proc.stdout.split() == ["True", "False"]
 
 
 class TestLaguerre:

@@ -18,6 +18,7 @@ unit tests set is one value in use, and becomes a constant."""
 import ast
 import math
 import re
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -286,3 +287,21 @@ def test_analysis_imports_only_errors():
                 if alias.name.startswith("dickelat.")
             )
     assert imported == {"errors"}, f"analysis imports {sorted(imported)} from dickelat"
+
+
+def test_src_imports_only_the_standard_library_numpy_and_itself():
+    """numpy is a run's only dependency: no module of the package imports
+    scipy or any other package outside the standard library."""
+    allowed = {*sys.stdlib_module_names, "numpy", "dickelat"}
+    foreign = []
+    for mod, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{mod} imports {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert not foreign, f"imports from outside the standard library and numpy: {foreign}"

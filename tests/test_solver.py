@@ -262,46 +262,29 @@ class TestRowEnvelopes:
 
 
 class TestBlasThreads:
-    @pytest.fixture(autouse=True)
-    def pools(self):
-        counts = solver.blas_thread_counts()
-        if not counts:
-            pytest.skip("no OpenBLAS library is loaded in this process")
-        return counts
+    @pytest.fixture
+    def count(self):
+        return solver.blas_thread_count()
 
-    def test_every_pool_runs_one_thread_inside(self, pools):
+    def test_every_pool_runs_one_thread_inside(self, count):
         with solver.blas_threads(2):
             with solver.blas_threads(1):
-                assert set(solver.blas_thread_counts()) == set(pools)
-                assert set(solver.blas_thread_counts().values()) == {1}
+                assert solver.blas_thread_count() == 1
                 # the count is process-wide: a thread started inside sees it too
                 with ThreadPoolExecutor(1) as pool:
-                    seen = pool.submit(solver.blas_thread_counts).result()
-                assert set(seen.values()) == {1}
-            assert set(solver.blas_thread_counts().values()) == {2}
-        assert solver.blas_thread_counts() == pools
+                    assert pool.submit(solver.blas_thread_count).result() == 1
+            assert solver.blas_thread_count() == 2
+        assert solver.blas_thread_count() == count
 
-    def test_libraries_found_once_counts_read_live(self, pools, monkeypatch):
-        opened = []
-        real_open = open
-
-        def spy(path, *args, **kwargs):
-            opened.append(path)
-            return real_open(path, *args, **kwargs)
-
-        monkeypatch.setattr("builtins.open", spy)
-        solver._openblas_pools.cache_clear()
-        assert solver.blas_thread_counts() == pools
-        assert opened == ["/proc/self/maps"]
-        with solver.blas_threads(1):
-            assert set(solver.blas_thread_counts().values()) == {1}
-        assert solver.blas_thread_counts() == pools
-        assert opened == ["/proc/self/maps"]
-
-    def test_counts_restored_after_an_exception(self, pools):
+    def test_counts_restored_after_an_exception(self, count):
         with pytest.raises(RuntimeError), solver.blas_threads(1):
             raise RuntimeError("solve failed")
-        assert solver.blas_thread_counts() == pools
+        assert solver.blas_thread_count() == count
+
+    def test_no_known_build_is_an_import_error(self, monkeypatch):
+        monkeypatch.setattr(solver, "_OPENBLAS_SYMBOLS", (("none_", "", "none_dsyevd_"),))
+        with pytest.raises(ImportError, match="none_dsyevd_ with none_get_config"):
+            solver._openblas()
 
 
 class TestInPlaceSolve:
@@ -379,14 +362,10 @@ class TestInPlaceSolve:
         assert m.data.tobytes() == before
 
 
-def scipy_evd(mat):
-    """The reference solve: scipy.linalg.eigh with the evd driver."""
-    return scipy.linalg.eigh(mat, driver="evd", check_finite=False)
-
-
 class TestLapackCall:
-    """eigh calls dsyevd through scipy's cython_lapack pointer: the same
-    LAPACK as scipy.linalg.eigh, without the GIL."""
+    """eigh calls the dsyevd of the OpenBLAS numpy links (scipy-openblas in
+    numpy's wheels): the same LAPACK and thread pool as np.linalg.eigh,
+    without the GIL."""
 
     @staticmethod
     def sector(j, n_max, gamma=1.0):
@@ -408,7 +387,7 @@ class TestLapackCall:
         if threads == 2:
             assert m.dim > pipeline.ONE_BLAS_THREAD_BELOW_DIM
         with solver.blas_threads(threads):
-            want_e, want_v = scipy_evd(m.data)
+            want_e, want_v = np.linalg.eigh(m.data)
             got = solver.eigh(m)
         assert got.energies.tobytes() == want_e.tobytes()
         assert got.vectors.tobytes() == want_v.tobytes()
