@@ -25,10 +25,12 @@ from .errors import CapacityError
 MEMORY_BUDGET_BYTES = 4 * 2**30
 
 # A sector's peak memory above the interpreter's, in dense matrices of its
-# dimension: H, evd's 2n^2 workspace and H's saved envelopes while the solve
-# runs in H's buffer.  One full lattice sector (N = 40, 2 gamma_c, three Peres
-# operators, 2 BLAS threads) peaked at 3.33x at dim 2481 and 3.31x at 3301.
-FOOTPRINT_MATRICES = 3.5
+# dimension: H, the eigenvectors and dstedc's n^2 + 4n + 1 workspace while
+# the tridiagonal's eigenvectors are found.  One full lattice sector (N = 40,
+# 2 gamma_c, three Peres operators) peaked at 3.054x at dim 2481 and
+# 3.057-3.058x at 3301 on 1 BLAS thread, at 3.066-3.067x and 3.063x on 2;
+# the charge stays at least 0.1 above every one.
+FOOTPRINT_MATRICES = 3.2
 
 # Side of the square tiles in which H is compared with its transpose and
 # checked for finite entries: a tile pair stays in cache, and no dim x dim

@@ -1,13 +1,18 @@
 """Full dense real-symmetric eigendecomposition with an auditable accuracy report.
 
-The heavy lifting is LAPACK's dsyevd from the OpenBLAS that numpy's linalg
-extension links, the one np.linalg.eigh runs, called by ctypes so the solve
-drops the GIL and another thread can run beside it.  That OpenBLAS is the
-only BLAS a run loads.  The contract here is the residual bound
-(max ||H v - E v|| <= 1e-10 ||H||_F) and the orthonormality defect
-(<= 1e-10), both recorded on every Spectrum.  The audit multiplies H one row
-chunk at a time over that chunk's nonzero column envelope, so banded
-matrices cost a fraction of a dense GEMM while every nonzero still counts.
+The heavy lifting is LAPACK's dsyevd, the driver np.linalg.eigh runs, from
+the OpenBLAS that numpy's linalg extension links: its three stages (dsytrd,
+dstedc, dormtr), called by ctypes so the solve drops the GIL and another
+thread can run beside it.  Run one by one, they reduce H in its own buffer
+and write the eigenvectors into their own array, bit for bit dsyevd's, so a
+solve holds H, the vectors and dstedc's n^2 workspace and no copy of H.
+That OpenBLAS is the only BLAS a run loads.  The contract here is the
+residual bound (max ||H v - E v|| <= 1e-10 ||H||_F) and the orthonormality
+defect (<= 1e-10), both recorded on every Spectrum.  The audit multiplies H
+one row chunk at a time over that chunk's nonzero column envelope, so banded
+matrices cost a fraction of a dense GEMM while every nonzero still counts,
+and takes V^T V one panel of columns at a time, so no dim x dim temporary
+forms.
 
 `blas_threads` sets the library's thread count for the duration of a block,
 `blas_thread_count` reads it, and `library_versions` names its build.
@@ -31,29 +36,46 @@ ORTHO_BOUND = 1e-10
 # product is still an efficient GEMM.
 _ROW_CHUNK = 64
 
+# Columns per panel of the audit's Gram: the panel's product is one GEMM and
+# its temporary holds _GRAM_PANEL rows, not dim.  A panel no larger than the
+# audit's and the observables' other temporaries keeps the allocator from
+# holding freed heap into the next sector's solve: in a two-sector lattice run
+# at dim 3301 the second solve raised the peak 18 MiB above the first's with
+# 512 rows, and 2 MiB with 128.
+_GRAM_PANEL = 128
+
+# Side of the square tiles in which H's triangles are compared and mirrored:
+# a tile pair stays in cache.
+_TILE = 256
+
+# dsyevd rescales a matrix whose largest |entry| is nonzero and below
+# sqrt(safe minimum / precision) = 2**-485, or above its inverse 2**485; the
+# stages run here do not, so eigh refuses such a matrix.
+_RMIN, _RMAX = 2.0**-485, 2.0**485
+
 # The symbols of the OpenBLAS builds numpy links: (prefix, suffix) of their
-# set_num_threads, get_num_threads and get_config, and their dsyevd.  Plain,
-# scipy-openblas, and scipy-openblas with the ILP64 suffix.
+# set_num_threads, get_num_threads and get_config, and their dsytrd, dstedc
+# and dormtr.  Plain, scipy-openblas, and scipy-openblas with the ILP64 suffix.
 _OPENBLAS_SYMBOLS = (
-    ("openblas_", "", "dsyevd_"),
-    ("scipy_openblas_", "", "scipy_dsyevd_"),
-    ("scipy_openblas_", "64_", "scipy_dsyevd_64_"),
+    ("openblas_", "", ("dsytrd_", "dstedc_", "dormtr_")),
+    ("scipy_openblas_", "", ("scipy_dsytrd_", "scipy_dstedc_", "scipy_dormtr_")),
+    ("scipy_openblas_", "64_", ("scipy_dsytrd_64_", "scipy_dstedc_64_", "scipy_dormtr_64_")),
 )
 
 
 def _openblas():
-    """(dsyevd, set_num_threads, get_num_threads, build config, LAPACK
-    integer type) of the OpenBLAS that numpy's linalg extension links:
-    dlsym on the extension's handle searches the libraries it depends on.
-    Raises ImportError when none of _OPENBLAS_SYMBOLS is there."""
+    """((dsytrd, dstedc, dormtr), set_num_threads, get_num_threads, build
+    config, LAPACK integer type) of the OpenBLAS that numpy's linalg
+    extension links: dlsym on the extension's handle searches the libraries
+    it depends on.  Raises ImportError when none of _OPENBLAS_SYMBOLS is
+    there."""
     lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    for prefix, suffix, dsyevd_name in _OPENBLAS_SYMBOLS:
+    for prefix, suffix, stage_names in _OPENBLAS_SYMBOLS:
         try:
-            dsyevd, set_threads, get_threads, get_config = (
-                getattr(lib, name) for name in (
-                    dsyevd_name, f"{prefix}set_num_threads{suffix}",
-                    f"{prefix}get_num_threads{suffix}", f"{prefix}get_config{suffix}",
-                )
+            stages = tuple(getattr(lib, name) for name in stage_names)
+            set_threads, get_threads, get_config = (
+                getattr(lib, f"{prefix}{name}{suffix}")
+                for name in ("set_num_threads", "get_num_threads", "get_config")
             )
         except AttributeError:
             continue
@@ -62,21 +84,24 @@ def _openblas():
         get_config.argtypes, get_config.restype = (), ctypes.c_char_p
         config = get_config().decode(errors="replace").strip()
         lapack_int = ctypes.c_int64 if "USE64BITINT" in config.split() else ctypes.c_int
-        ref = ctypes.POINTER(lapack_int)
-        # dsyevd(jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info)
-        dsyevd.argtypes = (
-            ctypes.c_char_p, ctypes.c_char_p, ref, ctypes.c_void_p, ref, ctypes.c_void_p,
-            ctypes.c_void_p, ref, ctypes.c_void_p, ref, ref,
-        )
-        dsyevd.restype = None
-        return dsyevd, set_threads, get_threads, config, lapack_int
+        ref, ptr, char = ctypes.POINTER(lapack_int), ctypes.c_void_p, ctypes.c_char_p
+        dsytrd, dstedc, dormtr = stages
+        # dsytrd(uplo, n, a, lda, d, e, tau, work, lwork, info)
+        dsytrd.argtypes = (char, ref, ptr, ref, ptr, ptr, ptr, ptr, ref, ref)
+        # dstedc(compz, n, d, e, z, ldz, work, lwork, iwork, liwork, info)
+        dstedc.argtypes = (char, ref, ptr, ptr, ptr, ref, ptr, ref, ptr, ref, ref)
+        # dormtr(side, uplo, trans, m, n, a, lda, tau, c, ldc, work, lwork, info)
+        dormtr.argtypes = (char, char, char, ref, ref, ptr, ref, ptr, ptr, ref, ptr, ref, ref)
+        for stage in stages:
+            stage.restype = None
+        return stages, set_threads, get_threads, config, lapack_int
     raise ImportError(
         "numpy's linalg extension links no OpenBLAS this module can call: looked for "
-        + ", ".join(f"{d} with {p}get_config{s}" for p, s, d in _OPENBLAS_SYMBOLS)
+        + "; ".join(f"{', '.join(names)} with {p}get_config{s}" for p, s, names in _OPENBLAS_SYMBOLS)
     )
 
 
-_DSYEVD, _SET_THREADS, _GET_THREADS, _OPENBLAS_CONFIG, _LAPACK_INT = _openblas()
+(_DSYTRD, _DSTEDC, _DORMTR), _SET_THREADS, _GET_THREADS, _OPENBLAS_CONFIG, _LAPACK_INT = _openblas()
 
 
 @dataclass
@@ -131,39 +156,105 @@ def residual_report_for(hmat: np.ndarray, energies, vectors) -> ResidualReport:
         resid = hmat[rows, cols] @ vectors[cols] - vectors[rows] * energies[None, :]
         sq += np.einsum("ik,ik->k", resid, resid)
     max_resid = float(np.sqrt(sq).max())
-    gram = vectors.T @ vectors
-    gram[np.diag_indices_from(gram)] -= 1.0
-    # max |gram| without the dim x dim temporary of np.abs
-    max_ortho = float(max(gram.max(), -gram.min()))
-    return ResidualReport(max_resid, max_ortho, h_frob)
+    # max |V^T V - I| over the Gram's upper triangle, one panel of rows at a
+    # time: about syrk's flops, without a dim x dim temporary; np.max keeps
+    # a NaN where Python's max would drop it
+    extremes = []
+    for start in range(0, vectors.shape[1], _GRAM_PANEL):
+        gram = vectors[:, start:start + _GRAM_PANEL].T @ vectors[:, start:]
+        diag = np.arange(gram.shape[0])
+        gram[diag, diag] -= 1.0
+        extremes += [gram.max(), -gram.min()]
+    return ResidualReport(max_resid, float(np.max(extremes)), h_frob)
 
 
-def _dsyevd(a, w):
-    """LAPACK's dsyevd with jobz V and uplo L on the Fortran-ordered square
-    float64 `a`: the ascending eigenvalues into `w`, the eigenvectors over
-    `a`.  The workspace is what a workspace query returns, as in
-    np.linalg.eigh.  Returns LAPACK's info."""
+def _evd_stages(a, w, z):
+    """LAPACK's dsyevd with jobz V and uplo L, run as its three stages on the
+    Fortran-ordered square float64 `a`: dsytrd reduces a to tridiagonal form,
+    its reflectors over a's lower triangle (the strict upper triangle is
+    never referenced), dstedc writes the ascending eigenvalues into `w` and
+    the tridiagonal's eigenvectors into the Fortran-ordered `z`, and dormtr
+    applies the reflectors to z.  dstedc and dormtr share the workspace
+    dsyevd passes them, so z holds bit for bit the vectors dsyevd writes over
+    a.  dsyevd's rescaling of a matrix whose largest |entry| lies outside
+    [_RMIN, _RMAX] is not run: eigh refuses such a matrix.
+
+    Raises SolverError if dstedc fails to converge and RuntimeError if a
+    stage rejects an argument."""
     n = a.shape[0]
     if not (
         a.shape == (n, n) and a.dtype == np.float64 and a.flags.f_contiguous
         and a.flags.writeable and w.shape == (n,) and w.dtype == np.float64
-        and w.flags.c_contiguous and w.flags.writeable
+        and w.flags.c_contiguous and w.flags.writeable and z.shape == (n, n)
+        and z.dtype == np.float64 and z.flags.f_contiguous and z.flags.writeable
     ):
-        raise ValueError("dsyevd takes a writeable Fortran-ordered square float64 matrix "
-                         "and a writeable float64 vector of its order")
-    info = _LAPACK_INT(0)
+        raise ValueError("dsyevd's stages take a writeable Fortran-ordered square float64 "
+                         "matrix, a writeable float64 vector of its order and a second "
+                         "such matrix for the vectors")
+    order, lead, info = _LAPACK_INT(n), _LAPACK_INT(max(1, n)), _LAPACK_INT(0)
+    e, tau = np.empty(max(1, n - 1)), np.empty(max(1, n - 1))
 
-    def call(work, lwork, iwork, liwork):
-        _DSYEVD(b"V", b"L", _LAPACK_INT(n), a.ctypes.data, _LAPACK_INT(max(1, n)),
-                w.ctypes.data, work.ctypes.data, _LAPACK_INT(lwork), iwork.ctypes.data,
-                _LAPACK_INT(liwork), info)
-        return info.value
+    def check(stage):
+        if info.value < 0:
+            raise RuntimeError(f"{stage} rejected argument {-info.value}")
 
-    work, iwork = np.zeros(1), np.zeros(1, dtype=_LAPACK_INT)
-    if call(work, -1, iwork, -1):
-        return info.value
-    lwork, liwork = int(work[0]), int(iwork[0])
-    return call(np.empty(lwork), lwork, np.empty(liwork, dtype=_LAPACK_INT), liwork)
+    def dsytrd(work, lwork):
+        _DSYTRD(b"L", order, a.ctypes.data, lead, w.ctypes.data, e.ctypes.data,
+                tau.ctypes.data, work.ctypes.data, _LAPACK_INT(lwork), info)
+        check("dsytrd")
+
+    work = np.zeros(1)
+    dsytrd(work, -1)
+    lwork = int(work[0])
+    dsytrd(np.empty(lwork), lwork)
+    # dsyevd's workspace query, max(1 + 6n + 2n^2, 2n + dsytrd's), less the
+    # 2n + n^2 it keeps for the tridiagonal's off-diagonal, the reflectors'
+    # scalars and the eigenvectors
+    if n > 1:
+        lwork, liwork = max(1 + 4 * n + n * n, lwork - n * n), 3 + 5 * n
+    else:
+        lwork, liwork = 1, 1
+    work, iwork = np.empty(lwork), np.empty(liwork, dtype=_LAPACK_INT)
+    _DSTEDC(b"I", order, w.ctypes.data, e.ctypes.data, z.ctypes.data, lead, work.ctypes.data,
+            _LAPACK_INT(lwork), iwork.ctypes.data, _LAPACK_INT(liwork), info)
+    check("dstedc")
+    if info.value > 0:
+        raise SolverError(
+            f"dense eigensolver (evd, dim={n}) did not converge: dstedc info {info.value}"
+        )
+    _DORMTR(b"L", b"L", b"N", order, order, a.ctypes.data, lead, tau.ctypes.data,
+            z.ctypes.data, lead, work.ctypes.data, _LAPACK_INT(lwork), info)
+    check("dormtr")
+
+
+def _unmirrored(data):
+    """(rows, cols, values) of every entry above data's diagonal whose bits
+    differ from its mirror image below it: in an exactly symmetric matrix
+    only a zero paired with a zero of the other sign.  Tile pair by tile
+    pair, so no dim x dim temporary forms."""
+    bits = data.view(np.uint64)
+    rows, cols = [], []
+    for start in range(0, data.shape[0], _TILE):
+        row_tile = slice(start, start + _TILE)
+        for col_start in range(start, data.shape[0], _TILE):
+            col_tile = slice(col_start, col_start + _TILE)
+            r, c = np.nonzero(bits[row_tile, col_tile] != bits[col_tile, row_tile].T)
+            above = start + r < col_start + c
+            rows.append(start + r[above])
+            cols.append(col_start + c[above])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    return rows, cols, data[rows, cols]
+
+
+def _mirror_lower(data):
+    """Copy data's strict lower triangle over its strict upper one."""
+    for start in range(0, data.shape[0], _TILE):
+        row_tile = slice(start, start + _TILE)
+        for col_start in range(start + _TILE, data.shape[0], _TILE):
+            col_tile = slice(col_start, col_start + _TILE)
+            data[row_tile, col_tile] = data[col_tile, row_tile].T
+        for k in range(start, min(start + _TILE, data.shape[0])):
+            data[k, k + 1:start + _TILE] = data[k + 1:start + _TILE, k]
 
 
 def eigh(matrix: SymmetricMatrix) -> Spectrum:
@@ -175,43 +266,39 @@ def eigh(matrix: SymmetricMatrix) -> Spectrum:
     vector.
 
     The solve runs in the matrix's own buffer.  H is exactly symmetric, so
-    data.T is H in Fortran order, and LAPACK writes the vectors over it
-    rather than over a transposed copy.  The vectors are then copied out and
-    H is written back from its row envelopes, saved before the solve, so the
-    input is left as it was, also when LAPACK raises.
+    data.T is H in Fortran order.  LAPACK reduces it over data.T's lower
+    triangle, data's upper one, and writes the vectors into their own array;
+    data's strict lower triangle is never referenced.  H is then written back
+    by mirroring that triangle, with the diagonal and the few entries whose
+    bits differ from their mirror (signed zeros) saved before the solve, so
+    the input is left as it was, also when LAPACK raises.
 
     Raises ValueError, before anything is saved or solved, if the data is not
     a writeable C-contiguous float64 array (build_sector's always is: a copy
-    would hold a dense matrix the memory budget does not charge).  Raises
-    SolverError if the LAPACK iteration fails to converge or the residual
-    report breaks RESIDUAL_BOUND or ORTHO_BOUND, and RuntimeError if LAPACK
-    rejects an argument.
+    would hold a dense matrix the memory budget does not charge), or if its
+    largest |entry| is nonzero and outside [2**-485, 2**485], where dsyevd
+    would rescale it.  Raises SolverError if the LAPACK iteration fails to
+    converge or the residual report breaks RESIDUAL_BOUND or ORTHO_BOUND, and
+    RuntimeError if LAPACK rejects an argument.
     """
     data = matrix.data
     if not (data.dtype == np.float64 and data.flags.c_contiguous and data.flags.writeable):
         raise ValueError("eigh solves in the matrix's buffer: it takes a writeable "
                          "C-contiguous float64 matrix")
-    # envelopes of the bit patterns, so a -0.0 is kept like any nonzero
-    saved = [
-        (rows, cols, data[rows, cols].copy())
-        for rows, cols in _row_envelopes(data.view(np.uint64))
-    ]
+    largest = float(max(data.max(), -data.min()))
+    if 0.0 < largest < _RMIN or largest > _RMAX:
+        raise ValueError(f"eigh takes a matrix whose largest |entry| is 0 or lies in "
+                         f"[2**-485, 2**485], where LAPACK does not rescale it: {largest:g}")
+    diagonal, unmirrored = data.diagonal().copy(), _unmirrored(data)
+    energies = np.empty(matrix.dim)
+    vectors = np.empty_like(data, order="F")
     try:
-        energies = np.empty(matrix.dim)
-        info = _dsyevd(data.T, energies)
-        if info > 0:
-            raise SolverError(
-                f"dense eigensolver (evd, dim={matrix.dim}) did not converge: "
-                f"dsyevd info {info}"
-            )
-        if info < 0:
-            raise RuntimeError(f"dsyevd rejected argument {-info}")
-        vectors = data.T.copy(order="F")
+        _evd_stages(data.T, energies, vectors)
     finally:
-        data.fill(0.0)
-        for rows, cols, block in saved:
-            data[rows, cols] = block
-    del saved
+        _mirror_lower(data)
+        np.fill_diagonal(data, diagonal)
+        rows, cols, values = unmirrored
+        data[rows, cols] = values
     report = residual_report_for(data, energies, vectors)
     if not report.within_bounds():
         raise SolverError(

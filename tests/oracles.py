@@ -389,6 +389,14 @@ def dense_expectation(vectors, op):
     return (vectors * (op @ vectors)).sum(axis=0)
 
 
+def ortho_defect(vectors):
+    """max |V^T V - I| over the full dim x dim Gram, the solver audit's
+    orthonormality defect without its panels."""
+    gram = vectors.T @ vectors
+    gram -= np.eye(gram.shape[0])
+    return float(np.abs(gram).max())
+
+
 def parity_projector(full: BasisIndex, part: BasisIndex) -> np.ndarray:
     """Columns: the parity-sector states of `part` expressed in the full
     displaced shells of `full`, (|N, m> + s (-1)^N |N, -m>)/sqrt(2) for m > 0

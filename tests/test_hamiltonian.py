@@ -372,13 +372,13 @@ class TestMemoryBudget:
         assert charge >= used >= charge / 1.3, (dim, used / (8 * dim * dim))
 
     def test_capacity_error_names_the_charge(self):
-        # dim 103: charged 3.5 x 8 x 103^2 = 297,052 B against 10,000 B, each
+        # dim 103: charged 3.2 x 8 x 103^2 = 271,590 B against 10,000 B, each
         # size in the largest binary unit it holds at least one of
         assert enumerate_basis(BasisSpec(2.0, 40, 1)).size == 103
         with pytest.raises(CapacityError) as err:
             ham.sector_ladder(params(0.1, 2.0), 40, 1, mem_budget_bytes=10_000)
         message = str(err.value)
-        assert "dim-103 sector is charged 290.1 KiB" in message
+        assert "dim-103 sector is charged 265.2 KiB" in message
         assert f"{ham.FOOTPRINT_MATRICES:g} x its 82.9 KiB dense matrix" in message
         assert message.endswith("budget is 9.8 KiB")
 

@@ -801,21 +801,21 @@ class TestCli:
 
     def test_capacity_error_sizes_are_readable(self, capsys):
         # a 1e-9 GiB budget rounds to 1 byte; the dim-28 sector is charged
-        # 3.5 x 8 x 28^2 = 21,952 bytes
+        # 3.2 x 8 x 28^2 = 20,070 bytes
         code = self.run_cli(
             "spectrum", "--n-atoms", "4", "--n-max", "10", "--gamma", "0.1",
             "--mem-budget-gib", "1e-9",
         )
         assert code == 3
         err = capsys.readouterr().err
-        assert "dim-28 sector is charged 21.4 KiB (3.5 x its 6.1 KiB dense matrix" in err
+        assert "dim-28 sector is charged 19.6 KiB (3.2 x its 6.1 KiB dense matrix" in err
         assert err.rstrip().endswith("budget is 1 B")
 
     def test_solver_exit_code(self, monkeypatch):
-        def boom(a, w):
-            return 3  # dsyevd's info > 0: the iteration failed to converge
+        def boom(*args):
+            args[-1].value = 3  # dstedc's info > 0: the iteration failed to converge
 
-        monkeypatch.setattr(solver, "_dsyevd", boom)
+        monkeypatch.setattr(solver, "_DSTEDC", boom)
         code = self.run_cli("spectrum", "--n-atoms", "2", "--gamma", "0.3", "--n-max", "8")
         assert code == 4
 

@@ -10,7 +10,7 @@ from dickelat import hamiltonian as ham
 from dickelat import pipeline, solver
 from dickelat.basis import BasisSpec
 from dickelat.errors import SolverError
-from oracles import build_coherent, build_fock, full_index, full_peres_matrix
+from oracles import build_coherent, build_fock, full_index, full_peres_matrix, ortho_defect
 
 
 def wrap(data):
@@ -106,6 +106,47 @@ def test_injected_fault_detected():
     assert rep.max_ortho_defect == pytest.approx(2e-6, rel=0.1)
 
 
+class TestPanelledGram:
+    """The audit's orthonormality defect, taken in column panels of the
+    Gram's upper triangle, equals the full V^T V - I oracle's.  dim 1101 has
+    eight whole 128-column panels and a partial one."""
+
+    DIM = 1101
+
+    @pytest.fixture(scope="class")
+    def orthonormal(self):
+        rng = np.random.default_rng(17)
+        return np.asfortranarray(np.linalg.qr(rng.standard_normal((self.DIM, self.DIM)))[0])
+
+    @pytest.mark.parametrize(
+        "i, j",
+        [(5, 100), (100, 5), (600, 900), (900, 600), (1050, 1090), (1090, 1050),
+         (10, 1080), (1080, 10), (127, 128), (128, 127), (0, 0), (1095, 1095)],
+        ids=["first", "first-below", "middle", "middle-below", "last-partial",
+             "last-partial-below", "first-to-last", "last-to-first", "panel-edge",
+             "panel-edge-below", "first-diagonal", "last-partial-diagonal"],
+    )
+    def test_planted_defect_matches_full_gram(self, orthonormal, i, j):
+        # column j picks up 1e-7 of column i: Gram entries (i, j) and (j, i)
+        # read 1e-7 (entry (j, j) reads 1 + 2e-7 when i = j), everything else
+        # stays at rounding level
+        assert solver._GRAM_PANEL == 128
+        v = orthonormal.copy(order="F")
+        v[:, j] += 1e-7 * v[:, i]
+        rep = solver.residual_report_for(np.eye(self.DIM), np.ones(self.DIM), v)
+        want = ortho_defect(v)
+        assert want == pytest.approx(2e-7 if i == j else 1e-7, rel=1e-6)
+        assert rep.max_ortho_defect == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("col", [3, 700, 1100], ids=["first", "middle", "last-partial"])
+    def test_nan_is_not_hidden(self, orthonormal, col):
+        v = orthonormal.copy(order="F")
+        v[7, col] = np.nan
+        rep = solver.residual_report_for(np.eye(self.DIM), np.ones(self.DIM), v)
+        assert np.isnan(rep.max_ortho_defect)
+        assert not rep.within_bounds()
+
+
 def test_trace_preservation():
     rng = np.random.default_rng(11)
     a = rng.standard_normal((120, 120))
@@ -160,10 +201,10 @@ def banded_with_far_corner(dim, seed, band=3):
     return a
 
 
-def no_envelopes(mat):
-    """Stand-in for solver._row_envelopes where eigh must refuse its input
+def no_save(data):
+    """Stand-in for solver._unmirrored where eigh must refuse its input
     before it saves anything."""
-    raise AssertionError("envelopes saved before the input was checked")
+    raise AssertionError("entries saved before the input was checked")
 
 
 def envelope_product(mat, vectors):
@@ -282,8 +323,13 @@ class TestBlasThreads:
         assert solver.blas_thread_count() == count
 
     def test_no_known_build_is_an_import_error(self, monkeypatch):
-        monkeypatch.setattr(solver, "_OPENBLAS_SYMBOLS", (("none_", "", "none_dsyevd_"),))
-        with pytest.raises(ImportError, match="none_dsyevd_ with none_get_config"):
+        monkeypatch.setattr(
+            solver, "_OPENBLAS_SYMBOLS",
+            (("none_", "", ("none_dsytrd_", "none_dstedc_", "none_dormtr_")),),
+        )
+        with pytest.raises(
+            ImportError, match="none_dsytrd_, none_dstedc_, none_dormtr_ with none_get_config"
+        ):
             solver._openblas()
 
 
@@ -317,7 +363,7 @@ class TestInPlaceSolve:
         m = self.production()
         m.data.setflags(write=False)
         before = m.data.tobytes()
-        monkeypatch.setattr(solver, "_row_envelopes", no_envelopes)
+        monkeypatch.setattr(solver, "_unmirrored", no_save)
         with pytest.raises(ValueError, match="writeable C-contiguous float64"):
             solver.eigh(m)
         assert m.data.tobytes() == before
@@ -329,7 +375,7 @@ class TestInPlaceSolve:
         view = big[::2, ::2]
         assert not view.flags.c_contiguous
         before = big.tobytes()
-        monkeypatch.setattr(solver, "_row_envelopes", no_envelopes)
+        monkeypatch.setattr(solver, "_unmirrored", no_save)
         with pytest.raises(ValueError, match="writeable C-contiguous float64"):
             solver.eigh(wrap(view))
         assert big.tobytes() == before
@@ -348,18 +394,70 @@ class TestInPlaceSolve:
         assert a.tobytes() == before
         assert s.residual_report.within_bounds()
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [[(100, 180)], [(180, 100)], [(10, 590), (300, 310), (599, 590)]],
+        ids=["minus-zero-above", "minus-zero-below", "off-diagonal-diagonal-and-corner-tiles"],
+    )
+    def test_asymmetric_signed_zero_restored_exactly(self, pairs):
+        # SymmetricMatrix accepts 0.0 against -0.0 (they compare equal);
+        # mirroring the lower triangle alone would copy the lower one's sign
+        a = banded_with_far_corner(600, seed=8)
+        for r, c in pairs:
+            a[r, c], a[c, r] = -0.0, 0.0
+        m = wrap(a)
+        before = a.tobytes()
+        # the reference reads the triangle LAPACK reads: a's upper one
+        want_e, want_v = np.linalg.eigh(np.where(np.tri(600, dtype=bool), a.T, a))
+        s = solver.eigh(m)
+        assert a.tobytes() == before
+        assert s.energies.tobytes() == want_e.tobytes()
+        assert s.vectors.tobytes() == want_v.tobytes()
+
     def test_failed_lapack_leaves_input_restored(self, monkeypatch):
         m = self.production()
         before = m.data.tobytes()
+        reduce = solver._DSYTRD
 
-        def scribble_then_fail(a, w):
-            a[...] = np.nan
-            return 7  # info > 0: the iteration failed to converge
+        def reduce_then_scribble(*args):
+            # the reduction, then NaN over all that LAPACK may write of H:
+            # data's upper triangle and diagonal (data.T's lower one)
+            reduce(*args)
+            if args[8].value > 0:
+                m.data[np.triu_indices(m.dim)] = np.nan
 
-        monkeypatch.setattr(solver, "_dsyevd", scribble_then_fail)
+        def fail(*args):
+            args[-1].value = 7  # info > 0: the iteration failed to converge
+
+        monkeypatch.setattr(solver, "_DSYTRD", reduce_then_scribble)
+        monkeypatch.setattr(solver, "_DSTEDC", fail)
         with pytest.raises(SolverError, match="did not converge"):
             solver.eigh(m)
         assert m.data.tobytes() == before
+
+    @pytest.mark.parametrize(
+        "largest, solves",
+        [(2.0**-485, True), (np.nextafter(2.0**-485, 0.0), False), (2.0**485, True),
+         (np.nextafter(2.0**485, np.inf), False), (0.0, True)],
+        ids=["smallest", "below-smallest", "largest", "above-largest", "zero"],
+    )
+    def test_input_lapack_would_rescale_is_refused_unchanged(self, monkeypatch, largest, solves):
+        # dsyevd rescales a matrix whose largest |entry| lies outside
+        # [2**-485, 2**485]; eigh refuses it before saving or solving anything
+        a = banded_with_far_corner(40, seed=9)
+        a /= np.abs(a).max()  # the largest |entry| is now exactly 1
+        a *= largest
+        before = a.tobytes()
+        if solves:
+            want_e, want_v = np.linalg.eigh(a)
+            s = solver.eigh(wrap(a))
+            assert s.energies.tobytes() == want_e.tobytes()
+            assert s.vectors.tobytes() == want_v.tobytes()
+        else:
+            monkeypatch.setattr(solver, "_unmirrored", no_save)
+            with pytest.raises(ValueError, match="LAPACK does not rescale"):
+                solver.eigh(wrap(a))
+        assert a.tobytes() == before
 
 
 class TestLapackCall:
@@ -371,20 +469,31 @@ class TestLapackCall:
     def sector(j, n_max, gamma=1.0):
         return ham.build_coherent_parity(ham.ModelParams(1.0, 1.0, gamma, j), n_max, 1)
 
+    @staticmethod
+    def random_symmetric(dim):
+        a = np.random.default_rng(dim).standard_normal((dim, dim))
+        return wrap(a + a.T)
+
+    CASES = {
+        "dim-1": (1, lambda: wrap([[2.5]])),
+        "dim-2": (1, lambda: wrap([[0.0, 1.0], [1.0, 0.0]])),
+        # dsyevd's workspace query exceeds its 1 + 6n + 2n^2 floor
+        "dim-10": (1, lambda: TestLapackCall.random_symmetric(10)),
+        "integer-j": (1, lambda: TestLapackCall.sector(10.0, 40)),
+        "half-integer-j": (1, lambda: TestLapackCall.sector(10.5, 40)),
+        "above-1024": (2, lambda: TestLapackCall.sector(20.0, 60)),
+    }
+
     @pytest.mark.parametrize(
-        "threads, make",
-        [
-            (1, lambda: wrap([[2.5]])),
-            (1, lambda: wrap([[0.0, 1.0], [1.0, 0.0]])),
-            (1, lambda: TestLapackCall.sector(10.0, 40)),
-            (1, lambda: TestLapackCall.sector(10.5, 40)),
-            (2, lambda: TestLapackCall.sector(20.0, 60)),
-        ],
-        ids=["dim-1", "dim-2", "integer-j", "half-integer-j", "above-1024"],
+        "case, threads",
+        [(case, t) for case, (t, _) in CASES.items()]
+        + [(case, 3 - t) for case, (t, _) in CASES.items()],
+        ids=list(CASES) + [f"{case}-{3 - t}-threads" for case, (t, _) in CASES.items()],
     )
-    def test_bit_identical_to_scipy_evd(self, threads, make):
-        m = make()
-        if threads == 2:
+    def test_bit_identical_to_scipy_evd(self, case, threads):
+        m = self.CASES[case][1]()
+        if case == "above-1024":
+            # the pipeline solves sectors this large on 2 threads
             assert m.dim > pipeline.ONE_BLAS_THREAD_BELOW_DIM
         with solver.blas_threads(threads):
             want_e, want_v = np.linalg.eigh(m.data)
@@ -393,49 +502,67 @@ class TestLapackCall:
         assert got.vectors.tobytes() == want_v.tobytes()
 
     def test_workspace_is_scipy_query(self, monkeypatch):
-        # the solve gets the workspace dsyevd_lwork reports, at sizes where it
-        # exceeds the 1 + 6n + 2n^2 floor (small n) and where it equals it
+        # dstedc and dormtr get the part of the workspace syevd_lwork reports
+        # that dsyevd passes them, all but its 2n + n^2 for the tridiagonal
+        # and the vectors, at sizes where the query exceeds the 1 + 6n + 2n^2
+        # floor (small n) and where it equals it
         lwork = scipy.linalg.get_lapack_funcs("syevd_lwork", dtype=np.float64)
         sizes = []
-        call = solver._DSYEVD
+        dstedc, dormtr = solver._DSTEDC, solver._DORMTR
 
-        def spy(jobz, uplo, n, a, lda, w, work, lwork_arg, iwork, liwork, info):
-            sizes.append((lwork_arg.value, liwork.value))
-            call(jobz, uplo, n, a, lda, w, work, lwork_arg, iwork, liwork, info)
+        def stedc_spy(compz, n, d, e, z, ldz, work, lwork_arg, iwork, liwork, info):
+            sizes.append(("dstedc", lwork_arg.value, liwork.value))
+            dstedc(compz, n, d, e, z, ldz, work, lwork_arg, iwork, liwork, info)
 
-        monkeypatch.setattr(solver, "_DSYEVD", spy)
+        def ormtr_spy(side, uplo, trans, m, n, a, lda, tau, c, ldc, work, lwork_arg, info):
+            sizes.append(("dormtr", lwork_arg.value))
+            dormtr(side, uplo, trans, m, n, a, lda, tau, c, ldc, work, lwork_arg, info)
+
+        monkeypatch.setattr(solver, "_DSTEDC", stedc_spy)
+        monkeypatch.setattr(solver, "_DORMTR", ormtr_spy)
         for n in (2, 10, 431):
             sizes.clear()
             a = np.eye(n, order="F")
-            assert solver._dsyevd(a, np.empty(n)) == 0
+            solver._evd_stages(a, np.empty(n), np.empty((n, n), order="F"))
             want = lwork(n, compute_v=1, lower=1)
-            assert sizes == [(-1, -1), (int(want[0]), want[1])]
-        assert sizes[1] == (1 + 6 * 431 + 2 * 431**2, 3 + 5 * 431)
+            share = int(want[0]) - 2 * n - n * n
+            assert sizes == [("dstedc", share, want[1]), ("dormtr", share)]
+        assert sizes[0] == ("dstedc", 431**2 + 4 * 431 + 1, 3 + 5 * 431)
 
     @pytest.mark.parametrize(
-        "a, w",
+        "a, w, z",
         [
-            (np.eye(3, order="F"), np.empty(2)),
-            (np.eye(3, order="F"), np.empty(6)[::2]),
-            (np.eye(3, order="F", dtype=np.float32), np.empty(3)),
-            (np.eye(4, order="F")[:, ::2][:2], np.empty(2)),
-            (np.ones((3, 2), order="F"), np.empty(3)),
+            (np.eye(3, order="F"), np.empty(2), np.empty((3, 3), order="F")),
+            (np.eye(3, order="F"), np.empty(6)[::2], np.empty((3, 3), order="F")),
+            (np.eye(3, order="F", dtype=np.float32), np.empty(3), np.empty((3, 3), order="F")),
+            (np.eye(4, order="F")[:, ::2][:2], np.empty(2), np.empty((2, 2), order="F")),
+            (np.ones((3, 2), order="F"), np.empty(3), np.empty((3, 3), order="F")),
+            (np.eye(3, order="F"), np.empty(3), np.empty((3, 3))),
+            (np.eye(3, order="F"), np.empty(3), np.empty((2, 2), order="F")),
         ],
-        ids=["short-w", "strided-w", "float32", "strided-a", "not-square"],
+        ids=["short-w", "strided-w", "float32", "strided-a", "not-square", "c-ordered-z",
+             "short-z"],
     )
-    def test_bad_buffers_are_refused_before_lapack(self, monkeypatch, a, w):
+    def test_bad_buffers_are_refused_before_lapack(self, monkeypatch, a, w, z):
         def never(*args):
             raise AssertionError("LAPACK called")
 
-        monkeypatch.setattr(solver, "_DSYEVD", never)
-        with pytest.raises(ValueError, match="dsyevd takes"):
-            solver._dsyevd(a, w)
+        for stage in ("_DSYTRD", "_DSTEDC", "_DORMTR"):
+            monkeypatch.setattr(solver, stage, never)
+        with pytest.raises(ValueError, match="dsyevd's stages take"):
+            solver._evd_stages(a, w, z)
 
     def test_illegal_argument_raises_and_restores(self, monkeypatch):
+        # dormtr rejects an argument after dsytrd has overwritten data's
+        # upper triangle
         m = TestInPlaceSolve.production()
         before = m.data.tobytes()
-        monkeypatch.setattr(solver, "_dsyevd", lambda a, w: -4)
-        with pytest.raises(RuntimeError, match="rejected argument 4"):
+
+        def reject(*args):
+            args[-1].value = -4
+
+        monkeypatch.setattr(solver, "_DORMTR", reject)
+        with pytest.raises(RuntimeError, match="dormtr rejected argument 4"):
             solver.eigh(m)
         assert m.data.tobytes() == before
 
@@ -457,7 +584,7 @@ class TestLapackCall:
             counter.start()
             try:
                 t0 = time.perf_counter()
-                solver._dsyevd(a, np.empty(m.dim))
+                solver._evd_stages(a, np.empty(m.dim), np.empty_like(a, order="F"))
                 t1 = time.perf_counter()
             finally:
                 done.set()
