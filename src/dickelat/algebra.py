@@ -116,6 +116,6 @@ def displacement_matrix(n_top, delta):
     w = np.zeros((size, size))
     w[rows, k] = vals
     w[k, rows] = vals * flip
-    if np.isnan(w).any():
-        raise ArithmeticError(f"displacement matrix lost to NaN at delta={delta}")
+    if not np.isfinite(w).all():
+        raise ArithmeticError(f"displacement matrix overflows at delta={delta:g}")
     return w

@@ -12,25 +12,40 @@ that ladder for the builder and for <Jz>, so both use one sign convention.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra
 from .basis import BasisIndex, BasisSpec, basis_size, blocks, enumerate_basis, sector_twist
-from .errors import CapacityError
+from .errors import CapacityError, ConfigError
 
 # Default memory budget (bytes) of one sector: the builder refuses a sector
 # whose footprint_bytes exceed it.
 MEMORY_BUDGET_BYTES = 4 * 2**30
 
-# A sector's peak memory above the interpreter's, in dense matrices of its
-# dimension: H, the eigenvectors and dstedc's n^2 + 4n + 1 workspace while
-# the tridiagonal's eigenvectors are found.  One full lattice sector (N = 40,
-# 2 gamma_c, three Peres operators) peaked at 3.054x at dim 2481 and
-# 3.057-3.058x at 3301 on 1 BLAS thread, at 3.066-3.067x and 3.063x on 2;
-# the charge stays at least 0.1 above every one.
-FOOTPRINT_MATRICES = 3.2
+# Rows per chunk of H's row envelopes, the spans in which the solver saves H
+# and the audit multiplies it: narrow enough that a chunk's envelope hugs the
+# m-block band of the displaced-shell matrices, wide enough that each chunk
+# product is still an efficient GEMM.
+ROW_CHUNK = 64
+
+# A sector's peak memory above the interpreter's, in 8-byte words: while
+# dstedc runs, FOOTPRINT_MATRICES dense matrices of its dimension (H's buffer,
+# dstedc's n^2 + 4n + 1 workspace, the half-size copy of the reflectors and
+# what the allocator keeps), plus H's saved row envelopes, bounded from the
+# m-block layout (_envelope_words), plus the ladder's (n_max + 1)^2
+# displacement matrix W.  One lattice sector (2 gamma_c, three Peres
+# operators, dim 2401-3301) peaked at most 2.66 dense matrices above its
+# envelope bound and W, at N = 2 to 40 on 1 and 2 BLAS threads (2.54-2.56 at
+# N = 40); the constant stays at least 0.1 above every one.
+FOOTPRINT_MATRICES = 2.8
+
+# W's build holds 7.5 matrices of W's size (7.51 measured at n_max = 2400);
+# with one m block (N = 1), where W is as large as H, that is the sector's
+# peak.  The constant stays at least 0.1 above it.
+DISPLACEMENT_BUILD_MATRICES = 7.7
 
 # Side of the square tiles in which H is compared with its transpose and
 # checked for finite entries: a tile pair stays in cache, and no dim x dim
@@ -110,10 +125,28 @@ def _check_entries(d):
         raise ValueError("matrix contains non-finite entries")
 
 
-def footprint_bytes(dim):
-    """Bytes a sector of dimension `dim` is charged against the memory
-    budget: FOOTPRINT_MATRICES dense dim x dim matrices."""
-    return round(FOOTPRINT_MATRICES * 8 * dim * dim)
+def _envelope_words(spec: BasisSpec):
+    """An upper bound on the entries of H's row envelopes, from the m-block
+    layout alone: the rows of a chunk of ROW_CHUNK reach only their own m
+    blocks and the blocks at m +- 1."""
+    layout = [rows for _, rows, _ in blocks(spec)]
+    starts = [rows.start for rows in layout]  # an empty block shares its successor's
+    dim, words = layout[-1].stop, 0
+    for lo in range(0, dim, ROW_CHUNK):
+        hi = min(lo + ROW_CHUNK, dim)
+        first, last = (bisect_right(starts, row) - 1 for row in (lo, hi - 1))
+        span = layout[min(last + 1, len(layout) - 1)].stop - layout[max(first - 1, 0)].start
+        words += (hi - lo) * span
+    return words
+
+
+def footprint_bytes(spec: BasisSpec):
+    """Bytes the sector of `spec` is charged against the memory budget: the
+    solve's FOOTPRINT_MATRICES dense matrices, H's row envelopes and W, or
+    W's build if that holds more."""
+    dim, shells = basis_size(spec), spec.n_max + 1
+    solve = FOOTPRINT_MATRICES * dim * dim + _envelope_words(spec) + shells * shells
+    return round(8 * max(solve, DISPLACEMENT_BUILD_MATRICES * shells * shells))
 
 
 def _size_text(n_bytes):
@@ -131,12 +164,12 @@ def check_capacity(spec: BasisSpec, budget):
     """Raise CapacityError if the sector of `spec` would be charged more than
     `budget` bytes; its dimension is counted without enumerating a label."""
     dim = basis_size(spec)
-    need = footprint_bytes(dim)
+    need = footprint_bytes(spec)
     if need > budget:
         raise CapacityError(
             f"dim-{dim} sector is charged {_size_text(need)} "
-            f"({FOOTPRINT_MATRICES:g} x its {_size_text(8 * dim * dim)} dense "
-            f"matrix, the solve's measured peak), budget is {_size_text(budget)}"
+            f"({need / (8 * dim * dim):.2f} x its {_size_text(8 * dim * dim)} dense "
+            f"matrix, the sector's peak), budget is {_size_text(budget)}"
         )
 
 
@@ -163,12 +196,17 @@ def sector_ladder(
 ) -> SectorLadder:
     """The m-ladder of one parity sector.  Raises CapacityError, before any
     label is enumerated, if the sector's footprint_bytes would exceed
-    `mem_budget_bytes`."""
+    `mem_budget_bytes`, and ConfigError if the coupling overflows the
+    displacement matrix."""
     spec = BasisSpec(params.j, n_max, sector)
     check_capacity(spec, mem_budget_bytes)
     index = enumerate_basis(spec)
     j = params.j
-    w = algebra.displacement_matrix(n_max, params.g_disp)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # it raises on what they flag
+            w = algebra.displacement_matrix(n_max, params.g_disp)
+    except ArithmeticError as exc:
+        raise ConfigError(f"gamma={params.gamma:g} is too strong for n_max={n_max}: {exc}") from exc
     layout = [(m, rows, slice(s.start, s.stop, s.step)) for m, rows, s in blocks(spec)]
     pairs = []
     for (m, lo, shells_lo), (_, hi, shells_hi) in zip(layout, layout[1:]):

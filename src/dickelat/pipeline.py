@@ -338,13 +338,15 @@ def _sector_runner(points):
     a worker thread (_SolveAhead), joined before the block ends.  Otherwise
     it is run_sector."""
     cfg = points[0]
-    dim = max(basis_size(BasisSpec(cfg.params.j, cfg.n_max, s)) for s in cfg.sectors)
+    specs = [BasisSpec(cfg.params.j, cfg.n_max, s) for s in cfg.sectors]
+    dim = max(map(basis_size, specs))
     jobs = [(p, s) for p in points for s in p.sectors]
     if dim >= ONE_BLAS_THREAD_BELOW_DIM:
         yield run_sector
         return
     with solver.blas_threads(1):
-        if len(jobs) < 2 or 2 * hamiltonian.footprint_bytes(dim) > cfg.mem_budget_bytes:
+        charge = max(map(hamiltonian.footprint_bytes, specs))
+        if len(jobs) < 2 or 2 * charge > cfg.mem_budget_bytes:
             yield run_sector
             return
         with ThreadPoolExecutor(1, thread_name_prefix="dickelat-solve") as pool:

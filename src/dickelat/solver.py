@@ -3,9 +3,12 @@
 The heavy lifting is LAPACK's dsyevd, the driver np.linalg.eigh runs, from
 the OpenBLAS that numpy's linalg extension links: its three stages (dsytrd,
 dstedc, dormtr), called by ctypes so the solve drops the GIL and another
-thread can run beside it.  Run one by one, they reduce H in its own buffer
-and write the eigenvectors into their own array, bit for bit dsyevd's, so a
-solve holds H, the vectors and dstedc's n^2 workspace and no copy of H.
+thread can run beside it.  Run one by one, they reduce H in its own buffer,
+find the eigenvectors there while the reflectors wait in a half-size copy,
+and leave the vectors in dstedc's n^2 workspace, bit for bit dsyevd's, so a
+solve holds H's buffer, that workspace, the copy and H's saved row
+envelopes, from which H is written back: about 2.7 dense matrices at
+N = 40, up to 3.5 at small N, where the envelopes are most of H.
 That OpenBLAS is the only BLAS a run loads.  The contract here is the
 residual bound (max ||H v - E v|| <= 1e-10 ||H||_F) and the orthonormality
 defect (<= 1e-10), both recorded on every Spectrum.  The audit multiplies H
@@ -26,15 +29,10 @@ import numpy as np
 
 from .basis import BasisSpec
 from .errors import SolverError
-from .hamiltonian import SymmetricMatrix
+from .hamiltonian import ROW_CHUNK, SymmetricMatrix
 
 RESIDUAL_BOUND = 1e-10
 ORTHO_BOUND = 1e-10
-
-# Rows per envelope chunk: narrow enough that a chunk's envelope hugs the
-# m-block band of the displaced-shell matrices, wide enough that each chunk
-# product is still an efficient GEMM.
-_ROW_CHUNK = 64
 
 # Columns per panel of the audit's Gram: the panel's product is one GEMM and
 # its temporary holds _GRAM_PANEL rows, not dim.  A panel no larger than the
@@ -43,10 +41,6 @@ _ROW_CHUNK = 64
 # at dim 3301 the second solve raised the peak 18 MiB above the first's with
 # 512 rows, and 2 MiB with 128.
 _GRAM_PANEL = 128
-
-# Side of the square tiles in which H's triangles are compared and mirrored:
-# a tile pair stays in cache.
-_TILE = 256
 
 # dsyevd rescales a matrix whose largest |entry| is nonzero and below
 # sqrt(safe minimum / precision) = 2**-485, or above its inverse 2**485; the
@@ -134,13 +128,13 @@ class Spectrum:
 
 def _row_envelopes(mat):
     """(rows, cols) slice pairs covering every nonzero of the square `mat`:
-    rows walks `_ROW_CHUNK` rows at a time, cols is the span from the chunk's
+    rows walks `ROW_CHUNK` rows at a time, cols is the span from the chunk's
     first to its last nonzero column (empty for an all-zero chunk), read
     from the data rather than assumed from the basis.  mat[rows, cols] @
     V[cols] is then exactly rows `rows` of mat @ V."""
     dim = mat.shape[0]
-    for start in range(0, dim, _ROW_CHUNK):
-        rows = slice(start, min(start + _ROW_CHUNK, dim))
+    for start in range(0, dim, ROW_CHUNK):
+        rows = slice(start, min(start + ROW_CHUNK, dim))
         nonzero = np.flatnonzero(mat[rows].any(axis=0))
         if nonzero.size:
             cols = slice(int(nonzero[0]), int(nonzero[-1]) + 1)
@@ -168,16 +162,20 @@ def residual_report_for(hmat: np.ndarray, energies, vectors) -> ResidualReport:
     return ResidualReport(max_resid, float(np.max(extremes)), h_frob)
 
 
-def _evd_stages(a, w, z):
+def _evd_stages(a, w):
     """LAPACK's dsyevd with jobz V and uplo L, run as its three stages on the
-    Fortran-ordered square float64 `a`: dsytrd reduces a to tridiagonal form,
-    its reflectors over a's lower triangle (the strict upper triangle is
-    never referenced), dstedc writes the ascending eigenvalues into `w` and
-    the tridiagonal's eigenvectors into the Fortran-ordered `z`, and dormtr
-    applies the reflectors to z.  dstedc and dormtr share the workspace
-    dsyevd passes them, so z holds bit for bit the vectors dsyevd writes over
-    a.  dsyevd's rescaling of a matrix whose largest |entry| lies outside
-    [_RMIN, _RMAX] is not run: eigh refuses such a matrix.
+    Fortran-ordered square float64 `a` with one more n x n array: dsytrd
+    reduces a to tridiagonal form, its reflectors over a's lower triangle
+    (the strict upper triangle is never referenced), and they wait in a
+    half-size copy while dstedc writes the ascending eigenvalues into `w`
+    and the tridiagonal's eigenvectors over a, in the workspace dsyevd
+    passes it (n^2 + 4n + 1 at all but small n).  The reflectors then go
+    back into that workspace, viewed as a Fortran-ordered n x n array,
+    dormtr applies them to a, and the vectors are copied into the view,
+    which is returned: bit for bit the vectors dsyevd writes over a.  a is
+    left holding them too.  dsyevd's rescaling of a matrix whose largest
+    |entry| lies outside [_RMIN, _RMAX] is not run: eigh refuses such a
+    matrix.
 
     Raises SolverError if dstedc fails to converge and RuntimeError if a
     stage rejects an argument."""
@@ -185,12 +183,10 @@ def _evd_stages(a, w, z):
     if not (
         a.shape == (n, n) and a.dtype == np.float64 and a.flags.f_contiguous
         and a.flags.writeable and w.shape == (n,) and w.dtype == np.float64
-        and w.flags.c_contiguous and w.flags.writeable and z.shape == (n, n)
-        and z.dtype == np.float64 and z.flags.f_contiguous and z.flags.writeable
+        and w.flags.c_contiguous and w.flags.writeable
     ):
         raise ValueError("dsyevd's stages take a writeable Fortran-ordered square float64 "
-                         "matrix, a writeable float64 vector of its order and a second "
-                         "such matrix for the vectors")
+                         "matrix and a writeable float64 vector of its order")
     order, lead, info = _LAPACK_INT(n), _LAPACK_INT(max(1, n)), _LAPACK_INT(0)
     e, tau = np.empty(max(1, n - 1)), np.empty(max(1, n - 1))
 
@@ -203,58 +199,48 @@ def _evd_stages(a, w, z):
                 tau.ctypes.data, work.ctypes.data, _LAPACK_INT(lwork), info)
         check("dsytrd")
 
+    def dormtr(work, lwork):
+        _DORMTR(b"L", b"L", b"N", order, order, reflectors.ctypes.data, lead, tau.ctypes.data,
+                a.ctypes.data, lead, work.ctypes.data, _LAPACK_INT(lwork), info)
+        check("dormtr")
+
     work = np.zeros(1)
     dsytrd(work, -1)
     lwork = int(work[0])
     dsytrd(np.empty(lwork), lwork)
     # dsyevd's workspace query, max(1 + 6n + 2n^2, 2n + dsytrd's), less the
     # 2n + n^2 it keeps for the tridiagonal's off-diagonal, the reflectors'
-    # scalars and the eigenvectors
+    # scalars and the eigenvectors: what it passes dstedc and dormtr
     if n > 1:
         lwork, liwork = max(1 + 4 * n + n * n, lwork - n * n), 3 + 5 * n
     else:
         lwork, liwork = 1, 1
+    # the reflectors, ROW_CHUNK columns at a time: each panel takes along
+    # the few entries on and above the diagonal that dormtr never reads
+    panels = range(0, n, ROW_CHUNK)
+    saved = [a[k + 1:, k:k + ROW_CHUNK].copy(order="F") for k in panels]
     work, iwork = np.empty(lwork), np.empty(liwork, dtype=_LAPACK_INT)
-    _DSTEDC(b"I", order, w.ctypes.data, e.ctypes.data, z.ctypes.data, lead, work.ctypes.data,
+    _DSTEDC(b"I", order, w.ctypes.data, e.ctypes.data, a.ctypes.data, lead, work.ctypes.data,
             _LAPACK_INT(lwork), iwork.ctypes.data, _LAPACK_INT(liwork), info)
     check("dstedc")
     if info.value > 0:
         raise SolverError(
             f"dense eigensolver (evd, dim={n}) did not converge: dstedc info {info.value}"
         )
-    _DORMTR(b"L", b"L", b"N", order, order, a.ctypes.data, lead, tau.ctypes.data,
-            z.ctypes.data, lead, work.ctypes.data, _LAPACK_INT(lwork), info)
-    check("dormtr")
-
-
-def _unmirrored(data):
-    """(rows, cols, values) of every entry above data's diagonal whose bits
-    differ from its mirror image below it: in an exactly symmetric matrix
-    only a zero paired with a zero of the other sign.  Tile pair by tile
-    pair, so no dim x dim temporary forms."""
-    bits = data.view(np.uint64)
-    rows, cols = [], []
-    for start in range(0, data.shape[0], _TILE):
-        row_tile = slice(start, start + _TILE)
-        for col_start in range(start, data.shape[0], _TILE):
-            col_tile = slice(col_start, col_start + _TILE)
-            r, c = np.nonzero(bits[row_tile, col_tile] != bits[col_tile, row_tile].T)
-            above = start + r < col_start + c
-            rows.append(start + r[above])
-            cols.append(col_start + c[above])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    return rows, cols, data[rows, cols]
-
-
-def _mirror_lower(data):
-    """Copy data's strict lower triangle over its strict upper one."""
-    for start in range(0, data.shape[0], _TILE):
-        row_tile = slice(start, start + _TILE)
-        for col_start in range(start + _TILE, data.shape[0], _TILE):
-            col_tile = slice(col_start, col_start + _TILE)
-            data[row_tile, col_tile] = data[col_tile, row_tile].T
-        for k in range(start, min(start + _TILE, data.shape[0])):
-            data[k, k + 1:start + _TILE] = data[k + 1:start + _TILE, k]
+    reflectors = work[:n * n].reshape(n, n, order="F")
+    for k, panel in zip(panels, saved):
+        reflectors[k + 1:, k:k + ROW_CHUNK] = panel
+    del saved
+    query = np.zeros(1)
+    dormtr(query, -1)
+    # dormtr's query leaves out the 65 x 64 block dormqr's blocked update
+    # needs, and dormqr narrows its blocks to a workspace short of it, which
+    # moves the vectors' last bits; where dsyevd's share is the shorter (n
+    # from 34 to 79 on a 32-wide block), dsyevd passes that, and so does this
+    lwork = min(lwork, int(query[0]) + 65 * 64)
+    dormtr(np.empty(lwork), lwork)
+    reflectors[...] = a
+    return reflectors
 
 
 def eigh(matrix: SymmetricMatrix) -> Spectrum:
@@ -266,12 +252,14 @@ def eigh(matrix: SymmetricMatrix) -> Spectrum:
     vector.
 
     The solve runs in the matrix's own buffer.  H is exactly symmetric, so
-    data.T is H in Fortran order.  LAPACK reduces it over data.T's lower
-    triangle, data's upper one, and writes the vectors into their own array;
-    data's strict lower triangle is never referenced.  H is then written back
-    by mirroring that triangle, with the diagonal and the few entries whose
-    bits differ from their mirror (signed zeros) saved before the solve, so
-    the input is left as it was, also when LAPACK raises.
+    data.T is H in Fortran order: LAPACK reduces it there, finds the
+    tridiagonal's eigenvectors there while the reflectors wait in a half-size
+    copy, and the vectors end in dstedc's workspace, so a solve holds H's
+    buffer, that workspace, the copy and H's saved row envelopes (about
+    2.7 n^2 at dim 3301, up to about 3.5 n^2 when the envelopes cover H).
+    H is then written back from those envelopes, the span of each row
+    chunk's nonzero bits, so signed zeros are kept and the input is left as
+    it was, also when LAPACK raises.
 
     Raises ValueError, before anything is saved or solved, if the data is not
     a writeable C-contiguous float64 array (build_sector's always is: a copy
@@ -289,16 +277,16 @@ def eigh(matrix: SymmetricMatrix) -> Spectrum:
     if 0.0 < largest < _RMIN or largest > _RMAX:
         raise ValueError(f"eigh takes a matrix whose largest |entry| is 0 or lies in "
                          f"[2**-485, 2**485], where LAPACK does not rescale it: {largest:g}")
-    diagonal, unmirrored = data.diagonal().copy(), _unmirrored(data)
+    saved = [(rows, cols, data[rows, cols].copy())
+             for rows, cols in _row_envelopes(data.view(np.uint64))]
     energies = np.empty(matrix.dim)
-    vectors = np.empty_like(data, order="F")
     try:
-        _evd_stages(data.T, energies, vectors)
+        vectors = _evd_stages(data.T, energies)
     finally:
-        _mirror_lower(data)
-        np.fill_diagonal(data, diagonal)
-        rows, cols, values = unmirrored
-        data[rows, cols] = values
+        data.fill(0.0)
+        for rows, cols, block in saved:
+            data[rows, cols] = block
+    del saved
     report = residual_report_for(data, energies, vectors)
     if not report.within_bounds():
         raise SolverError(

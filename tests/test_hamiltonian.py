@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dickelat import hamiltonian as ham
-from dickelat.basis import BasisSpec, enumerate_basis
+from dickelat import solver
+from dickelat.basis import BasisSpec, basis_size, enumerate_basis
 from dickelat.errors import CapacityError
 from oracles import (
     block_slices,
@@ -341,11 +342,28 @@ from dickelat import hamiltonian, pipeline
 def maxrss():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
-params = hamiltonian.ModelParams(omega=1.0, omega0=1.0, gamma=1.0, j=20.0)
+params = hamiltonian.ModelParams(omega=1.0, omega0=1.0, gamma=1.0, j=int(sys.argv[1]) / 2)
 pipeline.run_sector(pipeline.RunConfig(params, n_max=20, sectors=(1,)), 1)
 baseline = maxrss()
-result = pipeline.run_sector(pipeline.RunConfig(params, n_max=int(sys.argv[1]), sectors=(1,)), 1)
-print(result.energies.size, maxrss() - baseline)
+result = pipeline.run_sector(pipeline.RunConfig(params, n_max=int(sys.argv[2]), sectors=(1,)), 1)
+print(maxrss() - baseline)
+"""
+
+# A whole two-sector lattice run, both sectors' files written: the second
+# sector's solve can peak above the first by what the allocator keeps of the
+# first's freed temporaries.
+_RUN_PEAK_SCRIPT = """
+import resource, sys
+from dickelat import hamiltonian, pipeline
+
+def maxrss():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+params = hamiltonian.ModelParams(omega=1.0, omega0=1.0, gamma=1.0, j=20.0)
+pipeline.run(pipeline.RunConfig(params, n_max=20, out_dir=sys.argv[2]))
+baseline = maxrss()
+result = pipeline.run(pipeline.RunConfig(params, n_max=int(sys.argv[1]), out_dir=sys.argv[2]))
+print(*(sector.energies.size for sector in result.sectors), maxrss() - baseline)
 """
 
 # Linux starts a child's ru_maxrss at the peak RSS of the process it was
@@ -354,32 +372,83 @@ print(result.energies.size, maxrss() - baseline)
 _LAUNCH = "import subprocess, sys; subprocess.run([sys.executable, '-c', *sys.argv[1:]], check=True)"
 
 
+def _saved_words(spec):
+    """Entries of the row envelopes the solver saves of the sector's H at
+    2 gamma_c."""
+    ladder = ham.sector_ladder(params(1.0, spec.j), spec.n_max, spec.parity_sector)
+    data = ham.build_sector(ladder).data
+    return sum(
+        (rows.stop - rows.start) * (cols.stop - cols.start)
+        for rows, cols in solver._row_envelopes(data.view(np.uint64))
+    )
+
+
 class TestMemoryBudget:
-    @pytest.mark.parametrize("n_max", [120, 160])
-    def test_charge_bounds_a_sectors_measured_peak(self, n_max):
-        # one lattice sector (N = 40, 2 gamma_c, three Peres operators) in a
-        # fresh process; its peak above a warm baseline must lie within the
-        # charge and above charge / 1.3, so the charge is not merely pessimistic
+    @pytest.mark.parametrize(
+        ("n_atoms", "n_max"), [(40, 120), (40, 160), (4, 1000), (1, 2400)],
+        ids=["120", "160", "N4-1000", "N1-2400"],
+    )
+    def test_charge_bounds_a_sectors_measured_peak(self, n_atoms, n_max):
+        # one lattice sector (2 gamma_c, three Peres operators) in a fresh
+        # process; its peak above a warm baseline must lie within the charge
+        # and above charge / 1.3, so the charge is not merely pessimistic.  At
+        # N = 4, H's row envelopes are most of H; at N = 1, W's build peaks
         src = str(Path(ham.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run(
-            [sys.executable, "-c", _LAUNCH, _PEAK_SCRIPT, str(n_max)],
+            [sys.executable, "-c", _LAUNCH, _PEAK_SCRIPT, str(n_atoms), str(n_max)],
             env=env, capture_output=True, text=True, check=True, timeout=600,
         )
-        dim, used = map(int, proc.stdout.split())
-        assert dim >= 2000
-        charge = ham.footprint_bytes(dim)
+        used = int(proc.stdout)
+        spec = BasisSpec(n_atoms / 2, n_max, 1)
+        dim = basis_size(spec)
+        assert dim >= 2400
+        charge = ham.footprint_bytes(spec)
         assert charge >= used >= charge / 1.3, (dim, used / (8 * dim * dim))
 
+    def test_charge_bounds_a_two_sector_runs_measured_peak(self, tmp_path):
+        # both sectors of one lattice run (N = 40, 2 gamma_c, three Peres
+        # operators) in a fresh process: its peak above a warm baseline must
+        # lie within its larger sector's charge
+        src = str(Path(ham.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _LAUNCH, _RUN_PEAK_SCRIPT, "120", str(tmp_path)],
+            env=env, capture_output=True, text=True, check=True, timeout=600,
+        )
+        *dims, used = map(int, proc.stdout.split())
+        assert len(dims) == 2 and min(dims) >= 2000
+        charge = max(ham.footprint_bytes(BasisSpec(20.0, 120, s)) for s in (1, -1))
+        assert charge >= used, (dims, used / (8 * max(dims) ** 2))
+
+    @pytest.mark.parametrize("j", [0.5, 1.0, 1.5, 2.0, 3.5, 6.0])
+    @pytest.mark.parametrize("n_max", [0, 1, 5, 40, 90])
+    @pytest.mark.parametrize("sector", [1, -1])
+    def test_envelope_bound_covers_the_solvers_envelopes(self, j, n_max, sector):
+        # the charge counts H's row envelopes from the m-block layout alone,
+        # before a label exists; the envelopes the solver saves, found from
+        # the data, must never be wider
+        spec = BasisSpec(j, n_max, sector)
+        assert _saved_words(spec) <= ham._envelope_words(spec) <= basis_size(spec) ** 2
+
+    def test_envelope_bound_is_tight_on_the_lattice(self):
+        # at N = 40, 2 gamma_c, the W blocks are dense: the bound is within
+        # 0.1% of what the solver saves
+        spec = BasisSpec(20.0, 40, 1)
+        saved = _saved_words(spec)
+        assert saved <= ham._envelope_words(spec) <= 1.001 * saved
+
     def test_capacity_error_names_the_charge(self):
-        # dim 103: charged 3.2 x 8 x 103^2 = 271,590 B against 10,000 B, each
-        # size in the largest binary unit it holds at least one of
-        assert enumerate_basis(BasisSpec(2.0, 40, 1)).size == 103
+        # dim 103: charged 8 x (2.8 x 103^2 + its 9,790 envelope words +
+        # W's 41^2) = 329,410 B against 10,000 B, each size in the largest
+        # binary unit it holds at least one of
+        spec = BasisSpec(2.0, 40, 1)
+        assert enumerate_basis(spec).size == 103 and ham._envelope_words(spec) == 9_790
         with pytest.raises(CapacityError) as err:
             ham.sector_ladder(params(0.1, 2.0), 40, 1, mem_budget_bytes=10_000)
         message = str(err.value)
-        assert "dim-103 sector is charged 265.2 KiB" in message
-        assert f"{ham.FOOTPRINT_MATRICES:g} x its 82.9 KiB dense matrix" in message
+        assert "dim-103 sector is charged 321.7 KiB" in message
+        assert "(3.88 x its 82.9 KiB dense matrix" in message
         assert message.endswith("budget is 9.8 KiB")
 
     def test_capacity_checked_before_enumeration(self, monkeypatch):

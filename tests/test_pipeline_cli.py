@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -508,8 +509,7 @@ class TestSolveAhead:
 
     @staticmethod
     def one_sector_budget():
-        dim = max(basis_size(BasisSpec(2.0, 12, s)) for s in (1, -1))
-        return hamiltonian.footprint_bytes(dim)
+        return max(hamiltonian.footprint_bytes(BasisSpec(2.0, 12, s)) for s in (1, -1))
 
     @staticmethod
     def recorded_sweep(cfg, monkeypatch, fail_call=None):
@@ -801,14 +801,14 @@ class TestCli:
 
     def test_capacity_error_sizes_are_readable(self, capsys):
         # a 1e-9 GiB budget rounds to 1 byte; the dim-28 sector is charged
-        # 3.2 x 8 x 28^2 = 20,070 bytes
+        # 8 x (2.8 x 28^2 + 784 envelope words + W's 11^2) = 24,802 bytes
         code = self.run_cli(
             "spectrum", "--n-atoms", "4", "--n-max", "10", "--gamma", "0.1",
             "--mem-budget-gib", "1e-9",
         )
         assert code == 3
         err = capsys.readouterr().err
-        assert "dim-28 sector is charged 19.6 KiB (3.2 x its 6.1 KiB dense matrix" in err
+        assert "dim-28 sector is charged 24.2 KiB (3.95 x its 6.1 KiB dense matrix" in err
         assert err.rstrip().endswith("budget is 1 B")
 
     def test_solver_exit_code(self, monkeypatch):
@@ -883,7 +883,7 @@ class TestCli:
             assert 0 <= converged <= dim
 
     def test_convergence_checks_every_truncation_before_solving(self, monkeypatch, capsys):
-        # n_max 4000 is a dim-10003 sector, charged 2.6 GiB against 0.5 GiB
+        # n_max 4000 is a dim-10003 sector, charged 2.8 GiB against 0.5 GiB
         eigh, calls = solver.eigh, []
         monkeypatch.setattr(solver, "eigh", lambda matrix: calls.append(matrix.dim) or eigh(matrix))
         code = self.run_cli(
@@ -940,6 +940,31 @@ class TestCli:
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_coupling_is_config_error(self, no_build, value):
         assert self.run_cli("spectrum", "--n-atoms", "2", "--gamma", value) == 2
+
+    @pytest.mark.parametrize("gamma", ["1e40", "1e80"])
+    def test_overflowing_coupling_is_config_error(self, capsys, gamma):
+        # the displacement matrix overflows to inf at 1e40 and to NaN at 1e80,
+        # with no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = self.run_cli("spectrum", "--n-atoms", "2", "--n-max", "4", "--gamma", gamma)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: gamma={float(gamma):g} is too strong for n_max=4")
+
+    def test_strong_coupling_below_overflow_solves(self):
+        assert self.run_cli("spectrum", "--n-atoms", "2", "--n-max", "4", "--gamma", "1e30") == 0
+
+    def test_overflowing_coupling_fails_its_sweep_point(self, tmp_path):
+        argv = ["--n-atoms", "2", "--n-max", "4", "--ops", "", "--out", str(tmp_path)]
+        assert self.run_cli("sweep", *argv, "--gamma", "0.5,1e40,1e80,1e30") == 5
+        statuses = [line.split(",")[2] for line in
+                    (tmp_path / "summary.csv").read_text().splitlines()[1:]]
+        assert statuses == ["ok", "failed", "failed", "ok"]
+        for gamma in ("1e+40", "1e+80"):
+            man = json.loads((tmp_path / f"gamma={gamma}" / "plus" / "manifest.json").read_text())
+            assert man["status"] == "failed"
+            assert "too strong for n_max=4" in man["error"]
 
     @pytest.mark.parametrize("flag", ["--omega", "--omega0"])
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -1,3 +1,4 @@
+import ctypes
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -202,9 +203,14 @@ def banded_with_far_corner(dim, seed, band=3):
 
 
 def no_save(data):
-    """Stand-in for solver._unmirrored where eigh must refuse its input
+    """Stand-in for solver._row_envelopes where eigh must refuse its input
     before it saves anything."""
     raise AssertionError("entries saved before the input was checked")
+
+
+def read_only(a):
+    a.setflags(write=False)
+    return a
 
 
 def envelope_product(mat, vectors):
@@ -243,7 +249,7 @@ class TestRowEnvelopes:
 
     def test_chunks_tile_rows_and_cover_every_nonzero(self):
         for name, mat in model_matrices().items():
-            assert mat.shape[0] % solver._ROW_CHUNK != 0, name
+            assert mat.shape[0] % ham.ROW_CHUNK != 0, name
             covered = np.zeros(mat.shape, dtype=bool)
             for rows, cols in solver._row_envelopes(mat):
                 covered[rows, cols] = True
@@ -363,7 +369,7 @@ class TestInPlaceSolve:
         m = self.production()
         m.data.setflags(write=False)
         before = m.data.tobytes()
-        monkeypatch.setattr(solver, "_unmirrored", no_save)
+        monkeypatch.setattr(solver, "_row_envelopes", no_save)
         with pytest.raises(ValueError, match="writeable C-contiguous float64"):
             solver.eigh(m)
         assert m.data.tobytes() == before
@@ -375,7 +381,7 @@ class TestInPlaceSolve:
         view = big[::2, ::2]
         assert not view.flags.c_contiguous
         before = big.tobytes()
-        monkeypatch.setattr(solver, "_unmirrored", no_save)
+        monkeypatch.setattr(solver, "_row_envelopes", no_save)
         with pytest.raises(ValueError, match="writeable C-contiguous float64"):
             solver.eigh(wrap(view))
         assert big.tobytes() == before
@@ -435,6 +441,21 @@ class TestInPlaceSolve:
             solver.eigh(m)
         assert m.data.tobytes() == before
 
+    def test_dstedc_scribbling_over_its_z_leaves_input_restored(self, monkeypatch):
+        # dstedc's Z is H's own buffer; NaN over all of it, then a failure
+        m = self.production()
+        before = m.data.tobytes()
+
+        def scribble_then_fail(compz, n, d, e, z, *rest):
+            assert z == m.data.ctypes.data
+            m.data[...] = np.nan
+            rest[-1].value = 7
+
+        monkeypatch.setattr(solver, "_DSTEDC", scribble_then_fail)
+        with pytest.raises(SolverError, match="did not converge"):
+            solver.eigh(m)
+        assert m.data.tobytes() == before
+
     @pytest.mark.parametrize(
         "largest, solves",
         [(2.0**-485, True), (np.nextafter(2.0**-485, 0.0), False), (2.0**485, True),
@@ -454,7 +475,7 @@ class TestInPlaceSolve:
             assert s.energies.tobytes() == want_e.tobytes()
             assert s.vectors.tobytes() == want_v.tobytes()
         else:
-            monkeypatch.setattr(solver, "_unmirrored", no_save)
+            monkeypatch.setattr(solver, "_row_envelopes", no_save)
             with pytest.raises(ValueError, match="LAPACK does not rescale"):
                 solver.eigh(wrap(a))
         assert a.tobytes() == before
@@ -479,6 +500,8 @@ class TestLapackCall:
         "dim-2": (1, lambda: wrap([[0.0, 1.0], [1.0, 0.0]])),
         # dsyevd's workspace query exceeds its 1 + 6n + 2n^2 floor
         "dim-10": (1, lambda: TestLapackCall.random_symmetric(10)),
+        # dsyevd passes dormtr less than its query plus dormqr's block
+        "dim-50": (1, lambda: TestLapackCall.random_symmetric(50)),
         "integer-j": (1, lambda: TestLapackCall.sector(10.0, 40)),
         "half-integer-j": (1, lambda: TestLapackCall.sector(10.5, 40)),
         "above-1024": (2, lambda: TestLapackCall.sector(20.0, 60)),
@@ -502,10 +525,11 @@ class TestLapackCall:
         assert got.vectors.tobytes() == want_v.tobytes()
 
     def test_workspace_is_scipy_query(self, monkeypatch):
-        # dstedc and dormtr get the part of the workspace syevd_lwork reports
-        # that dsyevd passes them, all but its 2n + n^2 for the tridiagonal
-        # and the vectors, at sizes where the query exceeds the 1 + 6n + 2n^2
-        # floor (small n) and where it equals it
+        # dstedc gets the part of the workspace syevd_lwork reports that
+        # dsyevd passes it, all but its 2n + n^2 for the tridiagonal and the
+        # vectors, at sizes where the query exceeds the 1 + 6n + 2n^2 floor
+        # (small n) and where it equals it; dormtr gets its own query plus
+        # dormqr's 65 x 64 block, or dsyevd's share where that is smaller
         lwork = scipy.linalg.get_lapack_funcs("syevd_lwork", dtype=np.float64)
         sizes = []
         dstedc, dormtr = solver._DSTEDC, solver._DORMTR
@@ -515,42 +539,77 @@ class TestLapackCall:
             dstedc(compz, n, d, e, z, ldz, work, lwork_arg, iwork, liwork, info)
 
         def ormtr_spy(side, uplo, trans, m, n, a, lda, tau, c, ldc, work, lwork_arg, info):
-            sizes.append(("dormtr", lwork_arg.value))
             dormtr(side, uplo, trans, m, n, a, lda, tau, c, ldc, work, lwork_arg, info)
+            if lwork_arg.value == -1:
+                queries.append(int(ctypes.c_double.from_address(work).value))
+            else:
+                sizes.append(("dormtr", lwork_arg.value))
 
         monkeypatch.setattr(solver, "_DSTEDC", stedc_spy)
         monkeypatch.setattr(solver, "_DORMTR", ormtr_spy)
-        for n in (2, 10, 431):
+        for n in (2, 10, 50, 431):
             sizes.clear()
-            a = np.eye(n, order="F")
-            solver._evd_stages(a, np.empty(n), np.empty((n, n), order="F"))
+            queries = []
+            solver._evd_stages(np.eye(n, order="F"), np.empty(n))
             want = lwork(n, compute_v=1, lower=1)
             share = int(want[0]) - 2 * n - n * n
-            assert sizes == [("dstedc", share, want[1]), ("dormtr", share)]
-        assert sizes[0] == ("dstedc", 431**2 + 4 * 431 + 1, 3 + 5 * 431)
+            assert sizes == [("dstedc", share, want[1]),
+                             ("dormtr", min(share, queries[0] + 65 * 64))]
+        # at n = 431 dormtr's own workspace is a tenth of dstedc's
+        assert sizes == [("dstedc", 431**2 + 4 * 431 + 1, 3 + 5 * 431),
+                         ("dormtr", queries[0] + 65 * 64)]
+        assert queries[0] + 65 * 64 < (431**2 + 4 * 431 + 1) / 10
 
     @pytest.mark.parametrize(
-        "a, w, z",
-        [
-            (np.eye(3, order="F"), np.empty(2), np.empty((3, 3), order="F")),
-            (np.eye(3, order="F"), np.empty(6)[::2], np.empty((3, 3), order="F")),
-            (np.eye(3, order="F", dtype=np.float32), np.empty(3), np.empty((3, 3), order="F")),
-            (np.eye(4, order="F")[:, ::2][:2], np.empty(2), np.empty((2, 2), order="F")),
-            (np.ones((3, 2), order="F"), np.empty(3), np.empty((3, 3), order="F")),
-            (np.eye(3, order="F"), np.empty(3), np.empty((3, 3))),
-            (np.eye(3, order="F"), np.empty(3), np.empty((2, 2), order="F")),
-        ],
-        ids=["short-w", "strided-w", "float32", "strided-a", "not-square", "c-ordered-z",
-             "short-z"],
+        "n, lwork",
+        [(431, lambda query: query), (50, lambda query: query + 65 * 64)],
+        ids=["bare-query-431", "query-and-block-above-share-50"],
     )
-    def test_bad_buffers_are_refused_before_lapack(self, monkeypatch, a, w, z):
+    def test_other_dormtr_workspace_changes_the_vectors(self, monkeypatch, n, lwork):
+        # dormqr narrows its blocks to a workspace short of the 65 x 64 block
+        # that dormtr's query leaves out, and dsyevd's own share at n = 50 is
+        # that short: either change moves the vectors in their last bits
+        m = self.random_symmetric(n)
+        dormtr = solver._DORMTR
+        queries = []
+
+        def other_lwork(side, uplo, trans, m_, n_, a, lda, tau, c, ldc, work, lwork_arg, info):
+            if lwork_arg.value != -1:
+                lwork_arg = type(lwork_arg)(lwork(queries[0]))
+            dormtr(side, uplo, trans, m_, n_, a, lda, tau, c, ldc, work, lwork_arg, info)
+            if lwork_arg.value == -1:
+                queries.append(int(ctypes.c_double.from_address(work).value))
+
+        monkeypatch.setattr(solver, "_DORMTR", other_lwork)
+        with solver.blas_threads(1):
+            want_e, want_v = np.linalg.eigh(m.data)
+            got = solver.eigh(m)
+        assert got.energies.tobytes() == want_e.tobytes()
+        assert got.vectors.tobytes() != want_v.tobytes()
+        np.testing.assert_allclose(np.abs(got.vectors), np.abs(want_v), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "a, w",
+        [
+            (np.eye(3, order="F"), np.empty(2)),
+            (np.eye(3, order="F"), np.empty(6)[::2]),
+            (np.eye(3, order="F", dtype=np.float32), np.empty(3)),
+            (np.eye(4, order="F")[:, ::2][:2], np.empty(2)),
+            (np.ones((3, 2), order="F"), np.empty(3)),
+            (np.eye(3), np.empty(3)),
+            (read_only(np.eye(3, order="F")), np.empty(3)),
+        ],
+        ids=["short-w", "strided-w", "float32", "strided-a", "not-square", "c-ordered-a",
+             "read-only-a"],
+    )
+    def test_bad_buffers_are_refused_before_lapack(self, monkeypatch, a, w):
         def never(*args):
             raise AssertionError("LAPACK called")
 
         for stage in ("_DSYTRD", "_DSTEDC", "_DORMTR"):
             monkeypatch.setattr(solver, stage, never)
         with pytest.raises(ValueError, match="dsyevd's stages take"):
-            solver._evd_stages(a, w, z)
+            solver._evd_stages(a, w)
 
     def test_illegal_argument_raises_and_restores(self, monkeypatch):
         # dormtr rejects an argument after dsytrd has overwritten data's
@@ -584,7 +643,7 @@ class TestLapackCall:
             counter.start()
             try:
                 t0 = time.perf_counter()
-                solver._evd_stages(a, np.empty(m.dim), np.empty_like(a, order="F"))
+                solver._evd_stages(a, np.empty(m.dim))
                 t1 = time.perf_counter()
             finally:
                 done.set()
