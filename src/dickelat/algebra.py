@@ -72,7 +72,8 @@ def displacement_matrix(n_top, delta):
 
     The Laguerre recurrence runs upward in degree, vectorized over the order
     difference, with per-difference rescaling; each degree's values and log
-    scale are kept, and the lower triangle is exponentiated in one pass.
+    scale are kept, and the lower triangle is exponentiated one order
+    difference (diagonal) at a time, so the build holds three arrays of W's size.
     """
     size = n_top + 1
     if delta == 0.0:
@@ -100,22 +101,21 @@ def displacement_matrix(n_top, delta):
         lvals[k + 1] = cur
         shifts[k + 1] = shift
 
-    # entries (row, col) = (k + a, k) of the lower triangle
-    k, a = np.nonzero(np.add.outer(alphas, alphas) <= n_top)
-    rows = k + a
     lg = np.array([_log_factorial(k) for k in range(size)])  # lg[k] = log k!
-    lpref = 0.5 * (lg[k] - lg[rows]) + a * math.log(abs(delta)) - 0.5 * x
-    l_ka = lvals[k, a]
-    abs_l = np.abs(l_ka)
-    with np.errstate(divide="ignore"):
-        vals = np.sign(l_ka) * np.exp(lpref + np.log(abs_l) + shifts[k, a])
-    vals[abs_l == 0.0] = 0.0
-    flip = np.where(a % 2 == 0, 1.0, -1.0)
-    if delta < 0:
-        vals = vals * flip
     w = np.zeros((size, size))
-    w[rows, k] = vals
-    w[k, rows] = vals * flip
+    flat = w.reshape(-1)
+    with np.errstate(divide="ignore"):
+        for a in range(size):
+            # entries (row, col) = (k + a, k) of the lower triangle
+            lpref = 0.5 * (lg[:size - a] - lg[a:]) + a * math.log(abs(delta)) - 0.5 * x
+            l_ka = lvals[:size - a, a]
+            abs_l = np.abs(l_ka)
+            vals = np.sign(l_ka) * np.exp(lpref + np.log(abs_l) + shifts[:size - a, a])
+            vals[abs_l == 0.0] = 0.0
+            if delta < 0 and a % 2:
+                vals = -vals
+            flat[a * size::size + 1] = vals  # W[k + a, k]
+            flat[a:(size - a) * size:size + 1] = -vals if a % 2 else vals  # W[k, k + a]
     if not np.isfinite(w).all():
         raise ArithmeticError(f"displacement matrix overflows at delta={delta:g}")
     return w

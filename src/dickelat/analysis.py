@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import CapacityError, InsufficientDataError
 
 # E/j bin width of the DoS and the markers of every run.
 BIN_WIDTH = 0.05
@@ -14,6 +14,10 @@ BIN_WIDTH = 0.05
 # A level this many bin widths or fewer below a grid edge is binned above it.
 # Degenerate levels on an edge then land together whatever their rounding.
 _EDGE_TOL = 1e-9
+
+# A grid reaches at most this many bins either side of E/j = 0: 50,000 at
+# BIN_WIDTH, past the ground state of any coupling below about 300 gamma_c.
+_GRID_REACH = 10**6
 
 # Slope-change markers: the E/j window searched, the least distance between
 # the two markers, and the energy scale the binned curve is averaged over.
@@ -36,11 +40,17 @@ class EsqptMarkers:
 def _grid_bins(x, width):
     """(edges, bin of each value) on the grid of multiples of `width` that
     spans the non-empty `x`.  A value less than _EDGE_TOL bin widths below an
-    edge goes to the bin above it."""
-    k = np.floor(x / width + _EDGE_TOL).astype(int)
-    first = int(k.min())
-    edges = width * np.arange(first, int(k.max()) + 2)
-    return edges, k - first
+    edge goes to the bin above it.  Raises CapacityError, before the grid is
+    allocated, if it would reach more than _GRID_REACH bins from 0."""
+    k = np.floor(x / width + _EDGE_TOL)
+    first, last = k.min(), k.max()
+    if not (-_GRID_REACH <= first and last < _GRID_REACH):
+        raise CapacityError(
+            f"E/j spans {x.min():g} to {x.max():g}, {last - first + 1:.4g} bins of {width:g}: "
+            f"a grid reaches at most {_GRID_REACH * width:g} either side of 0"
+        )
+    first = int(first)
+    return width * np.arange(first, int(last) + 2), k.astype(int) - first
 
 
 def density_of_states(energies, j):

@@ -12,8 +12,9 @@ that ladder for the builder and for <Jz>, so both use one sign convention.
 """
 
 import math
-from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,27 +26,16 @@ from .errors import CapacityError, ConfigError
 # whose footprint_bytes exceed it.
 MEMORY_BUDGET_BYTES = 4 * 2**30
 
-# Rows per chunk of H's row envelopes, the spans in which the solver saves H
-# and the audit multiplies it: narrow enough that a chunk's envelope hugs the
-# m-block band of the displaced-shell matrices, wide enough that each chunk
-# product is still an efficient GEMM.
-ROW_CHUNK = 64
-
 # A sector's peak memory above the interpreter's, in 8-byte words: while
 # dstedc runs, FOOTPRINT_MATRICES dense matrices of its dimension (H's buffer,
 # dstedc's n^2 + 4n + 1 workspace, the half-size copy of the reflectors and
-# what the allocator keeps), plus H's saved row envelopes, bounded from the
-# m-block layout (_envelope_words), plus the ladder's (n_max + 1)^2
-# displacement matrix W.  One lattice sector (2 gamma_c, three Peres
-# operators, dim 2401-3301) peaked at most 2.66 dense matrices above its
-# envelope bound and W, at N = 2 to 40 on 1 and 2 BLAS threads (2.54-2.56 at
-# N = 40); the constant stays at least 0.1 above every one.
-FOOTPRINT_MATRICES = 2.8
-
-# W's build holds 7.5 matrices of W's size (7.51 measured at n_max = 2400);
-# with one m block (N = 1), where W is as large as H, that is the sector's
-# peak.  The constant stays at least 0.1 above it.
-DISPLACEMENT_BUILD_MATRICES = 7.7
+# what the allocator keeps), plus the ladder's (n_max + 1)^2 displacement
+# matrix W, whose build holds about three arrays of W's size.  One lattice
+# sector (2 gamma_c, three Peres operators, dim 2401-3301) peaked at most
+# 2.71 dense matrices above W, at N = 1, 2, 4 and 40 on 1 and 2 BLAS threads
+# (2.55-2.56 at N = 40, 2.71 at N = 2); the constant stays at least 0.1
+# above every one.
+FOOTPRINT_MATRICES = 2.85
 
 # Side of the square tiles in which H is compared with its transpose and
 # checked for finite entries: a tile pair stays in cache, and no dim x dim
@@ -72,6 +62,9 @@ class ModelParams:
         twoj = 2.0 * self.j
         if twoj <= 0 or twoj != round(twoj):
             raise ValueError("j must be a positive (half-)integer")
+        if not math.isfinite(4.0 * self.gamma * self.gamma / (self.omega * twoj) * self.j**2):
+            raise ValueError(f"gamma={self.gamma:g} is too strong: H's diagonal term "
+                             "4 gamma^2 m^2 / (omega N) overflows")
 
     @property
     def n_atoms(self):
@@ -90,10 +83,13 @@ class ModelParams:
 
 @dataclass
 class SymmetricMatrix:
-    """Dense real symmetric operator with its basis provenance."""
+    """Dense real symmetric operator with its basis provenance.  refill(buf)
+    writes the operator's exact bits into the square buffer buf, every entry
+    of it: solver.eigh solves in data's own buffer and writes H back with it."""
 
     data: np.ndarray
     basis: BasisSpec | None
+    refill: Callable[[np.ndarray], None]
 
     def __post_init__(self):
         d = self.data
@@ -125,28 +121,11 @@ def _check_entries(d):
         raise ValueError("matrix contains non-finite entries")
 
 
-def _envelope_words(spec: BasisSpec):
-    """An upper bound on the entries of H's row envelopes, from the m-block
-    layout alone: the rows of a chunk of ROW_CHUNK reach only their own m
-    blocks and the blocks at m +- 1."""
-    layout = [rows for _, rows, _ in blocks(spec)]
-    starts = [rows.start for rows in layout]  # an empty block shares its successor's
-    dim, words = layout[-1].stop, 0
-    for lo in range(0, dim, ROW_CHUNK):
-        hi = min(lo + ROW_CHUNK, dim)
-        first, last = (bisect_right(starts, row) - 1 for row in (lo, hi - 1))
-        span = layout[min(last + 1, len(layout) - 1)].stop - layout[max(first - 1, 0)].start
-        words += (hi - lo) * span
-    return words
-
-
 def footprint_bytes(spec: BasisSpec):
     """Bytes the sector of `spec` is charged against the memory budget: the
-    solve's FOOTPRINT_MATRICES dense matrices, H's row envelopes and W, or
-    W's build if that holds more."""
+    solve's FOOTPRINT_MATRICES dense matrices and W."""
     dim, shells = basis_size(spec), spec.n_max + 1
-    solve = FOOTPRINT_MATRICES * dim * dim + _envelope_words(spec) + shells * shells
-    return round(8 * max(solve, DISPLACEMENT_BUILD_MATRICES * shells * shells))
+    return round(8 * (FOOTPRINT_MATRICES * dim * dim + shells * shells))
 
 
 def _size_text(n_bytes):
@@ -226,21 +205,32 @@ def sector_ladder(
 # ---------------------------------------------------------------------------
 # builder
 
-def build_sector(ladder: SectorLadder) -> SymmetricMatrix:
-    """Dense Dicke Hamiltonian of the sector, its diagonal plus omega0 Jz.  The
-    two sectors' spectra together are the full displaced-basis spectrum."""
+def _fill(ladder: SectorLadder, mat):
+    """Write the sector's H, its diagonal plus omega0 Jz, over every entry of
+    the square float64 `mat`, each block in place, in one order of
+    operations: every call writes the same bits."""
     params, index, w = ladder.params, ladder.index, ladder.w
-    mat = np.zeros((index.size, index.size))
+    mat.fill(0.0)
     for c, lo, hi, block in ladder.pairs:
-        blk = params.omega0 * (c * block)
-        mat[lo, hi] = blk
-        mat[hi, lo] = blk.T
+        upper = np.multiply(block, c, out=mat[lo, hi])
+        upper *= params.omega0
+        mat[hi, lo] = upper.T
     if ladder.self_block is not None:
         c, sl, signs = ladder.self_block
-        mat[sl, sl] = params.omega0 * (c * w * signs[None, :])
+        # signs are +-1, so scaling c W by signs * omega0 keeps omega0 (c W signs)'s bits
+        own = np.multiply(w, c, out=mat[sl, sl])
+        own *= signs * params.omega0
     quad = 4.0 * params.gamma**2 / (params.omega * params.n_atoms)
     mat[np.diag_indices(index.size)] += params.omega * index.n_exc - quad * index.m_vals**2
-    return SymmetricMatrix(mat, index.spec)
+
+
+def build_sector(ladder: SectorLadder) -> SymmetricMatrix:
+    """Dense Dicke Hamiltonian of the sector, its diagonal plus omega0 Jz.  The
+    two sectors' spectra together are the full displaced-basis spectrum.  Its
+    refill is the fill that built it, bound to the ladder."""
+    mat = np.empty((ladder.index.size,) * 2)
+    _fill(ladder, mat)
+    return SymmetricMatrix(mat, ladder.index.spec, partial(_fill, ladder))
 
 
 def build_coherent_parity(params: ModelParams, n_max: int, sector: int) -> SymmetricMatrix:

@@ -57,8 +57,9 @@ def peres_expectation(op_kind: str, spectrum: Spectrum, ladder: SectorLadder) ->
     for c, lo, hi, block in ladder.pairs:
         out += 2.0 * c * np.einsum("ik,ik->k", v[lo], block @ v[hi])
     if ladder.self_block is not None:
+        # <v| W S |v> = sum_j s_j v_j (W^T v)_j: one temporary of v[sl]'s size
         c, sl, signs = ladder.self_block
-        out += c * np.einsum("ik,ik->k", v[sl], ladder.w @ (signs[:, None] * v[sl]))
+        out += c * np.einsum("j,jk,jk->k", signs, ladder.w.T @ v[sl], v[sl])
     return out
 
 

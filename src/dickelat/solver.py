@@ -6,12 +6,11 @@ dstedc, dormtr), called by ctypes so the solve drops the GIL and another
 thread can run beside it.  Run one by one, they reduce H in its own buffer,
 find the eigenvectors there while the reflectors wait in a half-size copy,
 and leave the vectors in dstedc's n^2 workspace, bit for bit dsyevd's, so a
-solve holds H's buffer, that workspace, the copy and H's saved row
-envelopes, from which H is written back: about 2.7 dense matrices at
-N = 40, up to 3.5 at small N, where the envelopes are most of H.
-That OpenBLAS is the only BLAS a run loads.  The contract here is the
-residual bound (max ||H v - E v|| <= 1e-10 ||H||_F) and the orthonormality
-defect (<= 1e-10), both recorded on every Spectrum.  The audit multiplies H
+solve holds H's buffer, that workspace and the copy, and the matrix's own
+refill (for a sector, its build) then writes H back.  That OpenBLAS is the
+only BLAS a run loads.  The contract here is the residual bound (max
+||H v - E v|| <= 1e-10 ||H||_F) and the orthonormality defect (<= 1e-10),
+both recorded on every Spectrum.  The audit multiplies H
 one row chunk at a time over that chunk's nonzero column envelope, so banded
 matrices cost a fraction of a dense GEMM while every nonzero still counts,
 and takes V^T V one panel of columns at a time, so no dim x dim temporary
@@ -29,10 +28,16 @@ import numpy as np
 
 from .basis import BasisSpec
 from .errors import SolverError
-from .hamiltonian import ROW_CHUNK, SymmetricMatrix
+from .hamiltonian import SymmetricMatrix
 
 RESIDUAL_BOUND = 1e-10
 ORTHO_BOUND = 1e-10
+
+# Rows per chunk of H's row envelopes, the spans in which the audit
+# multiplies H, and columns per panel of the saved reflectors: narrow enough
+# that a chunk's envelope hugs the m-block band of the displaced-shell
+# matrices, wide enough that each chunk product is still an efficient GEMM.
+_ROW_CHUNK = 64
 
 # Columns per panel of the audit's Gram: the panel's product is one GEMM and
 # its temporary holds _GRAM_PANEL rows, not dim.  A panel no larger than the
@@ -128,13 +133,13 @@ class Spectrum:
 
 def _row_envelopes(mat):
     """(rows, cols) slice pairs covering every nonzero of the square `mat`:
-    rows walks `ROW_CHUNK` rows at a time, cols is the span from the chunk's
+    rows walks `_ROW_CHUNK` rows at a time, cols is the span from the chunk's
     first to its last nonzero column (empty for an all-zero chunk), read
     from the data rather than assumed from the basis.  mat[rows, cols] @
     V[cols] is then exactly rows `rows` of mat @ V."""
     dim = mat.shape[0]
-    for start in range(0, dim, ROW_CHUNK):
-        rows = slice(start, min(start + ROW_CHUNK, dim))
+    for start in range(0, dim, _ROW_CHUNK):
+        rows = slice(start, min(start + _ROW_CHUNK, dim))
         nonzero = np.flatnonzero(mat[rows].any(axis=0))
         if nonzero.size:
             cols = slice(int(nonzero[0]), int(nonzero[-1]) + 1)
@@ -215,10 +220,10 @@ def _evd_stages(a, w):
         lwork, liwork = max(1 + 4 * n + n * n, lwork - n * n), 3 + 5 * n
     else:
         lwork, liwork = 1, 1
-    # the reflectors, ROW_CHUNK columns at a time: each panel takes along
+    # the reflectors, _ROW_CHUNK columns at a time: each panel takes along
     # the few entries on and above the diagonal that dormtr never reads
-    panels = range(0, n, ROW_CHUNK)
-    saved = [a[k + 1:, k:k + ROW_CHUNK].copy(order="F") for k in panels]
+    panels = range(0, n, _ROW_CHUNK)
+    saved = [a[k + 1:, k:k + _ROW_CHUNK].copy(order="F") for k in panels]
     work, iwork = np.empty(lwork), np.empty(liwork, dtype=_LAPACK_INT)
     _DSTEDC(b"I", order, w.ctypes.data, e.ctypes.data, a.ctypes.data, lead, work.ctypes.data,
             _LAPACK_INT(lwork), iwork.ctypes.data, _LAPACK_INT(liwork), info)
@@ -229,7 +234,7 @@ def _evd_stages(a, w):
         )
     reflectors = work[:n * n].reshape(n, n, order="F")
     for k, panel in zip(panels, saved):
-        reflectors[k + 1:, k:k + ROW_CHUNK] = panel
+        reflectors[k + 1:, k:k + _ROW_CHUNK] = panel
     del saved
     query = np.zeros(1)
     dormtr(query, -1)
@@ -255,13 +260,10 @@ def eigh(matrix: SymmetricMatrix) -> Spectrum:
     data.T is H in Fortran order: LAPACK reduces it there, finds the
     tridiagonal's eigenvectors there while the reflectors wait in a half-size
     copy, and the vectors end in dstedc's workspace, so a solve holds H's
-    buffer, that workspace, the copy and H's saved row envelopes (about
-    2.7 n^2 at dim 3301, up to about 3.5 n^2 when the envelopes cover H).
-    H is then written back from those envelopes, the span of each row
-    chunk's nonzero bits, so signed zeros are kept and the input is left as
-    it was, also when LAPACK raises.
+    buffer, that workspace and the copy.  matrix.refill then writes H's exact
+    bits back, also when LAPACK raises, so the input is left as it was.
 
-    Raises ValueError, before anything is saved or solved, if the data is not
+    Raises ValueError, before anything is solved, if the data is not
     a writeable C-contiguous float64 array (build_sector's always is: a copy
     would hold a dense matrix the memory budget does not charge), or if its
     largest |entry| is nonzero and outside [2**-485, 2**485], where dsyevd
@@ -277,16 +279,11 @@ def eigh(matrix: SymmetricMatrix) -> Spectrum:
     if 0.0 < largest < _RMIN or largest > _RMAX:
         raise ValueError(f"eigh takes a matrix whose largest |entry| is 0 or lies in "
                          f"[2**-485, 2**485], where LAPACK does not rescale it: {largest:g}")
-    saved = [(rows, cols, data[rows, cols].copy())
-             for rows, cols in _row_envelopes(data.view(np.uint64))]
     energies = np.empty(matrix.dim)
     try:
         vectors = _evd_stages(data.T, energies)
     finally:
-        data.fill(0.0)
-        for rows, cols, block in saved:
-            data[rows, cols] = block
-    del saved
+        matrix.refill(data)
     report = residual_report_for(data, energies, vectors)
     if not report.within_bounds():
         raise SolverError(

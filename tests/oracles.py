@@ -14,6 +14,7 @@ their own m-major (n, m) labels.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,12 +22,35 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import gammaln
 
-from dickelat import algebra
-from dickelat.basis import BasisIndex, sector_twist
+from dickelat import algebra, solver
+from dickelat.basis import BasisIndex, BasisSpec, blocks, sector_twist
 from dickelat.hamiltonian import ModelParams, SymmetricMatrix
 
 # mean consecutive-gap ratio of uncorrelated (Poisson) levels
 POISSON_RATIO = 2.0 * math.log(2.0) - 1.0  # ~0.38629
+
+
+def symmetric_matrix(data, basis):
+    """SymmetricMatrix of the array `data` whose refill writes back a copy of
+    data kept here: a test matrix has no ladder to be rebuilt from."""
+    kept = data.copy()
+    return SymmetricMatrix(data, basis, lambda buf: np.copyto(buf, kept))
+
+
+def envelope_words_bound(spec: BasisSpec):
+    """An upper bound on the entries of a sector H's row envelopes, the spans
+    over which the solver's audit multiplies it, from the m-block layout
+    alone: the rows of a chunk of solver._ROW_CHUNK reach only their own m
+    blocks and the blocks at m +- 1."""
+    layout = [rows for _, rows, _ in blocks(spec)]
+    starts = [rows.start for rows in layout]  # an empty block shares its successor's
+    dim, words = layout[-1].stop, 0
+    for lo in range(0, dim, solver._ROW_CHUNK):
+        hi = min(lo + solver._ROW_CHUNK, dim)
+        first, last = (bisect_right(starts, row) - 1 for row in (lo, hi - 1))
+        span = layout[min(last + 1, len(layout) - 1)].stop - layout[max(first - 1, 0)].start
+        words += (hi - lo) * span
+    return words
 
 
 def m_values(j):
@@ -86,7 +110,7 @@ def displacement_by_diagonal(n_top, delta):
     Filled one degree at a time as the Laguerre recurrence runs upward in
     degree, vectorized over the order difference, with per-difference
     rescaling.  The package's displacement_matrix does the same arithmetic
-    over the whole lower triangle at once and must match it bit for bit.
+    one order difference at a time and must match it bit for bit.
     """
     size = n_top + 1
     if delta == 0.0:
@@ -133,6 +157,59 @@ def displacement_by_diagonal(n_top, delta):
         emit(k + 1, cur, shifts)
     if np.isnan(w).any():
         raise ArithmeticError(f"displacement matrix lost to NaN at delta={delta}")
+    return w
+
+
+def displacement_vectorized(n_top, delta):
+    """Dense (n_top+1)^2 matrix W with W[r, c] = <r| exp(delta (a^dag - a)) |c>,
+    as displacement_by_diagonal, but with the whole lower triangle
+    exponentiated in one pass once the Laguerre recurrence has run: the
+    package's build before it went one order difference at a time, which
+    must keep every bit of this one.  It holds about 7.5 arrays of W's size."""
+    size = n_top + 1
+    if delta == 0.0:
+        return np.eye(size)
+    if not math.isfinite(delta):
+        raise ValueError("displacement must be finite")
+    x = delta * delta
+    alphas = np.arange(size, dtype=float)
+    # L_k^(a)(x) = lvals[k, a] * e^shifts[k, a]
+    lvals = np.empty((size, size))
+    shifts = np.zeros((size, size))
+    prev = np.ones(size)
+    cur = 1.0 + alphas - x
+    shift = np.zeros(size)
+    lvals[0] = prev
+    if n_top >= 1:
+        lvals[1] = cur
+    for k in range(1, n_top):
+        prev, cur = cur, ((2 * k + 1 + alphas - x) * cur - (k + alphas) * prev) / (k + 1)
+        big = np.abs(cur) > algebra._RESCALE_LIMIT
+        if big.any():
+            cur[big] /= algebra._RESCALE_LIMIT
+            prev[big] /= algebra._RESCALE_LIMIT
+            shift[big] += algebra._LOG_RESCALE
+        lvals[k + 1] = cur
+        shifts[k + 1] = shift
+
+    # entries (row, col) = (k + a, k) of the lower triangle
+    k, a = np.nonzero(np.add.outer(alphas, alphas) <= n_top)
+    rows = k + a
+    lg = gammaln(alphas + 1.0)  # lg[k] = log k!
+    lpref = 0.5 * (lg[k] - lg[rows]) + a * math.log(abs(delta)) - 0.5 * x
+    l_ka = lvals[k, a]
+    abs_l = np.abs(l_ka)
+    with np.errstate(divide="ignore"):
+        vals = np.sign(l_ka) * np.exp(lpref + np.log(abs_l) + shifts[k, a])
+    vals[abs_l == 0.0] = 0.0
+    flip = np.where(a % 2 == 0, 1.0, -1.0)
+    if delta < 0:
+        vals = vals * flip
+    w = np.zeros((size, size))
+    w[rows, k] = vals
+    w[k, rows] = vals * flip
+    if not np.isfinite(w).all():
+        raise ArithmeticError(f"displacement matrix overflows at delta={delta:g}")
     return w
 
 
@@ -307,7 +384,7 @@ def build_fock(params: ModelParams, n_max: int) -> SymmetricMatrix:
             blk = c * field  # symmetric in n, so mirror equals itself
             mat[sl_up, sl] = blk
             mat[sl, sl_up] = blk
-    return SymmetricMatrix(mat, basis)
+    return symmetric_matrix(mat, basis)
 
 
 def coherent_jz(index: BasisIndex, params: ModelParams) -> np.ndarray:
@@ -333,7 +410,7 @@ def build_coherent(params: ModelParams, n_max: int) -> SymmetricMatrix:
     mat = params.omega0 * coherent_jz(index, params)
     quad = 4.0 * params.gamma**2 / (params.omega * params.n_atoms)
     mat[np.diag_indices(index.size)] += params.omega * index.n_exc - quad * index.m_vals**2
-    return SymmetricMatrix(mat, basis)
+    return symmetric_matrix(mat, basis)
 
 
 def op_photon(index: BasisIndex, params: ModelParams) -> np.ndarray:
@@ -373,7 +450,7 @@ def full_peres_matrix(op_kind, index: BasisIndex, params: ModelParams) -> Symmet
         mat = op_photon(index, params)
     else:
         mat = op_jx2(index)
-    return SymmetricMatrix(mat, index.spec)
+    return symmetric_matrix(mat, index.spec)
 
 
 def sector_peres_matrix(op_kind, index: BasisIndex, params: ModelParams) -> np.ndarray:
@@ -436,7 +513,7 @@ def build_tc_block(params: ModelParams, lam: int) -> SymmetricMatrix:
             val = gtc * math.sqrt(n) * algebra.ladder_coeff(j, m, +1)
             mat[k + 1, k] = val
             mat[k, k + 1] = val
-    return SymmetricMatrix(mat, None)
+    return symmetric_matrix(mat, None)
 
 
 def leading_agreement(energies, reference, tol):

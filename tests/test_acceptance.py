@@ -23,6 +23,7 @@ from oracles import (
     build_tc_block,
     lambda_diag,
     leading_agreement,
+    symmetric_matrix,
     tc_full_fock,
 )
 
@@ -254,7 +255,7 @@ def test_criterion_04_parity_block_completeness():
 def test_criterion_05_tavis_cummings_blocks():
     p = ham.ModelParams(omega=1.0, omega0=1.0, gamma=0.4, j=1.0)
     n_full = 60
-    h_full = ham.SymmetricMatrix(tc_full_fock(p, n_full), None)
+    h_full = symmetric_matrix(tc_full_fock(p, n_full), None)
     s_full = audit_spectrum("c5 full", solver.eigh(h_full))
     lam = lambda_diag(p.j, n_full)
     lam_exp = (s_full.vectors**2 * lam[:, None]).sum(axis=0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,8 @@ from dickelat import algebra
 from dickelat.basis import BasisSpec
 from dickelat.hamiltonian import ModelParams
 from oracles import (
-    displacement_by_diagonal, displacement_expm, jx_matrix, jx_squared, laguerre_rational,
-    m_values,
+    displacement_by_diagonal, displacement_expm, displacement_vectorized, jx_matrix, jx_squared,
+    laguerre_rational, m_values,
 )
 
 HALF_SPINS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.5]
@@ -148,6 +149,27 @@ class TestDisplacedOverlap:
                 got = algebra.displacement_matrix(n_top, signed)
                 want = displacement_by_diagonal(n_top, signed)
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), signed
+
+    @pytest.mark.parametrize("delta", [0.3, -0.7, 1.3, 0.632, -2.5, 4.0, 1.414])
+    def test_bits_match_the_whole_triangle_build(self, delta):
+        # filled one order difference at a time, W keeps every bit of the
+        # build that exponentiates its whole lower triangle in one pass
+        for n_top in [*range(80), 120, 160, 250, 409, 600, 1200]:
+            got = algebra.displacement_matrix(n_top, delta)
+            want = displacement_vectorized(n_top, delta)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n_top
+
+    def test_build_holds_three_arrays_of_ws_size(self):
+        # the Laguerre values, their log scales and W itself (the whole-
+        # triangle build held 7.5): at n_max = 1200 and N = 1, W is as large
+        # as H, so its build must stay within the sector's charge
+        tracemalloc.start()
+        try:
+            algebra.displacement_matrix(1200, 0.632)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 8 * 1201**2, peak / (8 * 1201**2)
 
     def test_large_arguments_stay_finite(self):
         # several hundred shells push the raw Laguerre recurrence past 1e250,

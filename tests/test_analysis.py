@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from dickelat import analysis
 from dickelat import hamiltonian as ham
 from dickelat import observables as obs
 from dickelat import solver
-from dickelat.errors import InsufficientDataError
+from dickelat.errors import CapacityError, InsufficientDataError
 from oracles import POISSON_RATIO
 
 
@@ -90,6 +92,28 @@ class TestDensityOfStates:
     def test_empty_input(self):
         edges, counts = analysis.density_of_states([], 2.0)
         assert edges.size == 0 and counts.size == 0
+
+    @pytest.mark.parametrize(
+        "levels, message",
+        [([-49_999.9, 49_999.9], None),
+         ([-50_000.1, 0.0], "E/j spans -50000.1 to 0, 1e+06 bins of 0.05"),
+         ([0.0, 50_000.1], "E/j spans 0 to 50000.1, 1e+06 bins of 0.05"),
+         ([-2e10, 4.0], "E/j spans -2e+10 to 4, 4e+11 bins of 0.05"),
+         ([-2e60, -2e60], "E/j spans -2e+60 to -2e+60, 1 bins of 0.05")],
+        ids=["within-reach", "below-reach", "above-reach", "wide-span", "far-level"],
+    )
+    def test_grid_beyond_its_reach_is_refused(self, levels, message):
+        # the grid's size is checked before it is allocated: a 4e11-bin grid
+        # would take terabytes, and a bin index past int64 would wrap
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if message is None:
+                edges, counts = analysis.density_of_states(levels, 1.0)
+                assert edges.size == 1_999_998 and counts.sum() == 2
+            else:
+                with pytest.raises(CapacityError, match="a grid reaches at most 50000") as err:
+                    analysis.density_of_states(levels, 1.0)
+                assert str(err.value).startswith(message)
 
 
 class TestMarkers:

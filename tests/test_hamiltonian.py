@@ -19,11 +19,13 @@ from oracles import (
     build_fock,
     build_tc_block,
     coherent_states_in_fock,
+    envelope_words_bound,
     fock_parity_diag,
     full_index,
     index_of,
     lambda_diag,
     parity_projector,
+    symmetric_matrix,
     tc_full_fock,
 )
 
@@ -299,10 +301,10 @@ class TestExactSymmetryCheck:
         d = make()
         assert np.array_equal(d, d.T) == symmetric
         if symmetric:
-            ham.SymmetricMatrix(d, None)
+            symmetric_matrix(d, None)
         else:
             with pytest.raises(ValueError, match="not exactly symmetric"):
-                ham.SymmetricMatrix(d, None)
+                symmetric_matrix(d, None)
 
 
 def _inf_at(d, value, *pairs):
@@ -327,12 +329,12 @@ class TestFiniteEntries:
         d = self.CASES[case]()
         assert np.array_equal(d, d.T) and not np.isfinite(d).all()
         with pytest.raises(ValueError, match="non-finite entries"):
-            ham.SymmetricMatrix(d, None)
+            symmetric_matrix(d, None)
 
     def test_asymmetry_after_an_inf_tile_is_not_symmetric(self):
         d = _nudge(_inf_at(_symmetric(600), np.inf, (0, 1)), 599, 590)
         with pytest.raises(ValueError, match="not exactly symmetric"):
-            ham.SymmetricMatrix(d, None)
+            symmetric_matrix(d, None)
 
 
 _PEAK_SCRIPT = """
@@ -372,27 +374,28 @@ print(*(sector.energies.size for sector in result.sectors), maxrss() - baseline)
 _LAUNCH = "import subprocess, sys; subprocess.run([sys.executable, '-c', *sys.argv[1:]], check=True)"
 
 
-def _saved_words(spec):
-    """Entries of the row envelopes the solver saves of the sector's H at
-    2 gamma_c."""
+def _envelope_area(spec):
+    """Entries of the row envelopes over which the solver's audit multiplies
+    the sector's H at 2 gamma_c."""
     ladder = ham.sector_ladder(params(1.0, spec.j), spec.n_max, spec.parity_sector)
     data = ham.build_sector(ladder).data
     return sum(
         (rows.stop - rows.start) * (cols.stop - cols.start)
-        for rows, cols in solver._row_envelopes(data.view(np.uint64))
+        for rows, cols in solver._row_envelopes(data)
     )
 
 
 class TestMemoryBudget:
     @pytest.mark.parametrize(
-        ("n_atoms", "n_max"), [(40, 120), (40, 160), (4, 1000), (1, 2400)],
-        ids=["120", "160", "N4-1000", "N1-2400"],
+        ("n_atoms", "n_max"), [(40, 120), (40, 160), (4, 1000), (2, 1600), (1, 2400)],
+        ids=["120", "160", "N4-1000", "N2-1600", "N1-2400"],
     )
     def test_charge_bounds_a_sectors_measured_peak(self, n_atoms, n_max):
         # one lattice sector (2 gamma_c, three Peres operators) in a fresh
         # process; its peak above a warm baseline must lie within the charge
         # and above charge / 1.3, so the charge is not merely pessimistic.  At
-        # N = 4, H's row envelopes are most of H; at N = 1, W's build peaks
+        # small N the allocator keeps the most above what is live; at N = 1,
+        # W is as large as H
         src = str(Path(ham.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run(
@@ -425,30 +428,31 @@ class TestMemoryBudget:
     @pytest.mark.parametrize("n_max", [0, 1, 5, 40, 90])
     @pytest.mark.parametrize("sector", [1, -1])
     def test_envelope_bound_covers_the_solvers_envelopes(self, j, n_max, sector):
-        # the charge counts H's row envelopes from the m-block layout alone,
-        # before a label exists; the envelopes the solver saves, found from
-        # the data, must never be wider
+        # the audit multiplies H one row chunk at a time over the chunk's
+        # envelope, found from the data, so its cost follows the envelopes'
+        # area; they must never reach beyond the chunk's own m blocks and
+        # those at m +- 1
         spec = BasisSpec(j, n_max, sector)
-        assert _saved_words(spec) <= ham._envelope_words(spec) <= basis_size(spec) ** 2
+        assert _envelope_area(spec) <= envelope_words_bound(spec) <= basis_size(spec) ** 2
 
     def test_envelope_bound_is_tight_on_the_lattice(self):
         # at N = 40, 2 gamma_c, the W blocks are dense: the bound is within
-        # 0.1% of what the solver saves
+        # 0.1% of the audit's envelopes
         spec = BasisSpec(20.0, 40, 1)
-        saved = _saved_words(spec)
-        assert saved <= ham._envelope_words(spec) <= 1.001 * saved
+        area = _envelope_area(spec)
+        assert area <= envelope_words_bound(spec) <= 1.001 * area
 
     def test_capacity_error_names_the_charge(self):
-        # dim 103: charged 8 x (2.8 x 103^2 + its 9,790 envelope words +
-        # W's 41^2) = 329,410 B against 10,000 B, each size in the largest
-        # binary unit it holds at least one of
+        # dim 103: charged 8 x (2.85 x 103^2 + W's 41^2) = 255,333 B against
+        # 10,000 B, each size in the largest binary unit it holds at least
+        # one of
         spec = BasisSpec(2.0, 40, 1)
-        assert enumerate_basis(spec).size == 103 and ham._envelope_words(spec) == 9_790
+        assert enumerate_basis(spec).size == 103
         with pytest.raises(CapacityError) as err:
             ham.sector_ladder(params(0.1, 2.0), 40, 1, mem_budget_bytes=10_000)
         message = str(err.value)
-        assert "dim-103 sector is charged 321.7 KiB" in message
-        assert "(3.88 x its 82.9 KiB dense matrix" in message
+        assert "dim-103 sector is charged 249.3 KiB" in message
+        assert "(3.01 x its 82.9 KiB dense matrix" in message
         assert message.endswith("budget is 9.8 KiB")
 
     def test_capacity_checked_before_enumeration(self, monkeypatch):

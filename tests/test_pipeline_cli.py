@@ -801,14 +801,14 @@ class TestCli:
 
     def test_capacity_error_sizes_are_readable(self, capsys):
         # a 1e-9 GiB budget rounds to 1 byte; the dim-28 sector is charged
-        # 8 x (2.8 x 28^2 + 784 envelope words + W's 11^2) = 24,802 bytes
+        # 8 x (2.85 x 28^2 + W's 11^2) = 18,843 bytes
         code = self.run_cli(
             "spectrum", "--n-atoms", "4", "--n-max", "10", "--gamma", "0.1",
             "--mem-budget-gib", "1e-9",
         )
         assert code == 3
         err = capsys.readouterr().err
-        assert "dim-28 sector is charged 24.2 KiB (3.95 x its 6.1 KiB dense matrix" in err
+        assert "dim-28 sector is charged 18.4 KiB (3.00 x its 6.1 KiB dense matrix" in err
         assert err.rstrip().endswith("budget is 1 B")
 
     def test_solver_exit_code(self, monkeypatch):
@@ -883,7 +883,7 @@ class TestCli:
             assert 0 <= converged <= dim
 
     def test_convergence_checks_every_truncation_before_solving(self, monkeypatch, capsys):
-        # n_max 4000 is a dim-10003 sector, charged 2.8 GiB against 0.5 GiB
+        # n_max 4000 is a dim-10003 sector, charged 2.2 GiB against 0.5 GiB
         eigh, calls = solver.eigh, []
         monkeypatch.setattr(solver, "eigh", lambda matrix: calls.append(matrix.dim) or eigh(matrix))
         code = self.run_cli(
@@ -951,6 +951,33 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: gamma={float(gamma):g} is too strong for n_max=4")
+
+    def test_coupling_whose_square_overflows_is_config_error(self, capsys):
+        # one shell's displacement matrix stays finite, but gamma^2 does not
+        code = self.run_cli("spectrum", "--n-atoms", "2", "--n-max", "0", "--gamma", "1e200")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: gamma=1e+200 is too strong")
+        assert "Traceback" not in err
+
+    def test_strong_coupling_outside_the_dos_grid_fails_its_sweep_point(self, tmp_path):
+        # both couplings solve, but their E/j spans are far wider than any
+        # density-of-states grid: each point fails before its grid exists,
+        # with no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = self.run_cli(
+                "sweep", "--n-atoms", "2", "--n-max", "4", "--gamma", "0.5,1e30,1e5",
+                "--out", str(tmp_path),
+            )
+        assert code == 5
+        statuses = [line.split(",")[2] for line in
+                    (tmp_path / "summary.csv").read_text().splitlines()[1:]]
+        assert statuses == ["ok", "failed", "failed"]
+        for gamma, span in (("1e+30", "-2e+60 to 4, 4e+61"), ("100000", "-2e+10 to 4, 4e+11")):
+            man = json.loads((tmp_path / f"gamma={gamma}" / "plus" / "manifest.json").read_text())
+            assert man["status"] == "failed"
+            assert man["error"].startswith(f"E/j spans {span} bins of 0.05")
 
     def test_strong_coupling_below_overflow_solves(self):
         assert self.run_cli("spectrum", "--n-atoms", "2", "--n-max", "4", "--gamma", "1e30") == 0

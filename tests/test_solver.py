@@ -11,11 +11,13 @@ from dickelat import hamiltonian as ham
 from dickelat import pipeline, solver
 from dickelat.basis import BasisSpec
 from dickelat.errors import SolverError
-from oracles import build_coherent, build_fock, full_index, full_peres_matrix, ortho_defect
+from oracles import (
+    build_coherent, build_fock, full_index, full_peres_matrix, ortho_defect, symmetric_matrix,
+)
 
 
 def wrap(data):
-    return ham.SymmetricMatrix(np.asarray(data, dtype=float), None)
+    return symmetric_matrix(np.asarray(data, dtype=float), None)
 
 
 def test_two_by_two_closed_form():
@@ -202,10 +204,10 @@ def banded_with_far_corner(dim, seed, band=3):
     return a
 
 
-def no_save(data):
-    """Stand-in for solver._row_envelopes where eigh must refuse its input
-    before it saves anything."""
-    raise AssertionError("entries saved before the input was checked")
+def no_refill(buf):
+    """A matrix's refill where eigh must refuse its input before it touches
+    anything."""
+    raise AssertionError("input written to before it was checked")
 
 
 def read_only(a):
@@ -249,7 +251,7 @@ class TestRowEnvelopes:
 
     def test_chunks_tile_rows_and_cover_every_nonzero(self):
         for name, mat in model_matrices().items():
-            assert mat.shape[0] % ham.ROW_CHUNK != 0, name
+            assert mat.shape[0] % solver._ROW_CHUNK != 0, name
             covered = np.zeros(mat.shape, dtype=bool)
             for rows, cols in solver._row_envelopes(mat):
                 covered[rows, cols] = True
@@ -344,46 +346,49 @@ class TestInPlaceSolve:
     matrix comes out as it went in."""
 
     @staticmethod
-    def production():
-        p = ham.ModelParams(omega=1.0, omega0=1.0, gamma=1.0, j=5.0)
-        return ham.build_coherent_parity(p, 40, 1)
+    def productions():
+        """A sector at integer and at half-integer j, written back by its
+        build: only the half-integer one holds the m = 1/2 block that couples
+        to itself."""
+        for j in (5.0, 5.5):
+            p = ham.ModelParams(omega=1.0, omega0=1.0, gamma=1.0, j=j)
+            yield ham.build_coherent_parity(p, 40, 1)
 
     def test_input_keeps_buffer_and_bytes(self):
-        m = self.production()
-        data, before = m.data, m.data.tobytes()
-        s = solver.eigh(m)
-        assert m.data is data
-        assert m.data.tobytes() == before
-        assert not np.shares_memory(s.vectors, m.data)
-        assert s.vectors.flags.f_contiguous
+        for m in self.productions():
+            data, before = m.data, m.data.tobytes()
+            s = solver.eigh(m)
+            assert m.data is data
+            assert m.data.tobytes() == before
+            assert not np.shares_memory(s.vectors, m.data)
+            assert s.vectors.flags.f_contiguous
 
     def test_repeated_solves_are_byte_identical(self):
-        m = self.production()
-        first, second = solver.eigh(m), solver.eigh(m)
-        assert first.energies.tobytes() == second.energies.tobytes()
-        assert first.vectors.tobytes() == second.vectors.tobytes()
-        assert first.residual_report == second.residual_report
+        for m in self.productions():
+            first, second = solver.eigh(m), solver.eigh(m)
+            assert first.energies.tobytes() == second.energies.tobytes()
+            assert first.vectors.tobytes() == second.vectors.tobytes()
+            assert first.residual_report == second.residual_report
 
-    def test_read_only_input_is_refused_unchanged(self, monkeypatch):
+    def test_read_only_input_is_refused_unchanged(self):
         # a copy would hold a second dense matrix the budget does not charge
-        m = self.production()
-        m.data.setflags(write=False)
-        before = m.data.tobytes()
-        monkeypatch.setattr(solver, "_row_envelopes", no_save)
-        with pytest.raises(ValueError, match="writeable C-contiguous float64"):
-            solver.eigh(m)
-        assert m.data.tobytes() == before
+        for m in self.productions():
+            m.data.setflags(write=False)
+            m.refill = no_refill
+            before = m.data.tobytes()
+            with pytest.raises(ValueError, match="writeable C-contiguous float64"):
+                solver.eigh(m)
+            assert m.data.tobytes() == before
 
-    def test_non_contiguous_input(self, monkeypatch):
+    def test_non_contiguous_input(self):
         a = banded_with_far_corner(80, seed=21)
         big = np.zeros((160, 160))
         big[::2, ::2] = a
         view = big[::2, ::2]
         assert not view.flags.c_contiguous
         before = big.tobytes()
-        monkeypatch.setattr(solver, "_row_envelopes", no_save)
         with pytest.raises(ValueError, match="writeable C-contiguous float64"):
-            solver.eigh(wrap(view))
+            solver.eigh(ham.SymmetricMatrix(view, None, no_refill))
         assert big.tobytes() == before
 
     def test_band_with_far_corner_restored_exactly(self):
@@ -421,40 +426,41 @@ class TestInPlaceSolve:
         assert s.vectors.tobytes() == want_v.tobytes()
 
     def test_failed_lapack_leaves_input_restored(self, monkeypatch):
-        m = self.production()
-        before = m.data.tobytes()
         reduce = solver._DSYTRD
-
-        def reduce_then_scribble(*args):
-            # the reduction, then NaN over all that LAPACK may write of H:
-            # data's upper triangle and diagonal (data.T's lower one)
-            reduce(*args)
-            if args[8].value > 0:
-                m.data[np.triu_indices(m.dim)] = np.nan
 
         def fail(*args):
             args[-1].value = 7  # info > 0: the iteration failed to converge
 
-        monkeypatch.setattr(solver, "_DSYTRD", reduce_then_scribble)
         monkeypatch.setattr(solver, "_DSTEDC", fail)
-        with pytest.raises(SolverError, match="did not converge"):
-            solver.eigh(m)
-        assert m.data.tobytes() == before
+        for m in self.productions():
+            before = m.data.tobytes()
+
+            def reduce_then_scribble(*args):
+                # the reduction, then NaN over all that LAPACK may write of H:
+                # data's upper triangle and diagonal (data.T's lower one)
+                reduce(*args)
+                if args[8].value > 0:
+                    m.data[np.triu_indices(m.dim)] = np.nan
+
+            monkeypatch.setattr(solver, "_DSYTRD", reduce_then_scribble)
+            with pytest.raises(SolverError, match="did not converge"):
+                solver.eigh(m)
+            assert m.data.tobytes() == before
 
     def test_dstedc_scribbling_over_its_z_leaves_input_restored(self, monkeypatch):
         # dstedc's Z is H's own buffer; NaN over all of it, then a failure
-        m = self.production()
-        before = m.data.tobytes()
+        for m in self.productions():
+            before = m.data.tobytes()
 
-        def scribble_then_fail(compz, n, d, e, z, *rest):
-            assert z == m.data.ctypes.data
-            m.data[...] = np.nan
-            rest[-1].value = 7
+            def scribble_then_fail(compz, n, d, e, z, *rest):
+                assert z == m.data.ctypes.data
+                m.data[...] = np.nan
+                rest[-1].value = 7
 
-        monkeypatch.setattr(solver, "_DSTEDC", scribble_then_fail)
-        with pytest.raises(SolverError, match="did not converge"):
-            solver.eigh(m)
-        assert m.data.tobytes() == before
+            monkeypatch.setattr(solver, "_DSTEDC", scribble_then_fail)
+            with pytest.raises(SolverError, match="did not converge"):
+                solver.eigh(m)
+            assert m.data.tobytes() == before
 
     @pytest.mark.parametrize(
         "largest, solves",
@@ -462,9 +468,9 @@ class TestInPlaceSolve:
          (np.nextafter(2.0**485, np.inf), False), (0.0, True)],
         ids=["smallest", "below-smallest", "largest", "above-largest", "zero"],
     )
-    def test_input_lapack_would_rescale_is_refused_unchanged(self, monkeypatch, largest, solves):
+    def test_input_lapack_would_rescale_is_refused_unchanged(self, largest, solves):
         # dsyevd rescales a matrix whose largest |entry| lies outside
-        # [2**-485, 2**485]; eigh refuses it before saving or solving anything
+        # [2**-485, 2**485]; eigh refuses it before touching or solving anything
         a = banded_with_far_corner(40, seed=9)
         a /= np.abs(a).max()  # the largest |entry| is now exactly 1
         a *= largest
@@ -475,9 +481,8 @@ class TestInPlaceSolve:
             assert s.energies.tobytes() == want_e.tobytes()
             assert s.vectors.tobytes() == want_v.tobytes()
         else:
-            monkeypatch.setattr(solver, "_row_envelopes", no_save)
             with pytest.raises(ValueError, match="LAPACK does not rescale"):
-                solver.eigh(wrap(a))
+                solver.eigh(ham.SymmetricMatrix(a, None, no_refill))
         assert a.tobytes() == before
 
 
@@ -614,16 +619,16 @@ class TestLapackCall:
     def test_illegal_argument_raises_and_restores(self, monkeypatch):
         # dormtr rejects an argument after dsytrd has overwritten data's
         # upper triangle
-        m = TestInPlaceSolve.production()
-        before = m.data.tobytes()
 
         def reject(*args):
             args[-1].value = -4
 
         monkeypatch.setattr(solver, "_DORMTR", reject)
-        with pytest.raises(RuntimeError, match="dormtr rejected argument 4"):
-            solver.eigh(m)
-        assert m.data.tobytes() == before
+        for m in TestInPlaceSolve.productions():
+            before = m.data.tobytes()
+            with pytest.raises(RuntimeError, match="dormtr rejected argument 4"):
+                solver.eigh(m)
+            assert m.data.tobytes() == before
 
     def test_solve_releases_the_gil(self):
         # while one thread is inside dsyevd, another keeps running Python
