@@ -22,6 +22,11 @@ import numpy as np
 _RESCALE_LIMIT = 1e250
 _LOG_RESCALE = math.log(_RESCALE_LIMIT)
 
+# Entries of W's lower triangle exponentiated in one pass: consecutive order
+# differences (diagonals) share a pass up to this many, so a short diagonal
+# pays no numpy calls of its own while a pass's temporaries keep a fixed size.
+_PASS_ENTRIES = 8192
+
 # Cephes lgam: Stirling-series coefficients in 1/x^2 and log(sqrt(2 pi)).
 _LGAM_SERIES = (
     8.11614167470508450300e-4,
@@ -72,8 +77,9 @@ def displacement_matrix(n_top, delta):
 
     The Laguerre recurrence runs upward in degree, vectorized over the order
     difference, with per-difference rescaling; each degree's values and log
-    scale are kept, and the lower triangle is exponentiated one order
-    difference (diagonal) at a time, so the build holds three arrays of W's size.
+    scale are kept, and the lower triangle is exponentiated a few consecutive
+    order differences (diagonals) at a time, at most _PASS_ENTRIES entries a
+    pass, so the build holds three arrays of W's size.
     """
     size = n_top + 1
     if delta == 0.0:
@@ -102,20 +108,36 @@ def displacement_matrix(n_top, delta):
         shifts[k + 1] = shift
 
     lg = np.array([_log_factorial(k) for k in range(size)])  # lg[k] = log k!
+    log_delta = math.log(abs(delta))
     w = np.zeros((size, size))
     flat = w.reshape(-1)
+    a = 0
     with np.errstate(divide="ignore"):
-        for a in range(size):
-            # entries (row, col) = (k + a, k) of the lower triangle
-            lpref = 0.5 * (lg[:size - a] - lg[a:]) + a * math.log(abs(delta)) - 0.5 * x
-            l_ka = lvals[:size - a, a]
-            abs_l = np.abs(l_ka)
-            vals = np.sign(l_ka) * np.exp(lpref + np.log(abs_l) + shifts[:size - a, a])
+        while a < size:
+            # the order differences a..stop-1, diagonal d holding the size - d
+            # entries (row, col) = (k + d, k), while together they hold at
+            # most _PASS_ENTRIES (a longer diagonal goes alone)
+            stop, count = a + 1, size - a
+            while stop < size and count + size - stop <= _PASS_ENTRIES:
+                count += size - stop
+                stop += 1
+            lengths = np.arange(size - a, size - stop, -1)
+            d = np.repeat(np.arange(a, stop), lengths)
+            k = np.arange(count) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+            upper = k * (size + 1) + d  # flat index of W[k, k + d]
+            cell = upper - k  # of [k, d] in lvals and shifts
+            lpref = 0.5 * (lg.take(k) - lg.take(k + d)) + d * log_delta - 0.5 * x
+            l_kd = lvals.take(cell)
+            abs_l = np.abs(l_kd)
+            vals = np.sign(l_kd) * np.exp(lpref + np.log(abs_l) + shifts.take(cell))
             vals[abs_l == 0.0] = 0.0
-            if delta < 0 and a % 2:
-                vals = -vals
-            flat[a * size::size + 1] = vals  # W[k + a, k]
-            flat[a:(size - a) * size:size + 1] = -vals if a % 2 else vals  # W[k, k + a]
+            odd = d % 2 == 1
+            if delta < 0:
+                np.negative(vals, out=vals, where=odd)
+            flat.put(upper + d * (size - 1), vals)  # W[k + d, k]
+            np.negative(vals, out=vals, where=odd)
+            flat.put(upper, vals)  # W[k, k + d]
+            a = stop
     if not np.isfinite(w).all():
         raise ArithmeticError(f"displacement matrix overflows at delta={delta:g}")
     return w

@@ -121,6 +121,15 @@ def _check_entries(d):
         raise ValueError("matrix contains non-finite entries")
 
 
+def solves_unscaled(largest):
+    """Whether LAPACK solves a matrix whose largest |entry| is `largest`
+    without rescaling it: 0, or within [2**-485, 2**485] (never NaN).  dsyevd
+    rescales outside, between sqrt(safe minimum / precision) and its
+    inverse; the stages solver.eigh runs do not, so it refuses such a matrix,
+    and sector_ladder a sector whose H would be one."""
+    return largest == 0.0 or 2.0**-485 <= largest <= 2.0**485
+
+
 def footprint_bytes(spec: BasisSpec):
     """Bytes the sector of `spec` is charged against the memory budget: the
     solve's FOOTPRINT_MATRICES dense matrices and W."""
@@ -176,7 +185,8 @@ def sector_ladder(
     """The m-ladder of one parity sector.  Raises CapacityError, before any
     label is enumerated, if the sector's footprint_bytes would exceed
     `mem_budget_bytes`, and ConfigError if the coupling overflows the
-    displacement matrix."""
+    displacement matrix or gives H a largest |entry| LAPACK would rescale
+    (see solves_unscaled), before H is built."""
     spec = BasisSpec(params.j, n_max, sector)
     check_capacity(spec, mem_budget_bytes)
     index = enumerate_basis(spec)
@@ -199,7 +209,43 @@ def sector_ladder(
         # half-integer j: the m=1/2 pair couples to itself through its mirror
         signs = np.where(np.arange(n_max + 1) % 2 == 0, 1.0, -1.0) * sector * sector_twist(j)
         self_block = (0.5 * math.sqrt(j * (j + 1) + 0.25), layout[0][1], signs)
-    return SectorLadder(params, index, w, tuple(pairs), self_block)
+    ladder = SectorLadder(params, index, w, tuple(pairs), self_block)
+    largest = _largest_entry(ladder)
+    if not solves_unscaled(largest):
+        raise ConfigError(
+            f"gamma={params.gamma:g}, omega={params.omega:g} and omega0={params.omega0:g} "
+            f"give n_max={n_max} a Hamiltonian whose largest |entry| is {largest:g}, "
+            "outside [2**-485, 2**485], where LAPACK would rescale it"
+        )
+    return ladder
+
+
+def _diagonal(params, index):
+    """H's diagonal term omega n - (4 gamma^2 / (omega N)) m^2 at each label."""
+    quad = 4.0 * params.gamma**2 / (params.omega * params.n_atoms)
+    return params.omega * index.n_exc - quad * index.m_vals**2
+
+
+def _largest_entry(ladder: SectorLadder):
+    """The largest |entry| of the H _fill writes, found without H: a block's
+    is its W view's, scaled in _fill's order (rounding is monotone), and the
+    diagonal is formed whole, the m = 1/2 block's W term included."""
+    params, w = ladder.params, ladder.w
+
+    def scaled(c, block):
+        return max(block.max(initial=0.0), -block.min(initial=0.0)) * c * params.omega0
+
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller refuses inf and NaN
+        largest = [scaled(c, block) for c, _, _, block in ladder.pairs]
+        diag = _diagonal(params, ladder.index)
+        if ladder.self_block is not None:
+            c, sl, signs = ladder.self_block
+            size = w.shape[0]
+            off_diagonal = w.reshape(-1)[:-1].reshape(size - 1, size + 1)[:, 1:]  # a view
+            largest.append(scaled(c, off_diagonal))
+            diag[sl] += np.diagonal(w) * c * (signs * params.omega0)
+        largest.append(np.abs(diag).max())
+        return float(np.max(largest))  # NaN wins, as it would in H
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +266,7 @@ def _fill(ladder: SectorLadder, mat):
         # signs are +-1, so scaling c W by signs * omega0 keeps omega0 (c W signs)'s bits
         own = np.multiply(w, c, out=mat[sl, sl])
         own *= signs * params.omega0
-    quad = 4.0 * params.gamma**2 / (params.omega * params.n_atoms)
-    mat[np.diag_indices(index.size)] += params.omega * index.n_exc - quad * index.m_vals**2
+    mat[np.diag_indices(index.size)] += _diagonal(params, index)
 
 
 def build_sector(ladder: SectorLadder) -> SymmetricMatrix:

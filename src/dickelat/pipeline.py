@@ -6,15 +6,14 @@ operator writes a lattice per operator, the DoS and the gap-ratio statistics,
 plus the ESQPT markers when Jz is among them.  A run with none writes the
 energies only.
 
-A run or sweep whose sectors are all smaller than ONE_BLAS_THREAD_BELOW_DIM
-calls BLAS on one thread; larger ones keep the process's thread count.  A
-sector runs in two halves: ladder, build and solve, then certificate,
-observables, analysis and files.  Below the threshold, and when the memory
-budget covers two sectors at once, one worker thread solves each sector
-while the main thread finishes the one before it, in call order (the solve
-drops the GIL), so two sectors are alive at once.  Otherwise the sectors run
-one at a time, and the budget bounds one sector.  Either way the products are
-the same bytes."""
+A sector runs in two halves: ladder, build and solve, then certificate,
+observables, analysis and files.  A run or sweep of two sectors or more, all
+smaller than SOLVE_AHEAD_BELOW_DIM, whose memory budget covers two sectors
+at once, puts BLAS on one thread while one worker thread solves each sector
+and the main thread finishes the one before it, in call order (the solve
+drops the GIL), so two sectors are alive at once.  Every other run or sweep
+runs its sectors one at a time at the process's thread count, and the
+budget bounds one sector."""
 
 import contextlib
 import hashlib
@@ -39,13 +38,14 @@ SECTOR_DIRS = {1: "plus", -1: "minus"}
 _SECTOR_FILES = ("manifest.json", "energies.csv", "dos.csv", "markers.json", "stats.json",
                  *(f"lattice_{op}.csv" for op in observables.PERES_OPS))
 
-# Sectors below this dimension run BLAS on one thread.  One full lattice run
-# of one sector (3 Peres operators, analysis, files; N = 40, 2 cores) took, on
-# 1 thread against 2: 0.74-0.80x at dim 841, 0.83x at 923, 0.90-1.01x at
-# 1005, 1.10x at 1148 and 1.32x at 1661.  That crossover was measured while
-# numpy and scipy each loaded an OpenBLAS whose threads spun beside the
-# other's; it has not been measured again with numpy's library alone.
-ONE_BLAS_THREAD_BELOW_DIM = 1024
+# Runs and sweeps of two sectors or more below this dimension solve one
+# sector ahead on a worker thread, with BLAS on one thread (see the module
+# docstring).  16-coupling sweeps of both sectors on 2 cores, worker against
+# serial on 2 threads, medians of 8 alternating fresh processes: 1.44 against
+# 1.65 s at dim 557, 1.71 against 1.72 s at 599, 2.06 against 2.09 s at 641,
+# 2.39 against 2.26 s at 662; of 6, 2.93 against 2.64 s at 746 and 4.21
+# against 3.35 s at 851.
+SOLVE_AHEAD_BELOW_DIM = 600
 
 # E/j windows of the gap-ratio statistics, by their summary.csv column: below
 # the dynamic ESQPT, and between it and the static one.  None is an open end.
@@ -331,24 +331,19 @@ def _sector_manifest(cfg, sector, result=None, files=None, error=None):
 def _sector_runner(points):
     """The function (cfg, sector) -> SectorResult that runs the sectors of
     `points`, the configs of one run or of a sweep's couplings (they share j,
-    n_max, sectors and the budget).  When every sector is below
-    ONE_BLAS_THREAD_BELOW_DIM, BLAS runs on one thread for the whole block,
-    the count then depending on the config alone; when there are two sectors
-    or more and the budget covers two at once, each solve runs one ahead on
-    a worker thread (_SolveAhead), joined before the block ends.  Otherwise
-    it is run_sector."""
+    n_max, sectors and the budget).  With two sectors or more, all below
+    SOLVE_AHEAD_BELOW_DIM, and a budget that covers two at once, each solve
+    runs one ahead on a worker thread (_SolveAhead) with BLAS on one thread,
+    both for the whole block, the worker joined before it ends.  Otherwise it
+    is run_sector, at the process's thread count."""
     cfg = points[0]
     specs = [BasisSpec(cfg.params.j, cfg.n_max, s) for s in cfg.sectors]
-    dim = max(map(basis_size, specs))
     jobs = [(p, s) for p in points for s in p.sectors]
-    if dim >= ONE_BLAS_THREAD_BELOW_DIM:
+    if (len(jobs) < 2 or max(map(basis_size, specs)) >= SOLVE_AHEAD_BELOW_DIM
+            or 2 * max(map(hamiltonian.footprint_bytes, specs)) > cfg.mem_budget_bytes):
         yield run_sector
         return
     with solver.blas_threads(1):
-        charge = max(map(hamiltonian.footprint_bytes, specs))
-        if len(jobs) < 2 or 2 * charge > cfg.mem_budget_bytes:
-            yield run_sector
-            return
         with ThreadPoolExecutor(1, thread_name_prefix="dickelat-solve") as pool:
             yield _SolveAhead(pool, jobs).run_sector
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .basis import BasisSpec
 from .errors import SolverError
-from .hamiltonian import SymmetricMatrix
+from .hamiltonian import SymmetricMatrix, solves_unscaled
 
 RESIDUAL_BOUND = 1e-10
 ORTHO_BOUND = 1e-10
@@ -46,11 +46,6 @@ _ROW_CHUNK = 64
 # at dim 3301 the second solve raised the peak 18 MiB above the first's with
 # 512 rows, and 2 MiB with 128.
 _GRAM_PANEL = 128
-
-# dsyevd rescales a matrix whose largest |entry| is nonzero and below
-# sqrt(safe minimum / precision) = 2**-485, or above its inverse 2**485; the
-# stages run here do not, so eigh refuses such a matrix.
-_RMIN, _RMAX = 2.0**-485, 2.0**485
 
 # The symbols of the OpenBLAS builds numpy links: (prefix, suffix) of their
 # set_num_threads, get_num_threads and get_config, and their dsytrd, dstedc
@@ -179,8 +174,8 @@ def _evd_stages(a, w):
     dormtr applies them to a, and the vectors are copied into the view,
     which is returned: bit for bit the vectors dsyevd writes over a.  a is
     left holding them too.  dsyevd's rescaling of a matrix whose largest
-    |entry| lies outside [_RMIN, _RMAX] is not run: eigh refuses such a
-    matrix.
+    |entry| lies outside [2**-485, 2**485] is not run: eigh refuses such a
+    matrix (hamiltonian.solves_unscaled).
 
     Raises SolverError if dstedc fails to converge and RuntimeError if a
     stage rejects an argument."""
@@ -276,7 +271,7 @@ def eigh(matrix: SymmetricMatrix) -> Spectrum:
         raise ValueError("eigh solves in the matrix's buffer: it takes a writeable "
                          "C-contiguous float64 matrix")
     largest = float(max(data.max(), -data.min()))
-    if 0.0 < largest < _RMIN or largest > _RMAX:
+    if not solves_unscaled(largest):
         raise ValueError(f"eigh takes a matrix whose largest |entry| is 0 or lies in "
                          f"[2**-485, 2**485], where LAPACK does not rescale it: {largest:g}")
     energies = np.empty(matrix.dim)

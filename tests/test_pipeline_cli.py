@@ -440,9 +440,9 @@ class TestPipelineRun:
         manifest = json.loads((sector_dir / "manifest.json").read_text())
         assert manifest["converged_count"] == leading.sum()
 
-    @pytest.mark.parametrize("n_max", [100, 409], ids=["solve-ahead", "serial"])
+    @pytest.mark.parametrize("n_max", [100, 239], ids=["solve-ahead", "serial"])
     def test_failed_points_hold_no_matrix(self, tmp_path, monkeypatch, n_max):
-        # n_max 409 gives dim 1025, just above ONE_BLAS_THREAD_BELOW_DIM, where
+        # n_max 239 gives dim 600, the first at SOLVE_AHEAD_BELOW_DIM, where
         # the sectors run one at a time
         def out_of_bounds(hmat, energies, vectors):
             return solver.ResidualReport(1e-3, 0.0, 1.0)
@@ -451,7 +451,7 @@ class TestPipelineRun:
         params = ModelParams(omega=1.0, omega0=1.0, gamma=0.3, j=2.0)
         cfg = small_config(tmp_path, params=params, n_max=n_max, sectors=(1,))
         dim = basis_size(BasisSpec(2.0, n_max, 1))
-        assert (dim >= pipeline.ONE_BLAS_THREAD_BELOW_DIM) == (n_max == 409)
+        assert (dim >= pipeline.SOLVE_AHEAD_BELOW_DIM) == (n_max == 239)
         results, rows = pipeline.sweep(cfg, (0.2, 0.4, 0.6))
         assert [row["status"] for row in rows] == ["failed"] * 3
         for _, exc in results:
@@ -548,10 +548,13 @@ class TestSolveAhead:
 
     @pytest.mark.parametrize("fail_call", [None, 2], ids=["ok", "second-coupling-plus-fails"])
     def test_matches_one_sector_at_a_time(self, tmp_path, monkeypatch, fail_call):
-        ahead = self.recorded_sweep(self.config(tmp_path / "ahead"), monkeypatch, fail_call)
-        serial = self.recorded_sweep(
-            self.config(tmp_path / "serial", self.one_sector_budget()), monkeypatch, fail_call
-        )
+        # the serial run keeps the process's thread count: set it to the
+        # worker's, so both solve on one thread
+        with solver.blas_threads(1):
+            ahead = self.recorded_sweep(self.config(tmp_path / "ahead"), monkeypatch, fail_call)
+            serial = self.recorded_sweep(
+                self.config(tmp_path / "serial", self.one_sector_budget()), monkeypatch, fail_call
+            )
         files, manifests, statuses, calls = ahead
         assert "summary.csv" in files and len(manifests) == 8 - (fail_call is not None)
         assert statuses == (["ok"] * 4 if fail_call is None else ["ok", "failed", "ok", "ok"])
@@ -578,12 +581,13 @@ class TestSolveAhead:
             return write_text(path, text)
 
         monkeypatch.setattr(pipeline, "_write_text", full_disk)
-        files, manifests, statuses, calls = self.recorded_sweep(
-            self.config(tmp_path / "ahead"), monkeypatch
-        )
-        serial = self.recorded_sweep(
-            self.config(tmp_path / "serial", self.one_sector_budget()), monkeypatch
-        )
+        with solver.blas_threads(1):
+            files, manifests, statuses, calls = self.recorded_sweep(
+                self.config(tmp_path / "ahead"), monkeypatch
+            )
+            serial = self.recorded_sweep(
+                self.config(tmp_path / "serial", self.one_sector_budget()), monkeypatch
+            )
         assert statuses == ["ok", "failed", "ok", "ok"]
         assert (files, manifests, statuses) == serial[:3]
         assert "disk full" in manifests["gamma=0.4/plus/manifest.json"][2]
@@ -960,6 +964,24 @@ class TestCli:
         assert err.startswith("config error: gamma=1e+200 is too strong")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n-max", "0", "--gamma", "1e80"],
+            ["--n-max", "2", "--gamma", "0.5", "--omega0", "1e300"],
+            ["--n-max", "0", "--gamma", "0.5", "--omega", "1e-300", "--omega0", "0"],
+        ],
+        ids=["gamma", "omega0", "omega"],
+    )
+    def test_entry_lapack_would_rescale_is_config_error(self, no_build, capsys, argv):
+        # H stays finite, but its largest |entry| lies where dsyevd would
+        # rescale it: the sector is refused before H is built
+        code = self.run_cli("spectrum", "--n-atoms", "2", *argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: gamma=") and err.count("\n") == 1
+        assert "largest |entry| is" in err and "outside [2**-485, 2**485]" in err
+
     def test_strong_coupling_outside_the_dos_grid_fails_its_sweep_point(self, tmp_path):
         # both couplings solve, but their E/j spans are far wider than any
         # density-of-states grid: each point fails before its grid exists,
@@ -1193,17 +1215,19 @@ class TestBlasThreadScope:
     SMALL = ["--n-atoms", "2", "--gamma", "0.3", "--n-max", "8"]
 
     @pytest.mark.parametrize(
-        "argv, code",
+        "argv, code, threads",
         [
-            (["spectrum", *SMALL], 0),
-            (["sweep", "--n-atoms", "2", "--gamma", "0.2,0.3,0.4"], 0),
-            (["convergence", "--n-atoms", "2", "--gamma", "0.3", "--n-max-list", "8,-1"], 2),
-            (["spectrum", *SMALL, "--mem-budget-gib", "1e-9"], 3),
+            (["spectrum", *SMALL], 0, 1),
+            (["sweep", "--n-atoms", "2", "--gamma", "0.2,0.3,0.4"], 0, 1),
+            (["convergence", "--n-atoms", "2", "--gamma", "0.3", "--n-max-list", "8,-1"], 2, 1),
+            # a budget short of two sectors runs them one at a time, on the
+            # count the run found
+            (["spectrum", *SMALL, "--mem-budget-gib", "1e-9"], 3, 2),
         ],
         ids=["ok", "sweep", "config-error", "capacity-error"],
     )
     def test_small_command_runs_one_thread_then_restores(
-        self, sector_thread_counts, capsys, argv, code
+        self, sector_thread_counts, capsys, argv, code, threads
     ):
         before = solver.blas_thread_count()
         with solver.blas_threads(2):
@@ -1211,7 +1235,7 @@ class TestBlasThreadScope:
             assert solver.blas_thread_count() == 2
         # a bad --n-max-list entry is a config error before any sector runs
         assert bool(sector_thread_counts) == (code != 2)
-        assert set(sector_thread_counts) <= {1}
+        assert set(sector_thread_counts) <= {threads}
         assert solver.blas_thread_count() == before
 
     def test_library_calls_run_one_thread(self, sector_thread_counts, tmp_path):
@@ -1221,11 +1245,24 @@ class TestBlasThreadScope:
             assert solver.blas_thread_count() == 2
         assert sector_thread_counts == [1] * (2 + 2 * 2)
 
+    @pytest.mark.parametrize("sectors", [(1,), (1, -1)], ids=["one-sector", "budget-for-one"])
+    def test_serial_run_keeps_the_process_count(self, sector_thread_counts, tmp_path, sectors):
+        # below the threshold, a run of one sector, or of two whose budget
+        # holds only one, runs its sectors one at a time on the count it found
+        budget = max(hamiltonian.footprint_bytes(BasisSpec(1.0, 8, s)) for s in (1, -1))
+        cfg = small_config(tmp_path, n_max=8, sectors=sectors, mem_budget_bytes=budget)
+        assert basis_size(BasisSpec(1.0, 8, 1)) < pipeline.SOLVE_AHEAD_BELOW_DIM
+        with solver.blas_threads(2):
+            result = pipeline.run(cfg)
+            assert solver.blas_thread_count() == 2
+        assert sector_thread_counts == [2] * len(sectors)
+        assert [man["blas_threads"] for man in result.manifests] == [2] * len(sectors)
+
     @pytest.mark.parametrize("above, threads", [(0, 2), (1, 1)])
     def test_threshold(self, monkeypatch, tmp_path, capsys, above, threads):
         dim = max(basis_size(BasisSpec(1.0, 8, s)) for s in (1, -1))
         # at the threshold the run keeps the counts it found
-        monkeypatch.setattr(pipeline, "ONE_BLAS_THREAD_BELOW_DIM", dim + above)
+        monkeypatch.setattr(pipeline, "SOLVE_AHEAD_BELOW_DIM", dim + above)
         with solver.blas_threads(2):
             assert main(["spectrum", *self.SMALL, "--out", str(tmp_path)]) == 0
             assert solver.blas_thread_count() == 2

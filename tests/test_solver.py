@@ -509,7 +509,7 @@ class TestLapackCall:
         "dim-50": (1, lambda: TestLapackCall.random_symmetric(50)),
         "integer-j": (1, lambda: TestLapackCall.sector(10.0, 40)),
         "half-integer-j": (1, lambda: TestLapackCall.sector(10.5, 40)),
-        "above-1024": (2, lambda: TestLapackCall.sector(20.0, 60)),
+        "above-solve-ahead": (2, lambda: TestLapackCall.sector(20.0, 29)),
     }
 
     @pytest.mark.parametrize(
@@ -520,9 +520,9 @@ class TestLapackCall:
     )
     def test_bit_identical_to_scipy_evd(self, case, threads):
         m = self.CASES[case][1]()
-        if case == "above-1024":
-            # the pipeline solves sectors this large on 2 threads
-            assert m.dim > pipeline.ONE_BLAS_THREAD_BELOW_DIM
+        if case == "above-solve-ahead":
+            # the pipeline solves sectors this large on the process's threads
+            assert m.dim > pipeline.SOLVE_AHEAD_BELOW_DIM
         with solver.blas_threads(threads):
             want_e, want_v = np.linalg.eigh(m.data)
             got = solver.eigh(m)
