@@ -22,11 +22,6 @@ import numpy as np
 _RESCALE_LIMIT = 1e250
 _LOG_RESCALE = math.log(_RESCALE_LIMIT)
 
-# Entries of W's lower triangle exponentiated in one pass: consecutive order
-# differences (diagonals) share a pass up to this many, so a short diagonal
-# pays no numpy calls of its own while a pass's temporaries keep a fixed size.
-_PASS_ENTRIES = 8192
-
 # Cephes lgam: Stirling-series coefficients in 1/x^2 and log(sqrt(2 pi)).
 _LGAM_SERIES = (
     8.11614167470508450300e-4,
@@ -76,10 +71,9 @@ def displacement_matrix(n_top, delta):
     the upper triangle follows from W[c, r] = (-1)^(r-c) W[r, c].
 
     The Laguerre recurrence runs upward in degree, vectorized over the order
-    difference, with per-difference rescaling; each degree's values and log
-    scale are kept, and the lower triangle is exponentiated a few consecutive
-    order differences (diagonals) at a time, at most _PASS_ENTRIES entries a
-    pass, so the build holds three arrays of W's size.
+    difference, with per-difference rescaling.  Degree c is column c of the
+    lower triangle: it is exponentiated and written, with its mirror row, as
+    soon as it is computed, so the build holds one array of W's size.
     """
     size = n_top + 1
     if delta == 0.0:
@@ -88,56 +82,35 @@ def displacement_matrix(n_top, delta):
         raise ValueError("displacement must be finite")
     x = delta * delta
     alphas = np.arange(size, dtype=float)
-    # L_k^(a)(x) = lvals[k, a] * e^shifts[k, a]
-    lvals = np.empty((size, size))
-    shifts = np.zeros((size, size))
-    prev = np.ones(size)
-    cur = 1.0 + alphas - x
-    shift = np.zeros(size)
-    lvals[0] = prev
-    if n_top >= 1:
-        lvals[1] = cur
-    for k in range(1, n_top):
-        prev, cur = cur, ((2 * k + 1 + alphas - x) * cur - (k + alphas) * prev) / (k + 1)
-        big = np.abs(cur) > _RESCALE_LIMIT
-        if big.any():
-            cur[big] /= _RESCALE_LIMIT
-            prev[big] /= _RESCALE_LIMIT
-            shift[big] += _LOG_RESCALE
-        lvals[k + 1] = cur
-        shifts[k + 1] = shift
-
     lg = np.array([_log_factorial(k) for k in range(size)])  # lg[k] = log k!
-    log_delta = math.log(abs(delta))
-    w = np.zeros((size, size))
-    flat = w.reshape(-1)
-    a = 0
+    d_log_delta = np.arange(size) * math.log(abs(delta))
+    odd = np.arange(size) % 2 == 1
+    w = np.empty((size, size))
+    # L_c^(d)(x) = cur[d] * e^shift[d] at degree c
+    prev, cur = None, np.ones(size)
+    shift = np.zeros(size)
     with np.errstate(divide="ignore"):
-        while a < size:
-            # the order differences a..stop-1, diagonal d holding the size - d
-            # entries (row, col) = (k + d, k), while together they hold at
-            # most _PASS_ENTRIES (a longer diagonal goes alone)
-            stop, count = a + 1, size - a
-            while stop < size and count + size - stop <= _PASS_ENTRIES:
-                count += size - stop
-                stop += 1
-            lengths = np.arange(size - a, size - stop, -1)
-            d = np.repeat(np.arange(a, stop), lengths)
-            k = np.arange(count) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-            upper = k * (size + 1) + d  # flat index of W[k, k + d]
-            cell = upper - k  # of [k, d] in lvals and shifts
-            lpref = 0.5 * (lg.take(k) - lg.take(k + d)) + d * log_delta - 0.5 * x
-            l_kd = lvals.take(cell)
-            abs_l = np.abs(l_kd)
-            vals = np.sign(l_kd) * np.exp(lpref + np.log(abs_l) + shifts.take(cell))
+        for c in range(size):
+            if c == 1:
+                prev, cur = cur, 1.0 + alphas - x
+            elif c > 1:
+                prev, cur = cur, ((2 * c - 1 + alphas - x) * cur - (c - 1 + alphas) * prev) / c
+                big = np.abs(cur) > _RESCALE_LIMIT
+                if big.any():
+                    cur[big] /= _RESCALE_LIMIT
+                    prev[big] /= _RESCALE_LIMIT
+                    shift[big] += _LOG_RESCALE
+            # W[c + d, c] for the order differences d = 0..n_top - c
+            m = size - c
+            lpref = 0.5 * (lg[c] - lg[c:]) + d_log_delta[:m] - 0.5 * x
+            abs_l = np.abs(cur[:m])
+            vals = np.sign(cur[:m]) * np.exp(lpref + np.log(abs_l) + shift[:m])
             vals[abs_l == 0.0] = 0.0
-            odd = d % 2 == 1
             if delta < 0:
-                np.negative(vals, out=vals, where=odd)
-            flat.put(upper + d * (size - 1), vals)  # W[k + d, k]
-            np.negative(vals, out=vals, where=odd)
-            flat.put(upper, vals)  # W[k, k + d]
-            a = stop
+                np.negative(vals, out=vals, where=odd[:m])
+            w[c:, c] = vals
+            np.negative(vals, out=vals, where=odd[:m])
+            w[c, c:] = vals
     if not np.isfinite(w).all():
         raise ArithmeticError(f"displacement matrix overflows at delta={delta:g}")
     return w

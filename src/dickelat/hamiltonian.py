@@ -30,7 +30,7 @@ MEMORY_BUDGET_BYTES = 4 * 2**30
 # dstedc runs, FOOTPRINT_MATRICES dense matrices of its dimension (H's buffer,
 # dstedc's n^2 + 4n + 1 workspace, the half-size copy of the reflectors and
 # what the allocator keeps), plus the ladder's (n_max + 1)^2 displacement
-# matrix W, whose build holds about three arrays of W's size.  One lattice
+# matrix W, whose build holds one array of W's size.  One lattice
 # sector (2 gamma_c, three Peres operators, dim 2401-3301) peaked at most
 # 2.71 dense matrices above W, at N = 1, 2, 4 and 40 on 1 and 2 BLAS threads
 # (2.55-2.56 at N = 40, 2.71 at N = 2); the constant stays at least 0.1

@@ -73,6 +73,8 @@ class RunConfig:
         for op in self.ops:
             if op not in observables.PERES_OPS:
                 raise ConfigError(f"unknown Peres operator {op!r}")
+        if len(set(self.ops)) < len(self.ops):
+            raise ConfigError("Peres operators must be distinct")
         if self.n_max < 0:
             raise ConfigError("n_max must be >= 0")
         if not self.mem_budget_bytes > 0:

@@ -109,8 +109,9 @@ def displacement_by_diagonal(n_top, delta):
 
     Filled one degree at a time as the Laguerre recurrence runs upward in
     degree, vectorized over the order difference, with per-difference
-    rescaling.  The package's displacement_matrix does the same arithmetic
-    one order difference at a time and must match it bit for bit.
+    rescaling.  The package's displacement_matrix does the same arithmetic,
+    writing each degree's column and row through slices, and must match it
+    bit for bit.
     """
     size = n_top + 1
     if delta == 0.0:
@@ -163,9 +164,9 @@ def displacement_by_diagonal(n_top, delta):
 def displacement_vectorized(n_top, delta):
     """Dense (n_top+1)^2 matrix W with W[r, c] = <r| exp(delta (a^dag - a)) |c>,
     as displacement_by_diagonal, but with the whole lower triangle
-    exponentiated in one pass once the Laguerre recurrence has run: the
-    package's build before it went one order difference at a time, which
-    must keep every bit of this one.  It holds about 7.5 arrays of W's size."""
+    exponentiated in one pass once the Laguerre recurrence has run.  The
+    package's build must keep every bit of this one.  It holds about 7.5
+    arrays of W's size."""
     size = n_top + 1
     if delta == 0.0:
         return np.eye(size)

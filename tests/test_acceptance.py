@@ -139,8 +139,12 @@ def sweep_result():
     return results, rows
 
 
-def _cluster(energies, gap=0.5):
-    splits = np.nonzero(np.diff(energies) > gap)[0] + 1
+def _cluster(energies):
+    # sorted levels grouped by their nearest integer energy, one group per
+    # Tavis-Cummings block Lambda = E + j: the gaps between neighbouring blocks
+    # shrink as the widths grow (0.5002 between E = 60 and 61 here), so no gap
+    # threshold separates them for long
+    splits = np.nonzero(np.diff(np.rint(energies)))[0] + 1
     return np.split(energies, splits)
 
 
@@ -150,8 +154,8 @@ def _crit1_clusters(crit1_run, j=20.0):
             [crit1_run["sectors"][s]["energies"]["energy"] for s in ("plus", "minus")]
         )
     )
-    # up to E/j = 3, keeping the boundary cluster whole
-    return union, [c for c in _cluster(union) if c.mean() <= 3.0 * j + 0.5]
+    # up to E/j = 3
+    return union, [c for c in _cluster(union) if np.rint(c[0]) <= 3.0 * j]
 
 
 def test_criterion_01_zero_coupling_cluster_width(crit1_run):
@@ -164,7 +168,7 @@ def test_criterion_01_zero_coupling_cluster_width(crit1_run):
     # (n, m), so it moves a width by at most 2 max|s| over the cluster's states.
     p = ham.ModelParams(omega=1.0, omega0=1.0, gamma=0.01 * GC, j=20.0)
     _, clusters = _crit1_clusters(crit1_run)
-    # one cluster per multiplet up to E/j = 3; merged tail clusters drop out
+    # one cluster per multiplet up to E/j = 3
     centers = [int(round(c.mean())) for c in clusters]
     assert centers == list(range(-20, 61)), f"cluster centers {centers}"
     offenders = []

@@ -152,24 +152,23 @@ class TestDisplacedOverlap:
 
     @pytest.mark.parametrize("delta", [0.3, -0.7, 1.3, 0.632, -2.5, 4.0, 1.414])
     def test_bits_match_the_whole_triangle_build(self, delta):
-        # filled one order difference at a time, W keeps every bit of the
+        # filled one degree (column) at a time, W keeps every bit of the
         # build that exponentiates its whole lower triangle in one pass
         for n_top in [*range(80), 120, 160, 250, 409, 600, 1200]:
             got = algebra.displacement_matrix(n_top, delta)
             want = displacement_vectorized(n_top, delta)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), n_top
 
-    def test_build_holds_three_arrays_of_ws_size(self):
-        # the Laguerre values, their log scales and W itself (the whole-
-        # triangle build held 7.5): at n_max = 1200 and N = 1, W is as large
-        # as H, so its build must stay within the sector's charge
+    def test_build_holds_one_array_of_ws_size(self):
+        # W itself and a few vectors: at n_max = 1200 and N = 1, W is as
+        # large as H, and the sector's charge counts W once
         tracemalloc.start()
         try:
             algebra.displacement_matrix(1200, 0.632)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * 8 * 1201**2, peak / (8 * 1201**2)
+        assert peak < 1.5 * 8 * 1201**2, peak / (8 * 1201**2)
 
     def test_large_arguments_stay_finite(self):
         # several hundred shells push the raw Laguerre recurrence past 1e250,

@@ -910,6 +910,17 @@ class TestCli:
             assert message in captured.err
             assert captured.out == ""
 
+    def test_repeated_peres_operator_is_config_error(self, no_build, capsys, tmp_path):
+        # a second Jz would compute <Jz> again for the one lattice_Jz.csv
+        out = tmp_path / "o"
+        code = self.run_cli("lattice", "--n-atoms", "4", "--n-max", "6", "--gamma", "0.3",
+                            "--ops", "Jz,Jz", "--out", str(out))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: Peres operators must be distinct\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_negative_n_max_entry_is_config_error_before_build(self, no_build, capsys):
         code = self.run_cli(
             "convergence", "--n-atoms", "20", "--gamma-over-gc", "2", "--sector", "+",
