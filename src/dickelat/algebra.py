@@ -72,8 +72,10 @@ def displacement_matrix(n_top, delta):
 
     The Laguerre recurrence runs upward in degree, vectorized over the order
     difference, with per-difference rescaling.  Degree c is column c of the
-    lower triangle: it is exponentiated and written, with its mirror row, as
-    soon as it is computed, so the build holds one array of W's size.
+    lower triangle: it is exponentiated, checked for finite values and
+    written, with its mirror row, as soon as it is computed, so the build
+    holds one array of W's size.  Raises ArithmeticError if an entry
+    overflows.
     """
     size = n_top + 1
     if delta == 0.0:
@@ -106,11 +108,11 @@ def displacement_matrix(n_top, delta):
             abs_l = np.abs(cur[:m])
             vals = np.sign(cur[:m]) * np.exp(lpref + np.log(abs_l) + shift[:m])
             vals[abs_l == 0.0] = 0.0
+            if not np.isfinite(vals).all():
+                raise ArithmeticError(f"displacement matrix overflows at delta={delta:g}")
             if delta < 0:
                 np.negative(vals, out=vals, where=odd[:m])
             w[c:, c] = vals
             np.negative(vals, out=vals, where=odd[:m])
             w[c, c:] = vals
-    if not np.isfinite(w).all():
-        raise ArithmeticError(f"displacement matrix overflows at delta={delta:g}")
     return w

@@ -248,14 +248,16 @@ def _cmd_single(cfg):
 
 
 def _cmd_sweep(cfg, gammas):
-    _, rows = pipeline.sweep(cfg, gammas)
+    results, rows = pipeline.sweep(cfg, gammas)
     failed = 0
-    for row in rows:
-        print(
-            f"gamma={row['gamma']:.6g} [{row['status']}] "
-            f"ground E/j={row['ground_e_over_j']:.6f} converged={row['converged_count']}"
-        )
-        if row["status"] != "ok":
+    for result, row in zip(results, rows):
+        if row["status"] == "ok":
+            print(
+                f"gamma={row['gamma']:.6g} [ok] "
+                f"ground E/j={row['ground_e_over_j']:.6f} converged={row['converged_count']}"
+            )
+        else:
+            print(f"gamma={row['gamma']:.6g} [failed] {result[1]}")
             failed += 1
     if cfg.out_dir is not None:
         print(f"summary at {cfg.out_dir / 'summary.csv'}")

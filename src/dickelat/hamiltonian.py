@@ -9,6 +9,8 @@ with A = a + G Jx and G = 2 gamma / (omega sqrt(N_atoms)): diagonal in the
 displaced shells, with the Jz term laddering m by one and picking up a
 displaced-oscillator overlap between adjacent shells.  SectorLadder holds
 that ladder for the builder and for <Jz>, so both use one sign convention.
+A sector whose H holds a non-finite entry, or a largest |entry| LAPACK would
+rescale, is refused when H is built, by the check every SymmetricMatrix runs.
 """
 
 import math
@@ -38,7 +40,7 @@ MEMORY_BUDGET_BYTES = 4 * 2**30
 FOOTPRINT_MATRICES = 2.85
 
 # Side of the square tiles in which H is compared with its transpose and
-# checked for finite entries: a tile pair stays in cache, and no dim x dim
+# its largest |entry| is found: a tile pair stays in cache, and no dim x dim
 # temporary forms.
 _SYMMETRY_TILE = 256
 
@@ -85,7 +87,9 @@ class ModelParams:
 class SymmetricMatrix:
     """Dense real symmetric operator with its basis provenance.  refill(buf)
     writes the operator's exact bits into the square buffer buf, every entry
-    of it: solver.eigh solves in data's own buffer and writes H back with it."""
+    of it: solver.eigh solves in data's own buffer and writes H back with it.
+    Construction raises ValueError unless data is exactly symmetric, finite
+    and needs no LAPACK rescaling (_check_entries): eigh trusts the type."""
 
     data: np.ndarray
     basis: BasisSpec | None
@@ -103,31 +107,27 @@ class SymmetricMatrix:
 
 
 def _check_entries(d):
-    """Raise ValueError unless np.array_equal(d, d.T) and every entry is
-    finite, in one pass over the tile pairs d[I, J], d[J, I].T of the upper
-    triangle; a NaN fails as not symmetric.  Once the pairs agree, the upper
-    tiles hold every value, so they alone are checked for ±inf."""
+    """Raise ValueError unless np.array_equal(d, d.T), every entry is finite
+    and the largest |entry| is 0 or within [2**-485, 2**485], where dsyevd
+    does not rescale (nor do the stages solver.eigh runs), in one pass over
+    the tile pairs d[I, J], d[J, I].T of the upper triangle; a NaN fails as
+    not symmetric.  Once the pairs agree, the upper tiles hold every value,
+    so their max and -min give the largest |entry|."""
     dim = d.shape[0]
-    finite = True
+    largest = 0.0
     for start in range(0, dim, _SYMMETRY_TILE):
         rows = slice(start, start + _SYMMETRY_TILE)
         for col_start in range(start, dim, _SYMMETRY_TILE):
             cols = slice(col_start, col_start + _SYMMETRY_TILE)
             upper = d[rows, cols]
             if not np.array_equal(upper, d[cols, rows].T):
-                raise ValueError("matrix entries are not exactly symmetric")
-            finite = finite and np.isfinite(upper).all()
-    if not finite:
+                raise ValueError("matrix entries are not exactly symmetric, or hold a NaN")
+            largest = max(largest, upper.max(), -upper.min())
+    if largest == math.inf:
         raise ValueError("matrix contains non-finite entries")
-
-
-def solves_unscaled(largest):
-    """Whether LAPACK solves a matrix whose largest |entry| is `largest`
-    without rescaling it: 0, or within [2**-485, 2**485] (never NaN).  dsyevd
-    rescales outside, between sqrt(safe minimum / precision) and its
-    inverse; the stages solver.eigh runs do not, so it refuses such a matrix,
-    and sector_ladder a sector whose H would be one."""
-    return largest == 0.0 or 2.0**-485 <= largest <= 2.0**485
+    if not (largest == 0.0 or 2.0**-485 <= largest <= 2.0**485):
+        raise ValueError(f"matrix's largest |entry| is {largest:g}, outside "
+                         "[2**-485, 2**485], in which LAPACK does not rescale a matrix")
 
 
 def footprint_bytes(spec: BasisSpec):
@@ -185,8 +185,7 @@ def sector_ladder(
     """The m-ladder of one parity sector.  Raises CapacityError, before any
     label is enumerated, if the sector's footprint_bytes would exceed
     `mem_budget_bytes`, and ConfigError if the coupling overflows the
-    displacement matrix or gives H a largest |entry| LAPACK would rescale
-    (see solves_unscaled), before H is built."""
+    displacement matrix."""
     spec = BasisSpec(params.j, n_max, sector)
     check_capacity(spec, mem_budget_bytes)
     index = enumerate_basis(spec)
@@ -209,43 +208,7 @@ def sector_ladder(
         # half-integer j: the m=1/2 pair couples to itself through its mirror
         signs = np.where(np.arange(n_max + 1) % 2 == 0, 1.0, -1.0) * sector * sector_twist(j)
         self_block = (0.5 * math.sqrt(j * (j + 1) + 0.25), layout[0][1], signs)
-    ladder = SectorLadder(params, index, w, tuple(pairs), self_block)
-    largest = _largest_entry(ladder)
-    if not solves_unscaled(largest):
-        raise ConfigError(
-            f"gamma={params.gamma:g}, omega={params.omega:g} and omega0={params.omega0:g} "
-            f"give n_max={n_max} a Hamiltonian whose largest |entry| is {largest:g}, "
-            "outside [2**-485, 2**485], where LAPACK would rescale it"
-        )
-    return ladder
-
-
-def _diagonal(params, index):
-    """H's diagonal term omega n - (4 gamma^2 / (omega N)) m^2 at each label."""
-    quad = 4.0 * params.gamma**2 / (params.omega * params.n_atoms)
-    return params.omega * index.n_exc - quad * index.m_vals**2
-
-
-def _largest_entry(ladder: SectorLadder):
-    """The largest |entry| of the H _fill writes, found without H: a block's
-    is its W view's, scaled in _fill's order (rounding is monotone), and the
-    diagonal is formed whole, the m = 1/2 block's W term included."""
-    params, w = ladder.params, ladder.w
-
-    def scaled(c, block):
-        return max(block.max(initial=0.0), -block.min(initial=0.0)) * c * params.omega0
-
-    with np.errstate(over="ignore", invalid="ignore"):  # the caller refuses inf and NaN
-        largest = [scaled(c, block) for c, _, _, block in ladder.pairs]
-        diag = _diagonal(params, ladder.index)
-        if ladder.self_block is not None:
-            c, sl, signs = ladder.self_block
-            size = w.shape[0]
-            off_diagonal = w.reshape(-1)[:-1].reshape(size - 1, size + 1)[:, 1:]  # a view
-            largest.append(scaled(c, off_diagonal))
-            diag[sl] += np.diagonal(w) * c * (signs * params.omega0)
-        largest.append(np.abs(diag).max())
-        return float(np.max(largest))  # NaN wins, as it would in H
+    return SectorLadder(params, index, w, tuple(pairs), self_block)
 
 
 # ---------------------------------------------------------------------------
@@ -266,16 +229,27 @@ def _fill(ladder: SectorLadder, mat):
         # signs are +-1, so scaling c W by signs * omega0 keeps omega0 (c W signs)'s bits
         own = np.multiply(w, c, out=mat[sl, sl])
         own *= signs * params.omega0
-    mat[np.diag_indices(index.size)] += _diagonal(params, index)
+    quad = 4.0 * params.gamma**2 / (params.omega * params.n_atoms)
+    mat[np.diag_indices(index.size)] += params.omega * index.n_exc - quad * index.m_vals**2
 
 
 def build_sector(ladder: SectorLadder) -> SymmetricMatrix:
     """Dense Dicke Hamiltonian of the sector, its diagonal plus omega0 Jz.  The
     two sectors' spectra together are the full displaced-basis spectrum.  Its
-    refill is the fill that built it, bound to the ladder."""
+    refill is the fill that built it, bound to the ladder.  Raises
+    ConfigError if the couplings give H an entry that is not finite or a
+    largest |entry| LAPACK would rescale: SymmetricMatrix's check refuses it."""
+    params = ladder.params
     mat = np.empty((ladder.index.size,) * 2)
-    _fill(ladder, mat)
-    return SymmetricMatrix(mat, ladder.index.spec, partial(_fill, ladder))
+    with np.errstate(over="ignore", invalid="ignore"):  # the check refuses what they flag
+        _fill(ladder, mat)
+    try:
+        return SymmetricMatrix(mat, ladder.index.spec, partial(_fill, ladder))
+    except ValueError as exc:
+        raise ConfigError(
+            f"gamma={params.gamma:g}, omega={params.omega:g} and omega0={params.omega0:g} "
+            f"give n_max={ladder.index.spec.n_max} a Hamiltonian that cannot be solved: {exc}"
+        ) from exc
 
 
 def build_coherent_parity(params: ModelParams, n_max: int, sector: int) -> SymmetricMatrix:

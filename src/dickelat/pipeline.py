@@ -429,12 +429,26 @@ def _summary_row(cfg, result: RunResult | None):
     return row
 
 
+def _without_tracebacks(exc):
+    """exc, with the tracebacks of it and of every exception in its
+    __cause__ / __context__ chain cleared."""
+    chain, seen = [exc], set()
+    while chain:
+        link = chain.pop()
+        if link is not None and id(link) not in seen:
+            seen.add(id(link))
+            link.__traceback__ = None
+            chain += [link.__cause__, link.__context__]
+    return exc
+
+
 def sweep(cfg: RunConfig, gammas):
     """One run of `cfg` per coupling in the non-empty `gammas`, in order and
     in one _sector_runner; per-point failures are isolated.  Returns
     (results, summary_rows) where a failed point appears as (gamma,
     exception) in results.  The exception is stored without its traceback,
-    whose frames would keep the point's matrices alive.  Two couplings whose
+    nor those of the exceptions it was raised from or while handling, whose
+    frames would keep the point's matrices alive.  Two couplings whose
     directories under out_dir would have one name are a ConfigError, raised
     before anything is solved or deleted."""
     if not gammas:
@@ -458,7 +472,7 @@ def sweep(cfg: RunConfig, gammas):
                 result = _run(point, run_one)
             except Exception as exc:
                 rows.append(_summary_row(point, None))
-                results.append((g, exc.with_traceback(None)))
+                results.append((g, _without_tracebacks(exc)))
             else:
                 rows.append(_summary_row(point, result))
                 results.append(result)

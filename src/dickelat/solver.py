@@ -7,14 +7,15 @@ thread can run beside it.  Run one by one, they reduce H in its own buffer,
 find the eigenvectors there while the reflectors wait in a half-size copy,
 and leave the vectors in dstedc's n^2 workspace, bit for bit dsyevd's, so a
 solve holds H's buffer, that workspace and the copy, and the matrix's own
-refill (for a sector, its build) then writes H back.  That OpenBLAS is the
-only BLAS a run loads.  The contract here is the residual bound (max
-||H v - E v|| <= 1e-10 ||H||_F) and the orthonormality defect (<= 1e-10),
-both recorded on every Spectrum.  The audit multiplies H
-one row chunk at a time over that chunk's nonzero column envelope, so banded
-matrices cost a fraction of a dense GEMM while every nonzero still counts,
-and takes V^T V one panel of columns at a time, so no dim x dim temporary
-forms.
+refill (for a sector, its build) then writes H back.  The stages skip
+dsyevd's rescaling, which no SymmetricMatrix needs: its construction checks
+that.  That OpenBLAS is the only BLAS a run loads.  The contract here is
+the residual bound (max ||H v - E v|| <= 1e-10 ||H||_F) and the
+orthonormality defect (<= 1e-10), both recorded on every Spectrum.  The
+audit multiplies H one row chunk at a time over that chunk's nonzero column
+envelope, so banded matrices cost a fraction of a dense GEMM while every
+nonzero still counts, and takes V^T V one panel of columns at a time, so no
+dim x dim temporary forms.
 
 `blas_threads` sets the library's thread count for the duration of a block,
 `blas_thread_count` reads it, and `library_versions` names its build.
@@ -28,7 +29,7 @@ import numpy as np
 
 from .basis import BasisSpec
 from .errors import SolverError
-from .hamiltonian import SymmetricMatrix, solves_unscaled
+from .hamiltonian import SymmetricMatrix
 
 RESIDUAL_BOUND = 1e-10
 ORTHO_BOUND = 1e-10
@@ -174,8 +175,8 @@ def _evd_stages(a, w):
     dormtr applies them to a, and the vectors are copied into the view,
     which is returned: bit for bit the vectors dsyevd writes over a.  a is
     left holding them too.  dsyevd's rescaling of a matrix whose largest
-    |entry| lies outside [2**-485, 2**485] is not run: eigh refuses such a
-    matrix (hamiltonian.solves_unscaled).
+    |entry| lies outside [2**-485, 2**485] is not run: no SymmetricMatrix
+    holds such a matrix, since its construction refuses one.
 
     Raises SolverError if dstedc fails to converge and RuntimeError if a
     stage rejects an argument."""
@@ -258,22 +259,21 @@ def eigh(matrix: SymmetricMatrix) -> Spectrum:
     buffer, that workspace and the copy.  matrix.refill then writes H's exact
     bits back, also when LAPACK raises, so the input is left as it was.
 
+    The type guarantees the rest: a SymmetricMatrix is finite, and its
+    largest |entry| is 0 or within [2**-485, 2**485], where dsyevd would not
+    rescale it.
+
     Raises ValueError, before anything is solved, if the data is not
     a writeable C-contiguous float64 array (build_sector's always is: a copy
-    would hold a dense matrix the memory budget does not charge), or if its
-    largest |entry| is nonzero and outside [2**-485, 2**485], where dsyevd
-    would rescale it.  Raises SolverError if the LAPACK iteration fails to
-    converge or the residual report breaks RESIDUAL_BOUND or ORTHO_BOUND, and
-    RuntimeError if LAPACK rejects an argument.
+    would hold a dense matrix the memory budget does not charge).  Raises
+    SolverError if the LAPACK iteration fails to converge or the residual
+    report breaks RESIDUAL_BOUND or ORTHO_BOUND, and RuntimeError if LAPACK
+    rejects an argument.
     """
     data = matrix.data
     if not (data.dtype == np.float64 and data.flags.c_contiguous and data.flags.writeable):
         raise ValueError("eigh solves in the matrix's buffer: it takes a writeable "
                          "C-contiguous float64 matrix")
-    largest = float(max(data.max(), -data.min()))
-    if not solves_unscaled(largest):
-        raise ValueError(f"eigh takes a matrix whose largest |entry| is 0 or lies in "
-                         f"[2**-485, 2**485], where LAPACK does not rescale it: {largest:g}")
     energies = np.empty(matrix.dim)
     try:
         vectors = _evd_stages(data.T, energies)

@@ -168,7 +168,7 @@ class TestDisplacedOverlap:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 8 * 1201**2, peak / (8 * 1201**2)
+        assert peak < 1.05 * 8 * 1201**2, peak / (8 * 1201**2)
 
     def test_large_arguments_stay_finite(self):
         # several hundred shells push the raw Laguerre recurrence past 1e250,

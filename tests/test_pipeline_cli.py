@@ -440,23 +440,41 @@ class TestPipelineRun:
         manifest = json.loads((sector_dir / "manifest.json").read_text())
         assert manifest["converged_count"] == leading.sum()
 
-    @pytest.mark.parametrize("n_max", [100, 239], ids=["solve-ahead", "serial"])
-    def test_failed_points_hold_no_matrix(self, tmp_path, monkeypatch, n_max):
+    # each kind of failure: omega0, the couplings, the error and its words;
+    # a failed audit, an overflowing W (raised from W's ArithmeticError) and
+    # an H LAPACK would rescale (raised from SymmetricMatrix's ValueError)
+    FAILURES = {
+        "audit": (1.0, (0.2, 0.4, 0.6), SolverError, "solver audit failed"),
+        "w-overflow": (1.0, (1e40, 2e40, 3e40), ConfigError, "is too strong for n_max"),
+        "rescale": (1e300, (0.2, 0.4, 0.6), ConfigError, "largest |entry| is"),
+    }
+
+    @pytest.mark.parametrize(
+        "kind, n_max",
+        [("audit", 100), ("audit", 239), ("w-overflow", 100), ("w-overflow", 239),
+         ("rescale", 100), ("rescale", 239)],
+        ids=["solve-ahead", "serial", "w-overflow-solve-ahead", "w-overflow-serial",
+             "rescale-solve-ahead", "rescale-serial"],
+    )
+    def test_failed_points_hold_no_matrix(self, tmp_path, monkeypatch, kind, n_max):
         # n_max 239 gives dim 600, the first at SOLVE_AHEAD_BELOW_DIM, where
-        # the sectors run one at a time
+        # the sectors run one at a time; W, (n_max + 1)^2, is the smallest
+        # matrix a point makes
         def out_of_bounds(hmat, energies, vectors):
             return solver.ResidualReport(1e-3, 0.0, 1.0)
 
-        monkeypatch.setattr(solver, "residual_report_for", out_of_bounds)
-        params = ModelParams(omega=1.0, omega0=1.0, gamma=0.3, j=2.0)
+        omega0, gammas, error, words = self.FAILURES[kind]
+        if kind == "audit":
+            monkeypatch.setattr(solver, "residual_report_for", out_of_bounds)
+        params = ModelParams(omega=1.0, omega0=omega0, gamma=0.3, j=2.0)
         cfg = small_config(tmp_path, params=params, n_max=n_max, sectors=(1,))
         dim = basis_size(BasisSpec(2.0, n_max, 1))
         assert (dim >= pipeline.SOLVE_AHEAD_BELOW_DIM) == (n_max == 239)
-        results, rows = pipeline.sweep(cfg, (0.2, 0.4, 0.6))
+        results, rows = pipeline.sweep(cfg, gammas)
         assert [row["status"] for row in rows] == ["failed"] * 3
         for _, exc in results:
-            assert type(exc) is SolverError and "solver audit failed" in str(exc)
-        held = [a.shape for a in _reachable_arrays(results) if a.size >= dim * dim]
+            assert type(exc) is error and words in str(exc)
+        held = [a.shape for a in _reachable_arrays(results) if a.size >= (n_max + 1) ** 2]
         assert held == []
 
     def test_sweep_ground_energy_drops_past_critical(self, tmp_path):
@@ -835,7 +853,8 @@ class TestCli:
         assert man["status"] == "failed"
         assert "solver audit failed" in man["error"]
         assert self.run_cli("sweep", *argv, "--out", str(tmp_path / "s")) == 5
-        assert "[failed]" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "[failed]" in out and "solver audit failed" in out
         summary = (tmp_path / "s" / "summary.csv").read_text().splitlines()
         assert summary[1].split(",")[2] == "failed"
 
@@ -978,20 +997,29 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--n-max", "0", "--gamma", "1e80"],
-            ["--n-max", "2", "--gamma", "0.5", "--omega0", "1e300"],
-            ["--n-max", "0", "--gamma", "0.5", "--omega", "1e-300", "--omega0", "0"],
+            ["--n-atoms", "2", "--n-max", "0", "--gamma", "1e80"],
+            ["--n-atoms", "2", "--n-max", "2", "--gamma", "0.5", "--omega0", "1e300"],
+            ["--n-atoms", "2", "--n-max", "0", "--gamma", "0.5", "--omega", "1e-300",
+             "--omega0", "0"],
+            ["--n-atoms", "3", "--n-max", "2", "--gamma", "0.5", "--omega", "1e308",
+             "--omega0", "1e308"],
+            ["--n-atoms", "5", "--n-max", "2", "--gamma", "0.5", "--omega", "1e308",
+             "--omega0", "1.7e308", "--sector", "+"],
         ],
-        ids=["gamma", "omega0", "omega"],
+        ids=["gamma", "omega0", "omega", "inf", "nan"],
     )
-    def test_entry_lapack_would_rescale_is_config_error(self, no_build, capsys, argv):
-        # H stays finite, but its largest |entry| lies where dsyevd would
-        # rescale it: the sector is refused before H is built
-        code = self.run_cli("spectrum", "--n-atoms", "2", *argv)
+    def test_entry_lapack_would_rescale_is_config_error(self, capsys, argv):
+        # H's largest |entry| lies where dsyevd would rescale it, or is inf,
+        # or a diagonal entry is inf - inf: the sector is refused when H is
+        # built, with no numpy warning from the fill on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = self.run_cli("spectrum", *argv)
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: gamma=") and err.count("\n") == 1
-        assert "largest |entry| is" in err and "outside [2**-485, 2**485]" in err
+        assert ("largest |entry| is" in err and "outside [2**-485, 2**485]" in err
+                or "non-finite entries" in err or "hold a NaN" in err)
 
     def test_strong_coupling_outside_the_dos_grid_fails_its_sweep_point(self, tmp_path):
         # both couplings solve, but their E/j spans are far wider than any
