@@ -13,13 +13,16 @@ at once, puts BLAS on one thread while one worker thread solves each sector
 and the main thread finishes the one before it, in call order (the solve
 drops the GIL), so two sectors are alive at once.  Every other run or sweep
 runs its sectors one at a time at the process's thread count, and the
-budget bounds one sector."""
+budget bounds one sector.  OpenBLAS's thread count is process-wide, so runs
+and sweeps in one process take turns: each holds one lock from its first
+sector to its last."""
 
 import contextlib
 import hashlib
 import json
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -46,6 +49,9 @@ _SECTOR_FILES = ("manifest.json", "energies.csv", "dos.csv", "markers.json", "st
 # 2.39 against 2.26 s at 662; of 6, 2.93 against 2.64 s at 746 and 4.21
 # against 3.35 s at 851.
 SOLVE_AHEAD_BELOW_DIM = 600
+
+# Held by each run or sweep for its whole _sector_runner block.
+_RUNNER_LOCK = threading.Lock()
 
 # E/j windows of the gap-ratio statistics, by their summary.csv column: below
 # the dynamic ESQPT, and between it and the static one.  None is an open end.
@@ -337,17 +343,20 @@ def _sector_runner(points):
     SOLVE_AHEAD_BELOW_DIM, and a budget that covers two at once, each solve
     runs one ahead on a worker thread (_SolveAhead) with BLAS on one thread,
     both for the whole block, the worker joined before it ends.  Otherwise it
-    is run_sector, at the process's thread count."""
+    is run_sector, at the process's thread count.  The block holds
+    _RUNNER_LOCK, so a second run or sweep of the process waits for it: the
+    thread count it finds, and the one it leaves, are not changed under it."""
     cfg = points[0]
     specs = [BasisSpec(cfg.params.j, cfg.n_max, s) for s in cfg.sectors]
     jobs = [(p, s) for p in points for s in p.sectors]
-    if (len(jobs) < 2 or max(map(basis_size, specs)) >= SOLVE_AHEAD_BELOW_DIM
-            or 2 * max(map(hamiltonian.footprint_bytes, specs)) > cfg.mem_budget_bytes):
-        yield run_sector
-        return
-    with solver.blas_threads(1):
-        with ThreadPoolExecutor(1, thread_name_prefix="dickelat-solve") as pool:
-            yield _SolveAhead(pool, jobs).run_sector
+    with _RUNNER_LOCK:
+        if (len(jobs) < 2 or max(map(basis_size, specs)) >= SOLVE_AHEAD_BELOW_DIM
+                or 2 * max(map(hamiltonian.footprint_bytes, specs)) > cfg.mem_budget_bytes):
+            yield run_sector
+            return
+        with solver.blas_threads(1):
+            with ThreadPoolExecutor(1, thread_name_prefix="dickelat-solve") as pool:
+                yield _SolveAhead(pool, jobs).run_sector
 
 
 def _gamma_dir_name(gamma):

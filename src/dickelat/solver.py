@@ -306,7 +306,10 @@ def blas_threads(n):
     previous count.  A count already at `n` is left alone.
 
     The count is process-wide: set it before starting threads that call BLAS,
-    not from inside them."""
+    not from inside them.  Runs and sweeps in one process take turns (they
+    hold pipeline's one lock for their whole block), so no run's block
+    changes the count under another's; two threads that call this directly
+    have no such guard."""
     before = _GET_THREADS()
     if before == n:
         yield

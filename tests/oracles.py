@@ -524,3 +524,37 @@ def leading_agreement(energies, reference, tol):
     n = min(energies.size, reference.size)
     off = np.abs(energies[:n] - reference[:n]) > tol
     return int(off.argmax()) if off.any() else n
+
+
+# The distribution of the gap ratio r~ = min(s_i, s_i+1) / max(s_i, s_i+1) of
+# consecutive spacings, on [0, 1] (Atas, Bogomolny, Giraud and Roux, PRL 110,
+# 084101 (2013)): for uncorrelated levels its density is 2 / (1 + r~)^2, and
+# the GOE surmise's is (27/4)(r~ + r~^2) / (1 + r~ + r~^2)^(5/2).  Their means
+# are POISSON_RATIO and 4 - 2 sqrt(3).
+
+def gap_ratios(levels):
+    """r~ of each pair of consecutive spacings of the sorted, non-degenerate
+    `levels`."""
+    s = np.diff(levels)
+    return np.minimum(s[:-1], s[1:]) / np.maximum(s[:-1], s[1:])
+
+
+def poisson_ratio_cdf(r):
+    """CDF of r~ for uncorrelated (Poisson) levels: 2r / (1 + r)."""
+    r = np.asarray(r, dtype=float)
+    return 2.0 * r / (1.0 + r)
+
+
+def goe_ratio_cdf(r):
+    """CDF of r~ under the GOE surmise."""
+    r = np.asarray(r, dtype=float)
+    return 1.0 - (1.0 - r) * (1.0 + 2.0 * r) * (2.0 + r) / (2.0 * (1.0 + r + r * r) ** 1.5)
+
+
+def ks_distance(sample, cdf):
+    """Kolmogorov-Smirnov distance sup_x |F_n(x) - cdf(x)| of the sample's
+    empirical CDF F_n from a continuous `cdf`."""
+    x = np.sort(np.asarray(sample, dtype=float))
+    f = cdf(x)
+    n = x.size
+    return float(max((np.arange(1, n + 1) / n - f).max(), (f - np.arange(n) / n).max()))

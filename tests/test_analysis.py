@@ -2,13 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.stats import kstest
 
 from dickelat import analysis
 from dickelat import hamiltonian as ham
 from dickelat import observables as obs
 from dickelat import solver
 from dickelat.errors import CapacityError, InsufficientDataError
-from oracles import POISSON_RATIO
+from oracles import POISSON_RATIO, gap_ratios, goe_ratio_cdf, ks_distance, poisson_ratio_cdf
 
 
 def params(gamma, j, omega=1.0, omega0=1.0):
@@ -157,6 +159,61 @@ class TestSpacingStats:
             rng.uniform(0, 100, 500)
         )
         assert 0.0 <= analysis.mean_gap_ratio(levels) <= 1.0
+
+
+def _goe_ratio_density(r):
+    return 27.0 / 4.0 * (r + r * r) / (1.0 + r + r * r) ** 2.5
+
+
+def _poisson_ratio_density(r):
+    return 2.0 / (1.0 + r) ** 2
+
+
+class TestGapRatioSurmises:
+    """The oracles of criterion 12: the gap-ratio CDFs of Atas et al. and the
+    Kolmogorov-Smirnov distance."""
+
+    @pytest.mark.parametrize(
+        "cdf, density",
+        [(poisson_ratio_cdf, _poisson_ratio_density), (goe_ratio_cdf, _goe_ratio_density)],
+        ids=["poisson", "goe"],
+    )
+    def test_cdf_is_the_integral_of_its_density(self, cdf, density):
+        for r in np.linspace(0.0, 1.0, 21):
+            value, _ = quad(density, 0.0, r, epsabs=1e-14, epsrel=1e-13)
+            assert cdf(r) == pytest.approx(value, abs=1e-12)
+        assert cdf(0.0) == 0.0 and cdf(1.0) == 1.0
+
+    @pytest.mark.parametrize(
+        "cdf, mean",
+        [(poisson_ratio_cdf, POISSON_RATIO), (goe_ratio_cdf, 4.0 - 2.0 * np.sqrt(3.0))],
+        ids=["poisson", "goe"],
+    )
+    def test_means(self, cdf, mean):
+        # the mean of a variable on [0, 1] is the integral of 1 - F
+        value, _ = quad(lambda r: 1.0 - cdf(r), 0.0, 1.0, epsabs=1e-14, epsrel=1e-13)
+        assert value == pytest.approx(mean, abs=1e-12)
+
+    def test_ks_distance_matches_scipy(self):
+        sample = np.random.default_rng(7).uniform(0.0, 1.0, 300) ** 1.3
+        for cdf in (poisson_ratio_cdf, goe_ratio_cdf):
+            assert ks_distance(sample, cdf) == pytest.approx(
+                kstest(sample, cdf).statistic, abs=1e-15
+            )
+        assert ks_distance([0.5], lambda x: x) == 0.5
+
+    def test_each_spectrum_is_nearest_its_own_law(self):
+        rng = np.random.default_rng(2013)
+        levels = np.sort(rng.uniform(0.0, 1.0, 3000))
+        uncorrelated = gap_ratios(levels)
+        assert uncorrelated.mean() == pytest.approx(analysis.mean_gap_ratio(levels), abs=1e-15)
+        a = rng.standard_normal((1000, 1000))
+        goe = np.linalg.eigvalsh(a + a.T)
+        correlated = gap_ratios(goe[250:750])  # the bulk; r~ needs no unfolding
+        assert ks_distance(uncorrelated, poisson_ratio_cdf) < 0.03
+        assert ks_distance(uncorrelated, goe_ratio_cdf) > 0.15
+        assert ks_distance(correlated, goe_ratio_cdf) < 0.07
+        assert ks_distance(correlated, poisson_ratio_cdf) > 0.15
 
 
 class TestDropDegenerate:

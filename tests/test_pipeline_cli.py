@@ -1297,6 +1297,55 @@ class TestBlasThreadScope:
         assert sector_thread_counts == [2] * len(sectors)
         assert [man["blas_threads"] for man in result.manifests] == [2] * len(sectors)
 
+    def test_runs_in_one_process_take_turns(self, monkeypatch):
+        # Two solve-ahead sweeps on two threads.  The first's first solve
+        # waits (a second at most) for the second's first solve to begin, and
+        # the second's solves wait for the first sweep to return: were the
+        # two blocks to overlap, the first would give OpenBLAS back its count
+        # while the second still solves ahead.
+        first_solving, second_solving, first_done = (threading.Event() for _ in range(3))
+        seen = {15: [], 20: []}  # n_max: (first sweep returned?, BLAS threads) per solve
+        solve = pipeline._solve_sector
+
+        def spy(cfg, sector):
+            after_first = first_done.is_set()
+            if cfg.n_max == 20:
+                second_solving.set()
+                first_done.wait(60)
+            elif not seen[15]:
+                first_solving.set()
+                second_solving.wait(1.0)
+            seen[cfg.n_max].append((after_first, solver.blas_thread_count()))
+            return solve(cfg, sector)
+
+        monkeypatch.setattr(pipeline, "_solve_sector", spy)
+        params = ModelParams(omega=1.0, omega0=1.0, gamma=0.2, j=10.0)
+        results = {}
+
+        def sweep(n_max):
+            cfg = pipeline.RunConfig(params, n_max, ops=("Jz",))
+            try:
+                results[n_max] = pipeline.sweep(cfg, (0.2, 0.4, 0.6, 0.8))[0]
+            finally:
+                if n_max == 15:
+                    first_done.set()
+
+        before = solver.blas_thread_count()
+        with solver.blas_threads(2):
+            first = threading.Thread(target=sweep, args=(15,))
+            first.start()
+            assert first_solving.wait(60)
+            second = threading.Thread(target=sweep, args=(20,))
+            second.start()
+            first.join()
+            second.join()
+            assert solver.blas_thread_count() == 2
+        assert solver.blas_thread_count() == before
+        for n_max in (15, 20):
+            assert not [r for r in results[n_max] if isinstance(r, tuple)], results[n_max]
+        assert [threads for _, threads in seen[15] + seen[20]] == [1] * 16
+        assert [after for after, _ in seen[20]] == [True] * 8
+
     @pytest.mark.parametrize("above, threads", [(0, 2), (1, 1)])
     def test_threshold(self, monkeypatch, tmp_path, capsys, above, threads):
         dim = max(basis_size(BasisSpec(1.0, 8, s)) for s in (1, -1))
