@@ -104,7 +104,6 @@ class SectorResult:
 
 @dataclass
 class RunResult:
-    gamma: float
     sectors: list
     manifests: list
     out_dir: Path | None
@@ -374,12 +373,11 @@ def run(cfg: RunConfig) -> RunResult:
 
 def _run(cfg, run_one):
     """run's body, with each sector's result from run_one(cfg, sector)."""
-    gamma = cfg.params.gamma
     results, manifests = [], []
     gamma_dir = None
     sector_dirs = [None] * len(cfg.sectors)
     if cfg.out_dir is not None:
-        gamma_dir = cfg.out_dir / _gamma_dir_name(gamma)
+        gamma_dir = cfg.out_dir / _gamma_dir_name(cfg.params.gamma)
         sector_dirs = [gamma_dir / SECTOR_DIRS[sector] for sector in cfg.sectors]
         # no earlier run's "ok" manifest may outlive a rerun that dies midway,
         # nor a product the rerun does not write, nor the temporary files of a
@@ -403,7 +401,7 @@ def _run(cfg, run_one):
             _write_json(sector_dir / "manifest.json", man)
         results.append(result)
         manifests.append(man)
-    return RunResult(gamma, results, manifests, gamma_dir)
+    return RunResult(results, manifests, gamma_dir)
 
 
 def _summary_row(cfg, result: RunResult | None):

@@ -558,3 +558,32 @@ def ks_distance(sample, cdf):
     f = cdf(x)
     n = x.size
     return float(max((np.arange(1, n + 1) / n - f).max(), (f - np.arange(n) / n).max()))
+
+
+# The Weyl (semiclassical) level density of Brandes, PRE 88, 032133 (2013),
+# and Bastarrachea-Magnani, Lerma-Hernandez and Hirsch, PRA 89, 032101
+# (2014).  With the boson integrated out of the classical energy h / j, the
+# spin point (y, phi) of the Bloch sphere sits at the bottom energy
+# u = omega0 y - kappa (1 - y^2) cos^2 phi, kappa = 2 gamma^2 / omega, and
+# the boson's disc of energy up to epsilon - u holds j (epsilon - u) / omega
+# states.  (y, phi) is integrated on a midpoint grid of this size.
+WEYL_GRID = (1601, 3202)
+
+
+def weyl_count(params: ModelParams, eps):
+    """N_W(eps) = j (2j + 1) / (4 pi omega) * integral of max(0, eps - u) dy dphi
+    over y in [-1, 1] and phi in [0, 2 pi), at each E/j of `eps`: the
+    semiclassical count of levels below E = j eps, both parities together.
+    The grid's u is sorted once, so each eps costs one search."""
+    n_y, n_phi = WEYL_GRID
+    y = -1.0 + (np.arange(n_y) + 0.5) * (2.0 / n_y)
+    cos2 = np.cos((np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)) ** 2
+    kappa = 2.0 * params.gamma**2 / params.omega
+    u = (params.omega0 * y[:, None] - kappa * (1.0 - y * y)[:, None] * cos2[None, :]).ravel()
+    u.sort()
+    below = np.concatenate([[0.0], np.cumsum(u)])  # below[k]: the sum of the k lowest u
+    eps = np.asarray(eps, dtype=float)
+    k = np.searchsorted(u, eps, side="right")
+    area = (2.0 / n_y) * (2.0 * math.pi / n_phi)
+    j = params.j
+    return j * (2.0 * j + 1.0) / (4.0 * math.pi * params.omega) * area * (k * eps - below[k])

@@ -2,20 +2,23 @@
 
 The heavy coupled runs are computed once in module-scoped fixtures and
 shared: `crit1_run` (the 40-atom CLI run near zero coupling), `sector` (one
-parity sector per key, solved once) and `sweep_result`.  `audits` records
-the residual report of every spectrum `solver.eigh` returns while the module
-runs, from a test, a fixture, a pipeline run or the CLI alike; criterion 9,
-the module's last test, audits them all.
+parity sector per key, solved once) and `sweep_result`.  `audits` checks the
+residual report of every spectrum `solver.eigh` returns while the module
+runs, from a test, a fixture, a pipeline run or the CLI alike, against
+criterion 9's bounds as it is returned; criterion 9 also solves and audits
+spectra of its own, so it needs no other test to run first.
 
 Measured cost on a 2-core box, 2 BLAS threads (pytest --durations; the
 module took 124 s): `crit1_run` 30.2 s, criterion 10 31.1 s (the same CLI
 run again), `g15_sector` + `g20_sector` 25.3 s, criterion 3 19.7 s (mostly
 its Fock solves), `sweep_result` 8.6 s, criterion 12 4.9 s (two sectors at
 n_max 140) and criterion 14 3.5 s; every other test takes under 0.1 s.
-Budget: the physics criteria still planned (the semiclassical level density
-and lattices, classical chaos, the lattice scatter) may add at most 30 s
-together.  They take their sectors from `sector`, and each new key is timed
-before its size is fixed.
+Criterion 11 took 0.9 s (its new key, j = 10 at n_max 160, and two Weyl
+counts; its j = 20 key is criterion 8's) in a module run of 148 s, and
+criterion 9's own sweep 0.06 s.  Budget: the physics criteria still planned
+(the semiclassical lattices, classical chaos, the lattice scatter) may add
+at most 29 s together.  They take their sectors from `sector`, and each new
+key is timed before its size is fixed.
 """
 
 import functools
@@ -44,16 +47,26 @@ from oracles import (
     poisson_ratio_cdf,
     symmetric_matrix,
     tc_full_fock,
+    weyl_count,
 )
 
 GC = 0.5  # critical coupling at resonance omega = omega0 = 1
 DP_TOL = 1e-12  # top-shell weight tolerance of the superradiant runs
 
 
+def assert_audit_bounds(label, resid, ortho, h_frob):
+    """Criterion 9's bounds on one spectrum: residual <= 1e-10 ||H||_F and
+    orthonormality defect <= 1e-10."""
+    assert resid <= 1e-10 * h_frob, f"{label}: residual {resid:.3e} vs {1e-10*h_frob:.3e}"
+    assert ortho <= 1e-10, f"{label}: orthonormality defect {ortho:.3e}"
+
+
 @pytest.fixture(scope="module", autouse=True)
 def audits():
     """(label, max_residual, max_ortho_defect, h_frobenius) of every spectrum
-    solver.eigh returns while this module runs, for criterion 9."""
+    solver.eigh returns while this module runs, each checked against
+    criterion 9's bounds as it is returned: the test or fixture that solved
+    a spectrum out of bounds fails."""
     records = []
     eigh = solver.eigh
 
@@ -61,7 +74,9 @@ def audits():
         spectrum = eigh(matrix)
         rep = spectrum.residual_report
         label = f"{os.environ.get('PYTEST_CURRENT_TEST')} dim={spectrum.dim}"
-        records.append((label, rep.max_residual, rep.max_ortho_defect, rep.h_frobenius))
+        record = (label, rep.max_residual, rep.max_ortho_defect, rep.h_frobenius)
+        assert_audit_bounds(*record)
+        records.append(record)
         return spectrum
 
     with pytest.MonkeyPatch.context() as mp:
@@ -328,6 +343,11 @@ def test_criterion_07_superradiant_ground_state(sweep_result):
             assert e_over_j < -1.02, f"{frac}gc: ground E/j = {e_over_j}"
 
 
+# Criterion 8's window (-1, 1) at 2 gamma_c, j = 20, n_max 250, sector +:
+# the leading certified levels, degenerate ones dropped.  Measured: 614
+# levels, <r~> 0.529, Kolmogorov-Smirnov distance 0.038 from the GOE surmise
+# and 0.239 from the Poisson law, held to criterion 12's bounds.
+
 def test_criterion_08_regular_chaotic_coexistence(g20_sector):
     stats = g20_sector.stats
     assert stats is not None
@@ -337,11 +357,35 @@ def test_criterion_08_regular_chaotic_coexistence(g20_sector):
     assert mid["n_levels"] >= 50 and low["n_levels"] >= 50
     assert mid["mean_ratio"] > 0.45, f"mid-window ratio {mid['mean_ratio']:.4f}"
     assert low["mean_ratio"] < 0.43, f"low-window ratio {low['mean_ratio']:.4f}"
+    # the whole distribution of r~ in the mid window, not only its mean
+    e_over_j = g20_sector.energies[: g20_sector.report.converged_count] / 20.0
+    levels = analysis.drop_degenerate(e_over_j[(e_over_j > -1.0) & (e_over_j < 1.0)])
+    assert levels.size >= C12_MIN_LEVELS, f"{levels.size} levels"
+    ratios = gap_ratios(levels)
+    d_goe, d_poisson = ks_distance(ratios, goe_ratio_cdf), ks_distance(ratios, poisson_ratio_cdf)
+    assert d_goe <= C12_D_OWN, f"D {d_goe:.3f} from the GOE surmise"
+    assert d_poisson >= C12_D_OTHER, f"D {d_poisson:.3f} from the Poisson law"
     # seeded uncorrelated-level reference
     rng = np.random.default_rng(2024)
     levels = np.sort(rng.uniform(0.0, 5000.0, 5000))
     ratio = analysis.mean_gap_ratio(levels)
     assert abs(ratio - POISSON_RATIO) < 0.01
+
+
+def test_criterion_09_solver_audit(audits):
+    # its own spectra: both sectors of a 24-coupling sweep at j = 2, n_max 20
+    # (dim 52 and 53), so it holds whatever else runs with it; the recorder
+    # checks every other spectrum of the module as it is solved
+    first = len(audits)
+    cfg = pipeline.RunConfig(
+        params=ham.ModelParams(omega=1.0, omega0=1.0, gamma=0.1, j=2.0), n_max=20, ops=()
+    )
+    results, _ = pipeline.sweep(cfg, [f * GC for f in np.linspace(0.1, 2.4, 24)])
+    assert not [res for res in results if isinstance(res, tuple)]
+    own = audits[first:]
+    assert len(own) >= 40
+    for record in own:
+        assert_audit_bounds(*record)
 
 
 def test_criterion_10_determinism(crit1_run, out_root):
@@ -356,6 +400,48 @@ def test_criterion_10_determinism(crit1_run, out_root):
             assert other.read_bytes() == path.read_bytes(), f"{sector}/{path.name} differs"
             compared += 1
     assert compared >= 10
+
+
+# Criterion 11, sector + at 2 gamma_c: N_q(eps), the count of leading
+# certified levels with E/j <= eps, against half the Weyl count of both
+# parities, N_W(eps + omega / 2j) / 2 (the quantum a^dag a carries the
+# zero-point omega / 2), at edges 0.25 apart from eps = -2 to the top level.
+# Above eps = omega0 the Weyl count grows by j (2j + 1) / (2 omega) per unit
+# of eps and sector, at any coupling.  Measured:
+#   j = 10, n_max 160 (dim 1691): 1024 levels, to E/j 8.97; N_q - N_W / 2
+#   from 1.44 to 8.00 (mean 6.65); least-squares slope above eps = 1 105.02
+#   against 105.00;
+#   j = 20, n_max 250 (dim 5146): 3505 levels, to E/j 7.82; 1.79 to 14.92
+#   (mean 12.96); slope 410.03 against 410.00.
+# The offset grows like j: its maximum is 0.80 j and 0.75 j, and the j = 20
+# one is 1.86x the j = 10 one.  Each bound below carries its margin.
+C11_SLOPE_TOL = 0.005  # relative; 25x the worst measured 2.0e-4
+C11_MAX_OFFSET_PER_J = 1.2  # 1.5x the worst measured 0.80
+C11_OFFSET_RATIO = (1.5, 2.5)  # about the 2 of an offset linear in j; measured 1.86
+
+
+def test_criterion_11_weyl_level_density(sector):
+    max_offset = {}
+    for j, n_max in ((10.0, 160), (20.0, 250)):
+        sec = sector(j, 2.0, n_max, 1)
+        params = ham.ModelParams(omega=1.0, omega0=1.0, gamma=2.0 * GC, j=j)
+        e_over_j = sec.energies[: sec.report.converged_count] / j
+        edges = np.arange(-2.0, e_over_j[-1], 0.25)
+        n_q = np.searchsorted(e_over_j, edges, side="right")
+        offset = n_q - weyl_count(params, edges + params.omega / (2 * j)) / 2
+        above = edges >= params.omega0
+        slope = np.polyfit(edges[above], n_q[above], 1)[0]
+        weyl_slope = j * (2 * j + 1) / (2 * params.omega)
+        assert abs(slope / weyl_slope - 1) <= C11_SLOPE_TOL, f"j={j}: slope {slope:.2f}"
+        low, high = offset.argmin(), offset.argmax()
+        assert offset[low] >= 0, f"j={j}: N_q - N_W/2 {offset[low]:.2f} at {edges[low]}"
+        assert offset[high] <= C11_MAX_OFFSET_PER_J * j, (
+            f"j={j}: N_q - N_W/2 {offset[high]:.2f} at {edges[high]}"
+        )
+        max_offset[j] = offset[high]
+    ratio = max_offset[20.0] / max_offset[10.0]
+    lo, hi = C11_OFFSET_RATIO
+    assert lo <= ratio <= hi, f"the j = 20 offset is {ratio:.2f}x the j = 10 one"
 
 
 # Criterion 12, j = 20, n_max 140, sector +: the distribution of the gap
@@ -447,11 +533,3 @@ def test_criterion_14_certificate_soundness_and_basis_claim():
     assert n_displaced < reference.size, "the reference's certified states ran out"
     assert n_fock >= C14_MIN_FOCK, f"Fock gets {n_fock} leading states right"
     assert n_displaced >= C14_MIN_RATIO * n_fock, f"{n_displaced} displaced against {n_fock} Fock"
-
-
-def test_criterion_09_solver_audit(audits):
-    # last in the module, so it sees every spectrum the criteria above solved
-    assert len(audits) >= 40
-    for label, resid, ortho, h_frob in audits:
-        assert resid <= 1e-10 * h_frob, f"{label}: residual {resid:.3e} vs {1e-10*h_frob:.3e}"
-        assert ortho <= 1e-10, f"{label}: orthonormality defect {ortho:.3e}"

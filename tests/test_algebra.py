@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -179,6 +180,15 @@ class TestDisplacedOverlap:
             assert np.isfinite(w).all()
             assert np.abs(w).max() <= 1.0 + 1e-12
             assert (w[:, n_top // 2] ** 2).sum() == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("delta", [1e40, 1e160, math.inf])
+    def test_overflowing_displacement_builds_silently(self, delta):
+        # delta^2 or the recurrence overflows: W holds non-finite entries,
+        # and the build neither raises nor warns; H's check refuses them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = algebra.displacement_matrix(4, delta)
+        assert w.shape == (5, 5) and not np.isfinite(w).all()
 
 
 class TestLogFactorial:

@@ -10,7 +10,14 @@ from dickelat import hamiltonian as ham
 from dickelat import observables as obs
 from dickelat import solver
 from dickelat.errors import CapacityError, InsufficientDataError
-from oracles import POISSON_RATIO, gap_ratios, goe_ratio_cdf, ks_distance, poisson_ratio_cdf
+from oracles import (
+    POISSON_RATIO,
+    gap_ratios,
+    goe_ratio_cdf,
+    ks_distance,
+    poisson_ratio_cdf,
+    weyl_count,
+)
 
 
 def params(gamma, j, omega=1.0, omega0=1.0):
@@ -224,3 +231,39 @@ class TestDropDegenerate:
     def test_keeps_generic_levels(self):
         e = np.array([0.0, 0.5, 1.2])
         assert np.array_equal(analysis.drop_degenerate(e), e)
+
+
+class TestWeylCount:
+    """The oracle of criterion 11: the Weyl count against its closed form at
+    zero coupling, its slope above eps = omega0 at any coupling and its onset
+    at the classical ground-state energy."""
+
+    @pytest.mark.parametrize("j, omega, omega0", [(10.0, 1.0, 1.0), (2.5, 0.7, 1.3)])
+    def test_zero_coupling_closed_form(self, j, omega, omega0):
+        # j (2j + 1) / (2 omega) F(eps): F is 0 below -omega0,
+        # (eps + omega0)^2 / (2 omega0) up to omega0 and 2 eps above; the
+        # midpoint grid is exact but for the one y cell that holds the kink
+        eps = np.linspace(-2.0, 3.0, 41) * omega0
+        f = np.where(eps < -omega0, 0.0,
+                     np.where(eps <= omega0, (eps + omega0) ** 2 / (2.0 * omega0), 2.0 * eps))
+        want = j * (2.0 * j + 1.0) / (2.0 * omega) * f
+        got = weyl_count(params(0.0, j, omega=omega, omega0=omega0), eps)
+        assert np.abs(got - want).max() <= 1e-6 * want.max()
+
+    @pytest.mark.parametrize("gamma", [0.3, 1.0, 2.5])
+    def test_slope_above_omega0_is_j_2j_plus_1_over_omega(self, gamma):
+        # u <= omega0 y <= omega0 on the whole sphere, so above omega0 every
+        # spin point counts and dN_W / d eps = j (2j + 1) / omega
+        p = params(gamma, 4.0, omega=0.8, omega0=1.1)
+        lo, hi = weyl_count(p, [1.2, 5.7])
+        assert (hi - lo) / 4.5 == pytest.approx(4.0 * 9.0 / 0.8, rel=1e-9)
+
+    @pytest.mark.parametrize("gamma", [0.75, 1.0, 2.0])
+    def test_count_starts_at_the_classical_ground_state(self, gamma):
+        # above gamma_c the lowest u is -(omega0 / 2)(gamma^2/gamma_c^2 +
+        # gamma_c^2/gamma^2), the superradiant ground-state energy over j
+        p = params(gamma, 3.0)
+        ratio = gamma**2 / p.gamma_c**2
+        e_min = -0.5 * p.omega0 * (ratio + 1.0 / ratio)
+        below, above = weyl_count(p, [e_min - 1e-9, e_min + 1e-3])
+        assert below == 0.0 and above > 0.0

@@ -441,11 +441,11 @@ class TestPipelineRun:
         assert manifest["converged_count"] == leading.sum()
 
     # each kind of failure: omega0, the couplings, the error and its words;
-    # a failed audit, an overflowing W (raised from W's ArithmeticError) and
-    # an H LAPACK would rescale (raised from SymmetricMatrix's ValueError)
+    # a failed audit, an overflowing W and an H LAPACK would rescale (both
+    # refused when H is built, from SymmetricMatrix's ValueError)
     FAILURES = {
         "audit": (1.0, (0.2, 0.4, 0.6), SolverError, "solver audit failed"),
-        "w-overflow": (1.0, (1e40, 2e40, 3e40), ConfigError, "is too strong for n_max"),
+        "w-overflow": (1.0, (1e40, 2e40, 3e40), ConfigError, "cannot be solved"),
         "rescale": (1e300, (0.2, 0.4, 0.6), ConfigError, "largest |entry| is"),
     }
 
@@ -975,25 +975,6 @@ class TestCli:
     def test_non_finite_coupling_is_config_error(self, no_build, value):
         assert self.run_cli("spectrum", "--n-atoms", "2", "--gamma", value) == 2
 
-    @pytest.mark.parametrize("gamma", ["1e40", "1e80"])
-    def test_overflowing_coupling_is_config_error(self, capsys, gamma):
-        # the displacement matrix overflows to inf at 1e40 and to NaN at 1e80,
-        # with no numpy warning on the way
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = self.run_cli("spectrum", "--n-atoms", "2", "--n-max", "4", "--gamma", gamma)
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: gamma={float(gamma):g} is too strong for n_max=4")
-
-    def test_coupling_whose_square_overflows_is_config_error(self, capsys):
-        # one shell's displacement matrix stays finite, but gamma^2 does not
-        code = self.run_cli("spectrum", "--n-atoms", "2", "--n-max", "0", "--gamma", "1e200")
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: gamma=1e+200 is too strong")
-        assert "Traceback" not in err
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -1005,19 +986,27 @@ class TestCli:
              "--omega0", "1e308"],
             ["--n-atoms", "5", "--n-max", "2", "--gamma", "0.5", "--omega", "1e308",
              "--omega0", "1.7e308", "--sector", "+"],
+            ["--n-atoms", "2", "--n-max", "4", "--gamma", "1e40"],
+            ["--n-atoms", "2", "--n-max", "4", "--gamma", "1e80"],
+            ["--n-atoms", "2", "--n-max", "0", "--gamma", "1e200"],
+            ["--n-atoms", "2", "--n-max", "4", "--gamma", "1e-10", "--omega", "1e-320"],
         ],
-        ids=["gamma", "omega0", "omega", "inf", "nan"],
+        ids=["gamma", "omega0", "omega", "inf", "nan", "w-overflow-inf", "w-overflow-nan",
+             "gamma-squared-overflows", "g-overflows"],
     )
     def test_entry_lapack_would_rescale_is_config_error(self, capsys, argv):
         # H's largest |entry| lies where dsyevd would rescale it, or is inf,
         # or a diagonal entry is inf - inf: the sector is refused when H is
-        # built, with no numpy warning from the fill on the way
+        # built, with no numpy warning from the fill on the way.  So is a
+        # coupling that overflows W (to inf at 1e40, to NaN at 1e80), gamma^2
+        # (one shell's W stays finite) or G itself (at a subnormal omega)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = self.run_cli("spectrum", *argv)
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: gamma=") and err.count("\n") == 1
+        assert "a Hamiltonian that cannot be solved" in err and "Traceback" not in err
         assert ("largest |entry| is" in err and "outside [2**-485, 2**485]" in err
                 or "non-finite entries" in err or "hold a NaN" in err)
 
@@ -1052,7 +1041,7 @@ class TestCli:
         for gamma in ("1e+40", "1e+80"):
             man = json.loads((tmp_path / f"gamma={gamma}" / "plus" / "manifest.json").read_text())
             assert man["status"] == "failed"
-            assert "too strong for n_max=4" in man["error"]
+            assert "give n_max=4 a Hamiltonian that cannot be solved" in man["error"]
 
     @pytest.mark.parametrize("flag", ["--omega", "--omega0"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
